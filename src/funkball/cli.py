@@ -10,6 +10,9 @@ subquadraticity and gradient-check tables.
 Configuration is a flat ``key = value`` text file with dotted keys
 (``params.a = 0.5``), overridden by command-line flags; every run that
 writes outputs also writes its fully resolved configuration next to them.
+``scan`` runs its schedule sequentially through ``lambda_scan``; the worker
+count (``--workers``, ``FUNKBALL_WORKERS`` or ``run.workers``) is validated
+and recorded in ``resolved.cfg`` but does not change what runs or the results.
 Exit codes: 0 success, 1 certification failure, 2 validation failure.
 All CSV numbers use 17 significant digits so doubles round-trip exactly.
 """
@@ -19,7 +22,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -444,52 +446,24 @@ def cmd_scan(args):
         )
     nl, kappa = _problem(cfg)
     scfg = _solver_cfg(cfg)
-    lam_star = es.nonexistence_threshold(params, nl, kappa)
-    try:
-        lam_tilde = es.tilde_lambda_estimate(params, kappa, nl, cfg=scfg)
-    except es.SolverError:
-        lam_tilde = math.inf
     if args.lambdas:
         try:
             schedule = [float(v) for v in args.lambdas.split(",")]
         except ValueError:
             raise CliValidationError("--lambdas expects comma-separated numbers")
     else:
+        try:
+            lam_tilde = es.tilde_lambda_estimate(params, kappa, nl, cfg=scfg)
+        except es.SolverError:
+            lam_tilde = math.inf
         if not math.isfinite(lam_tilde):
             raise CliValidationError(
                 "no finite onset estimate; pass an explicit --lambdas schedule"
             )
-        schedule = [0.5 * lam_star, 10.0 * lam_tilde]
+        schedule = [0.5 * es.nonexistence_threshold(params, nl, kappa), 10.0 * lam_tilde]
     if any(l < 0.0 for l in schedule):
         raise CliValidationError("lambda values must be non-negative")
-    workers = cfg["run.workers"]
-
-    def one(lam):
-        try:
-            return es.solve(lam, params, kappa, nl, scfg)
-        except Exception as exc:
-            return es.SolveReport(
-                lam=lam,
-                classification="error",
-                lambda_star=lam_star,
-                lambda_tilde_est=lam_tilde,
-                failures=(str(exc),),
-                mesh_size=scfg.M,
-                r_max=scfg.r_max,
-                kappa_measure=kappa.measure,
-            )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(one, schedule))
-    else:
-        reports = [one(lam) for lam in schedule]
-    report = es.LambdaScanReport(
-        lambdas=tuple(schedule),
-        reports=tuple(reports),
-        lambda_star=lam_star,
-        lambda_tilde_est=lam_tilde,
-    )
+    report = es.lambda_scan(schedule, params, kappa, nl, scfg)
     print(f"lambda_star = {_fmt(report.lambda_star)}")
     print(f"lambda_tilde_est = {_fmt(report.lambda_tilde_est)}")
     for lam, rep in zip(report.lambdas, report.reports):
@@ -588,7 +562,7 @@ def _add_common(sub):
     sub.add_argument("--config", help="flat key = value configuration file")
     sub.add_argument("--out", help="output directory for reports")
     sub.add_argument("--seed", type=int, help="master seed for randomized stages")
-    sub.add_argument("--workers", type=int, help="parallel scan workers")
+    sub.add_argument("--workers", type=int, help="recorded worker count; scans run sequentially")
     sub.add_argument("--verify", action="store_true", help="run oracle cross-checks")
 
 

@@ -33,8 +33,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 
-from .finsler_core import GeometryError, ModelParams
-from .quadrature import QuadratureConfig, radial_integral, sphere_area
+from .finsler_core import GeometryError, ModelParams, _golden_max
+from .quadrature import QuadratureConfig, _sample_radial, radial_integral, sphere_area
 
 __all__ = [
     "Nonlinearity",
@@ -190,11 +190,7 @@ class RadialFunction:
         if self.is_grid:
             out = np.interp(r_arr, self.nodes, self.values)
         else:
-            out = np.asarray(self._fu(r_arr), dtype=float)
-            if out.shape != r_arr.shape:
-                out = np.array([float(self._fu(ri)) for ri in np.atleast_1d(r_arr)]).reshape(
-                    r_arr.shape
-                )
+            out = _sample_radial(self._fu, r_arr)
         return float(out) if np.isscalar(r) else out
 
     __call__ = u
@@ -207,9 +203,7 @@ class RadialFunction:
             idx[r_arr >= self.nodes[-1]] = self.nodes.size
             out = self._slopes[np.minimum(idx, self._slopes.size - 1)]
         else:
-            out = np.asarray(self._fdu(r_arr), dtype=float)
-            if out.shape != r_arr.shape:
-                out = np.array([float(self._fdu(ri)) for ri in r_arr])
+            out = _sample_radial(self._fdu, r_arr)
         return float(out[0]) if np.isscalar(r) else out.reshape(np.shape(r))
 
     def scale(self, t):
@@ -235,11 +229,7 @@ class RadialFunction:
 
 def _as_scalar_fn(f):
     def wrapped(s):
-        s_arr = np.asarray(s, dtype=float)
-        out = np.asarray(f(s_arr), dtype=float)
-        if out.shape != s_arr.shape:
-            out = np.array([float(f(si)) for si in np.atleast_1d(s_arr)]).reshape(s_arr.shape)
-        return out
+        return _sample_radial(f, np.asarray(s, dtype=float))
 
     return wrapped
 
@@ -289,36 +279,24 @@ def compute_cg(nl, window=(1e-8, 1e8)):
         ratio = g(s) / s
     ratio = np.where(np.isfinite(ratio), ratio, -np.inf)
     k = int(np.argmax(ratio))
-    a = s[max(k - 1, 0)]
-    b = s[min(k + 1, s.size - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = float(g(c) / c)
-    fd = float(g(d) / d)
-    for _ in range(120):
-        if (b - a) <= 1e-13 * (1.0 + b):
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = float(g(c) / c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = float(g(d) / d)
-    m = 0.5 * (a + b)
-    return max(float(ratio[k]), fc, fd, float(g(m) / m))
+    _, _, refined = _golden_max(
+        lambda x: float(g(x) / x),
+        s[max(k - 1, 0)],
+        s[min(k + 1, s.size - 1)],
+        tol=1e-13,
+        max_iter=120,
+        relative=True,
+    )
+    return max(float(ratio[k]), refined)
 
 
 @dataclass(frozen=True)
 class Nonlinearity:
     """Sublinear nonlinearity g with primitive G and cached c_g = max g(s)/s.
 
-    Extended by 0 for s <= 0.  The constructor runs heuristic checks of the
-    sublinearity conditions: g(s)/s must be small near 0 and near infinity
-    (each sampled ratio below 0.2), and g must vanish on s <= 0; pass
-    ``validate=False`` to skip (synthetic test fixtures only).
+    Extended by 0 for s <= 0.  The constructor always runs heuristic checks
+    of the sublinearity conditions: g(s)/s must be small near 0 and near
+    infinity (each sampled ratio below 0.2), and g must vanish on s <= 0.
     """
 
     g: Callable
@@ -326,7 +304,6 @@ class Nonlinearity:
     dg: Optional[Callable] = None
     c_g: Optional[float] = None
     name: str = "custom"
-    validate: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "g", _as_scalar_fn(self.g))
@@ -338,8 +315,7 @@ class Nonlinearity:
             object.__setattr__(self, "dg", _fd_derivative(self.g))
         else:
             object.__setattr__(self, "dg", _as_scalar_fn(self.dg))
-        if self.validate:
-            self._check()
+        self._check()
         if self.c_g is None:
             object.__setattr__(self, "c_g", compute_cg(self))
         if not self.c_g > 0.0:
@@ -663,6 +639,25 @@ def _assembly_for(u, params, cfg):
     return _Assembly(params, u.nodes, quad_order=(cfg or SolverConfig()).quad_order)
 
 
+def _mesh_vector(u, asm, what):
+    """Nodal vector on the mesh of ``asm`` with the boundary entry pinned to
+    0: a grid profile's values, a closed-form profile sampled at the nodes,
+    or a raw vector of nodal values."""
+    if isinstance(u, RadialFunction):
+        v = np.array(u.values if u.is_grid else u.u(asm.nodes), dtype=float)
+    else:
+        v = np.array(u, dtype=float)
+    if v.shape != asm.nodes.shape:
+        raise ValueError(f"{what} must match the solver mesh")
+    v[-1] = 0.0
+    return v
+
+
+def _check_lambda(lam):
+    if lam < 0.0:
+        raise ValueError("lambda must be non-negative")
+
+
 def _quad_cfg(r_max):
     return QuadratureConfig(r_max=min(r_max, 1.0 - 1e-9))
 
@@ -740,55 +735,44 @@ def _tent_vector(nodes, height, width):
     return v
 
 
-def _tilde_search(params, kappa, nl, cfg):
-    """Best tent-profile bound on the onset ratio E/(2G); also returns the
-    minimizing trial vector."""
-    asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
+def _onset_ratio(asm, v, kappa, nl):
+    """E/(2G) of a nodal vector; inf when its potential G is not positive."""
+    G = asm.g_int(v, kappa, nl)
+    return asm.energy(v) / (2.0 * G) if G > 0.0 else math.inf
 
-    def ratio_of(v):
-        G = asm.g_int(v, kappa, nl)
-        if G <= 0.0:
-            return math.inf, G
-        return asm.energy(v) / (2.0 * G), G
 
-    best = (math.inf, None)
-    widths = np.linspace(0.15, 0.8, 10)
-    heights = np.geomspace(1e-2, 1e2, 25)
-    for w in widths:
-        for h in heights:
-            v = _tent_vector(asm.nodes, h, w)
-            rat, _ = ratio_of(v)
-            if rat < best[0]:
-                best = (rat, (h, w))
-    if best[1] is None:
+def _best_trial(asm, vectors, kappa, nl):
+    """Smallest onset ratio over nodal vectors and the index of the first
+    vector attaining it; raises when no vector has positive potential."""
+    best, arg = math.inf, None
+    for i, v in enumerate(vectors):
+        rat = _onset_ratio(asm, v, kappa, nl)
+        if rat < best:
+            best, arg = rat, i
+    if arg is None:
         raise SolverError(
             "no trial profile produces positive potential; weight and nonlinearity "
             "are incompatible"
         )
-    h0, w0 = best[1]
-    lo, hi = h0 / 3.0, h0 * 3.0
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a_, b_ = math.log(lo), math.log(hi)
-    c_ = b_ - invphi * (b_ - a_)
-    d_ = a_ + invphi * (b_ - a_)
-    fc = ratio_of(_tent_vector(asm.nodes, math.exp(c_), w0))[0]
-    fd = ratio_of(_tent_vector(asm.nodes, math.exp(d_), w0))[0]
-    for _ in range(60):
-        if b_ - a_ < 1e-10:
-            break
-        if fc < fd:
-            b_, d_, fd = d_, c_, fc
-            c_ = b_ - invphi * (b_ - a_)
-            fc = ratio_of(_tent_vector(asm.nodes, math.exp(c_), w0))[0]
-        else:
-            a_, c_, fc = c_, d_, fd
-            d_ = a_ + invphi * (b_ - a_)
-            fd = ratio_of(_tent_vector(asm.nodes, math.exp(d_), w0))[0]
-    h_best = math.exp(0.5 * (a_ + b_))
-    v_best = _tent_vector(asm.nodes, h_best, w0)
-    rat, _ = ratio_of(v_best)
-    rat = min(rat, best[0])
-    return rat, v_best, asm
+    return best, arg
+
+
+def _tilde_search(params, kappa, nl, cfg):
+    """Best tent-profile bound on the onset ratio E/(2G); also returns the
+    minimizing trial vector."""
+    asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
+    tents = [(h, w) for w in np.linspace(0.15, 0.8, 10) for h in np.geomspace(1e-2, 1e2, 25)]
+    best, k = _best_trial(asm, (_tent_vector(asm.nodes, h, w) for h, w in tents), kappa, nl)
+    h0, w0 = tents[k]
+
+    # refine log(height) by golden section; maximizing -ratio minimizes the ratio
+    def neg_ratio(log_h):
+        return -_onset_ratio(asm, _tent_vector(asm.nodes, math.exp(log_h), w0), kappa, nl)
+
+    log_h, neg_rat, _ = _golden_max(
+        neg_ratio, math.log(h0 / 3.0), math.log(h0 * 3.0), tol=1e-10, max_iter=60
+    )
+    return min(-neg_rat, best), _tent_vector(asm.nodes, math.exp(log_h), w0), asm
 
 
 def tilde_lambda_estimate(params, kappa, nl, trials=None, cfg=None):
@@ -796,30 +780,19 @@ def tilde_lambda_estimate(params, kappa, nl, trials=None, cfg=None):
 
     With no explicit trials, scans tent profiles varied in height and
     width and refines the best height by golden section.  Explicit trials
-    (grid-backed profiles or nodal vectors on the solver mesh) are scored
-    as given.  Being a trial-family minimum, the result is an upper bound
-    on the true onset; the empirical onset of the two-solution regime is
-    reported by scans, not claimed equal to this number.
+    are grid-backed profiles or nodal vectors on the solver mesh, or
+    closed-form profiles, which are sampled at its nodes; each is scored
+    with its boundary value pinned to 0.  Being a trial-family minimum, the
+    result is an upper bound on the true onset; the empirical onset of the
+    two-solution regime is reported by scans, not claimed equal to this
+    number.
     """
     cfg = cfg or SolverConfig()
     if trials is None:
-        rat, _, _ = _tilde_search(params, kappa, nl, cfg)
-        return rat
+        return _tilde_search(params, kappa, nl, cfg)[0]
     asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
-    best = math.inf
-    for t in trials:
-        v = t.values if isinstance(t, RadialFunction) else np.asarray(t, dtype=float)
-        if v.shape != asm.nodes.shape:
-            raise ValueError("trial profiles must live on the solver mesh")
-        G = asm.g_int(v, kappa, nl)
-        if G > 0.0:
-            best = min(best, asm.energy(v) / (2.0 * G))
-    if not best < math.inf:
-        raise SolverError(
-            "no trial profile produces positive potential; weight and nonlinearity "
-            "are incompatible"
-        )
-    return best
+    vectors = (_mesh_vector(t, asm, "trial profiles") for t in trials)
+    return _best_trial(asm, vectors, kappa, nl)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -916,20 +889,11 @@ def minimize(lam, params, kappa, nl, cfg=None, init=None):
     energy J_lambda, and the terminal residual; non-convergence returns
     the best iterate with its (too large) residual rather than raising.
     """
-    if lam < 0.0:
-        raise ValueError("lambda must be non-negative")
+    _check_lambda(lam)
     params.require_a_below_one("the variational solver")
     cfg = cfg or SolverConfig()
     asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
-    if init is None:
-        init_vec = np.zeros(asm.M)
-    elif isinstance(init, RadialFunction):
-        init_vec = init.values.copy() if init.is_grid else init.u(asm.nodes)
-        init_vec[-1] = 0.0
-    else:
-        init_vec = np.asarray(init, dtype=float).copy()
-    if init_vec.shape != asm.nodes.shape:
-        raise ValueError("init must match the solver mesh")
+    init_vec = np.zeros(asm.M) if init is None else _mesh_vector(init, asm, "init")
     u, J, res, _ = _minimize_vec(asm, lam, kappa, nl, cfg, init_vec)
     return RadialFunction.from_values(asm.nodes, u, label="minimizer"), J, res
 
@@ -987,18 +951,11 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None):
     Raises :class:`PathCollapseError` when the running maximum sits at an
     endpoint (the barrier vanished), with sweep diagnostics attached.
     """
-    if lam < 0.0:
-        raise ValueError("lambda must be non-negative")
+    _check_lambda(lam)
     params.require_a_below_one("the mountain-pass search")
     cfg = cfg or SolverConfig()
     asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
-    if isinstance(u_target, RadialFunction):
-        target = u_target.values.copy() if u_target.is_grid else u_target.u(asm.nodes)
-    else:
-        target = np.asarray(u_target, dtype=float).copy()
-    target[-1] = 0.0
-    if target.shape != asm.nodes.shape:
-        raise ValueError("u_target must match the solver mesh")
+    target = _mesh_vector(u_target, asm, "u_target")
     J_target = asm.j_lambda(target, lam, kappa, nl)
     if not J_target < 0.0:
         raise SolverError(
@@ -1192,16 +1149,19 @@ def solve(lam, params, kappa=None, nl=None, cfg=None):
     best tent trial plus seeded random perturbations, so runs are
     deterministic for a fixed config.
     """
-    if lam < 0.0:
-        raise ValueError("lambda must be non-negative")
+    _check_lambda(lam)
     params.require_a_below_one("the variational solver")
     kappa = kappa or WeightKappa.default()
     nl = nl or Nonlinearity.default()
     cfg = cfg or SolverConfig()
-
     lam_star = nonexistence_threshold(params, nl, kappa)
-    lam_tilde, trial, asm = _tilde_search(params, kappa, nl, cfg)
+    search = _tilde_search(params, kappa, nl, cfg)
+    return _solve_at(lam, params, kappa, nl, cfg, lam_star, *search)
 
+
+def _solve_at(lam, params, kappa, nl, cfg, lam_star, lam_tilde, trial, asm):
+    """The per-lambda part of :func:`solve`, given the tent search's
+    (lam_tilde, trial, asm)."""
     inits = [t * trial for t in (0.25, 0.5, 1.0, 2.0, 4.0)]
     for k in range(3):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, k]))
@@ -1288,7 +1248,11 @@ def solve(lam, params, kappa=None, nl=None, cfg=None):
 
 def lambda_scan(lambdas, params, kappa=None, nl=None, cfg=None):
     """Run :func:`solve` over a schedule; per-lambda failures are recorded
-    in the report instead of aborting the scan."""
+    in the report instead of aborting the scan.
+
+    The tent search behind lambda~ does not depend on lambda, so it runs
+    once per scan; when it fails, every lambda reports its error.
+    """
     params.require_a_below_one("the lambda scan")
     kappa = kappa or WeightKappa.default()
     nl = nl or Nonlinearity.default()
@@ -1297,12 +1261,16 @@ def lambda_scan(lambdas, params, kappa=None, nl=None, cfg=None):
     reports = []
     lam_star = nonexistence_threshold(params, nl, kappa)
     try:
-        lam_tilde = tilde_lambda_estimate(params, kappa, nl, cfg=cfg)
-    except SolverError:
-        lam_tilde = math.inf
+        search = _tilde_search(params, kappa, nl, cfg)
+        lam_tilde = search[0]
+    except SolverError as exc:
+        search, lam_tilde = exc, math.inf
     for lam in lambdas:
         try:
-            rep = solve(lam, params, kappa, nl, cfg)
+            _check_lambda(lam)
+            if isinstance(search, SolverError):
+                raise search
+            rep = _solve_at(lam, params, kappa, nl, cfg, lam_star, *search)
         except Exception as exc:  # per-lambda isolation is the contract
             rep = SolveReport(
                 lam=lam,
@@ -1312,7 +1280,7 @@ def lambda_scan(lambdas, params, kappa=None, nl=None, cfg=None):
                 failures=(str(exc),),
                 mesh_size=cfg.M,
                 r_max=cfg.r_max,
-                kappa_measure=(kappa.measure if kappa else "finsler_a"),
+                kappa_measure=kappa.measure,
             )
         reports.append(rep)
     return LambdaScanReport(
@@ -1337,11 +1305,7 @@ def subquadraticity_diagnostic(u_dir, params, kappa=None, nl=None, t_schedule=No
         t_schedule = np.geomspace(1e-3, 1e3, 25)
     t_schedule = np.asarray(t_schedule, dtype=float)
     asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
-    if isinstance(u_dir, RadialFunction):
-        v = u_dir.values.copy() if u_dir.is_grid else u_dir.u(asm.nodes)
-    else:
-        v = np.asarray(u_dir, dtype=float).copy()
-    v[-1] = 0.0
+    v = _mesh_vector(u_dir, asm, "the direction profile")
     base = asm.h12_norm_sq(v)
     if base <= 0.0:
         raise ValueError("the direction profile must be nonzero")

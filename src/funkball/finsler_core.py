@@ -342,15 +342,21 @@ def _orthonormal_pair(u, v):
     return e1, w / nw
 
 
-def _golden_max(fn, lo, hi, tol=1e-10, max_iter=200):
-    """Golden-section maximization on [lo, hi]."""
+def _golden_max(fn, lo, hi, tol=1e-10, max_iter=200, relative=False):
+    """Golden-section maximization on [lo, hi].
+
+    Stops once the bracket [a, b] is narrower than ``tol`` (``tol * (1 + b)``
+    when ``relative``) or after ``max_iter`` steps.  Returns the final
+    bracket midpoint, ``fn`` there, and the largest of that value and the
+    two interior probes.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
     for _ in range(max_iter):
-        if b - a < tol:
+        if b - a < (tol * (1.0 + b) if relative else tol):
             break
         if fc > fd:
             b, d, fd = d, c, fc
@@ -361,7 +367,8 @@ def _golden_max(fn, lo, hi, tol=1e-10, max_iter=200):
             d = a + invphi * (b - a)
             fd = fn(d)
     mid = 0.5 * (a + b)
-    return max(fn(mid), fc, fd)
+    f_mid = fn(mid)
+    return mid, f_mid, max(f_mid, fc, fd)
 
 
 def _circle_refined_max(fn_theta, coarse=512, tol=1e-10):
@@ -369,7 +376,7 @@ def _circle_refined_max(fn_theta, coarse=512, tol=1e-10):
     vals = np.array([fn_theta(t) for t in thetas])
     k = int(np.argmax(vals))
     h = 2.0 * math.pi / coarse
-    return _golden_max(fn_theta, thetas[k] - h, thetas[k] + h, tol=tol)
+    return _golden_max(fn_theta, thetas[k] - h, thetas[k] + h, tol=tol)[2]
 
 
 def polar_F_star_oracle(params, p, alpha, samples=10000, seed=0, refine_tol=1e-10):

@@ -190,9 +190,11 @@ def measure_density(params, r, measure):
 
 
 def _sample_radial(f, r):
+    """``f`` on the float array ``r``, elementwise: one call on the whole
+    array when ``f`` broadcasts, else one call per entry."""
     vals = np.asarray(f(r), dtype=float)
     if vals.shape != r.shape:
-        vals = np.array([float(f(ri)) for ri in r])
+        vals = np.array([float(f(ri)) for ri in np.atleast_1d(r)]).reshape(r.shape)
     return vals
 
 

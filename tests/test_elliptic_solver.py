@@ -33,6 +33,7 @@ from funkball import (
     tilde_lambda_estimate,
     w12a_norm,
 )
+from funkball import elliptic_solver as es
 from funkball.elliptic_solver import _Assembly, _tilde_search
 from conftest import random_profile
 
@@ -372,6 +373,29 @@ def test_tilde_estimate_signals_incompatible_weight():
         tilde_lambda_estimate(params, WeightKappa.default(), nl, trials=[trial], cfg=FAST)
 
 
+def test_tilde_estimate_samples_closed_form_trial():
+    params = ModelParams(n=3, a=0.5)
+    kappa, nl = WeightKappa.default(), Nonlinearity.default()
+    closed = RadialFunction.from_callables(
+        lambda r: np.maximum(1.0 - np.asarray(r) / 0.4, 0.0),
+        lambda r: np.where(np.asarray(r) < 0.4, -1.0 / 0.4, 0.0),
+    )
+    grid = tent_values(solver_nodes(FAST))
+    est = tilde_lambda_estimate(params, kappa, nl, trials=[closed], cfg=FAST)
+    assert est == tilde_lambda_estimate(params, kappa, nl, trials=[grid], cfg=FAST)
+
+
+def test_tilde_estimate_pins_raw_trial():
+    params = ModelParams(n=3, a=0.5)
+    kappa, nl = WeightKappa.default(), Nonlinearity.default()
+    cfg = SolverConfig(M=64)
+    pinned = tent_values(solver_nodes(cfg))
+    unpinned = pinned.copy()
+    unpinned[-1] = 1.0
+    est = tilde_lambda_estimate(params, kappa, nl, trials=[unpinned], cfg=cfg)
+    assert est == tilde_lambda_estimate(params, kappa, nl, trials=[pinned], cfg=cfg)
+
+
 # --- minimization and mountain pass ---------------------------------------
 
 def test_minimize_at_lambda_zero(rng):
@@ -485,6 +509,52 @@ def test_lambda_scan_classifications():
     assert list(high.classifications()) == ["two", "two"]
 
 
+def test_lambda_scan_runs_tilde_search_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _tilde_search(*args)
+
+    monkeypatch.setattr(es, "_tilde_search", counting)
+    report = lambda_scan([0.0, 1.0, 2.0], ModelParams(n=3, a=0.5), cfg=FAST)
+    assert len(report.reports) == 3
+    assert len(calls) == 1
+
+
+def test_lambda_scan_reports_match_solve():
+    params = ModelParams(n=3, a=0.5)
+    kappa, nl = WeightKappa.default(), Nonlinearity.default()
+    lam_star = nonexistence_threshold(params, nl, kappa)
+    lam_tilde = tilde_lambda_estimate(params, kappa, nl, cfg=FAST)
+    lams = [0.5 * lam_star, 10.0 * lam_tilde]
+    scan = lambda_scan(lams, params, kappa, nl, FAST)
+    for lam, rep in zip(lams, scan.reports):
+        assert rep.to_json_dict() == solve(lam, params, kappa, nl, FAST).to_json_dict()
+
+
+def test_lambda_scan_isolates_negative_lambda():
+    report = lambda_scan([1.0, -1.0, 2.0], ModelParams(n=3, a=0.5), cfg=FAST)
+    assert report.classifications() == ("only-zero", "error", "only-zero")
+    assert report.reports[1].failures == ("lambda must be non-negative",)
+    assert report.reports[0].failures == report.reports[2].failures == ()
+
+
+def test_lambda_scan_search_failure_reports_every_lambda():
+    # weight supported beyond every tent trial, so no trial has G > 0
+    def kappa(r):
+        r = np.asarray(r, dtype=float)
+        return np.where((r > 0.9) & (r < 0.99), 1.0, 0.0)
+
+    far = WeightKappa(kappa=kappa)
+    report = lambda_scan([1.0, 2.0], ModelParams(n=3, a=0.5), kappa=far, cfg=FAST)
+    assert report.lambda_tilde_est == math.inf
+    assert report.classifications() == ("error", "error")
+    for rep in report.reports:
+        assert rep.lambda_tilde_est == math.inf
+        assert len(rep.failures) == 1 and "incompatible" in rep.failures[0]
+
+
 def test_lambda_scan_empty_schedule():
     report = lambda_scan([], ModelParams(n=3, a=0.5), cfg=FAST)
     assert report.lambdas == ()
@@ -527,3 +597,11 @@ def test_subquadraticity_rejects_zero_direction():
     nodes = solver_nodes(FAST)
     with pytest.raises(ValueError):
         subquadraticity_diagnostic(np.zeros(nodes.size), params, cfg=FAST)
+
+
+@pytest.mark.parametrize("extra", [2, -2])
+def test_subquadraticity_rejects_direction_off_mesh(extra):
+    params = ModelParams(n=3, a=0.5)
+    direction = np.ones(solver_nodes(FAST).size + extra)
+    with pytest.raises(ValueError):
+        subquadraticity_diagnostic(direction, params, cfg=FAST)

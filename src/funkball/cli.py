@@ -19,7 +19,6 @@ All CSV numbers use 17 significant digits so doubles round-trip exactly.
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -28,7 +27,7 @@ import numpy as np
 from . import elliptic_solver as es
 from . import finsler_core as fc
 from . import sobolev as sb
-from .quadrature import QuadratureConfig, unit_ball_volume
+from .quadrature import QuadratureConfig
 
 __all__ = ["main"]
 
@@ -384,18 +383,12 @@ def cmd_counterexample(args):
     return EXIT_OK
 
 
-def _write_solve_outputs(outdir, cfg, report, tag=""):
-    prefix = f"{tag}_" if tag else ""
-    _write_json(os.path.join(outdir, f"{prefix}report.json"), report.to_json_dict())
-    _write_csv(
-        os.path.join(outdir, f"{prefix}report.csv"),
-        es.CSV_SCAN_HEADER,
-        report.csv_rows(),
-    )
+def _write_profiles(outdir, report, tag=""):
+    """One ``profile_<tag><which>.csv`` per solution of a solve report."""
     for sol in report.solutions:
         prof = sol["profile"]
         _write_csv(
-            os.path.join(outdir, f"{prefix}profile_{sol['which']}.csv"),
+            os.path.join(outdir, f"profile_{tag}{sol['which']}.csv"),
             ("r", "u"),
             list(zip(prof.nodes.tolist(), prof.values.tolist())),
         )
@@ -429,7 +422,9 @@ def cmd_solve(args):
         print(f"  note: {msg}")
     outdir = _ensure_outdir(args)
     if outdir:
-        _write_solve_outputs(outdir, cfg, report)
+        _write_json(os.path.join(outdir, "report.json"), report.to_json_dict())
+        _write_csv(os.path.join(outdir, "report.csv"), es.CSV_SCAN_HEADER, report.csv_rows())
+        _write_profiles(outdir, report)
         _dump_resolved(cfg, outdir)
     if report.failures or any(not s["ok"] for s in report.solutions):
         raise CliCertificationError("solution certification failed")
@@ -446,24 +441,18 @@ def cmd_scan(args):
         )
     nl, kappa = _problem(cfg)
     scfg = _solver_cfg(cfg)
+    schedule = None  # lambda_scan's default (lambda*/2, 10 lambda~)
     if args.lambdas:
         try:
             schedule = [float(v) for v in args.lambdas.split(",")]
         except ValueError:
             raise CliValidationError("--lambdas expects comma-separated numbers")
-    else:
-        try:
-            lam_tilde = es.tilde_lambda_estimate(params, kappa, nl, cfg=scfg)
-        except es.SolverError:
-            lam_tilde = math.inf
-        if not math.isfinite(lam_tilde):
-            raise CliValidationError(
-                "no finite onset estimate; pass an explicit --lambdas schedule"
-            )
-        schedule = [0.5 * es.nonexistence_threshold(params, nl, kappa), 10.0 * lam_tilde]
-    if any(l < 0.0 for l in schedule):
-        raise CliValidationError("lambda values must be non-negative")
-    report = es.lambda_scan(schedule, params, kappa, nl, scfg)
+        if any(l < 0.0 for l in schedule):
+            raise CliValidationError("lambda values must be non-negative")
+    try:
+        report = es.lambda_scan(schedule, params, kappa, nl, scfg)
+    except es.SolverError:  # raised only for the default schedule
+        raise CliValidationError("no finite onset estimate; pass an explicit --lambdas schedule")
     print(f"lambda_star = {_fmt(report.lambda_star)}")
     print(f"lambda_tilde_est = {_fmt(report.lambda_tilde_est)}")
     for lam, rep in zip(report.lambdas, report.reports):
@@ -473,13 +462,7 @@ def cmd_scan(args):
         _write_json(os.path.join(outdir, "scan.json"), report.to_json_dict())
         _write_csv(os.path.join(outdir, "scan.csv"), es.CSV_SCAN_HEADER, report.csv_rows())
         for k, rep in enumerate(report.reports):
-            for sol in rep.solutions:
-                prof = sol["profile"]
-                _write_csv(
-                    os.path.join(outdir, f"profile_{k}_{sol['which']}.csv"),
-                    ("r", "u"),
-                    list(zip(prof.nodes.tolist(), prof.values.tolist())),
-                )
+            _write_profiles(outdir, rep, f"{k}_")
         _dump_resolved(cfg, outdir)
     bad = [r for r in report.reports if r.classification == "error"]
     if bad or any(not s["ok"] for r in report.reports for s in r.solutions):

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 
-from .finsler_core import GeometryError, ModelParams, _golden_max
+from .finsler_core import GeometryError, _golden_max
 from .quadrature import QuadratureConfig, _sample_radial, radial_integral, sphere_area
 
 __all__ = [
@@ -452,11 +452,20 @@ class _Assembly:
     degrees of freedom are the first M-1 entries.  The element [0, r_1]
     carries the constant value u_1 (even reflection), all others are
     linear.
+
+    Quadrature data are ``(M, q)`` arrays, one row of q points per
+    element; the inverse element length ``inv_h``, and with it every slope,
+    is ``(M, 1)`` (0 on the flat centre element).  Integrals are dot
+    products over the points in row order.  Element e touches nodes e-1
+    and e only, so ``_collect`` adds each element's right-hat terms to node
+    e and its left-hat terms to node e-1 through shifted slices, one
+    quadrature column at a time.  Each node thus sums its terms in point
+    order, as a point-by-point scatter does; a row sum per element rounds
+    differently, which moves Newton iterates and certified residuals.
     """
 
     def __init__(self, params, nodes, quad_order=8):
         params.require_a_below_one("discrete energy assembly")
-        self.params = params
         self.nodes = np.asarray(nodes, dtype=float)
         M = self.nodes.size
         if M < 3 or np.any(np.diff(self.nodes) <= 0) or self.nodes[0] <= 0:
@@ -467,23 +476,20 @@ class _Assembly:
         n, a = params.n, params.a
 
         gx, gw = np.polynomial.legendre.leggauss(quad_order)
-        lows = np.concatenate(([0.0], self.nodes[:-1]))
-        highs = self.nodes
+        lows = np.concatenate(([0.0], self.nodes[:-1]))[:, None]
+        highs = self.nodes[:, None]
         half = 0.5 * (highs - lows)
-        # quad points, element-major: element e occupies slice e*q:(e+1)*q
-        R = (lows[:, None] + half[:, None] * (gx[None, :] + 1.0)).ravel()
-        W = (half[:, None] * gw[None, :]).ravel()
-        q = quad_order
-        elem = np.repeat(np.arange(M), q)
+        R = lows + half * (gx + 1.0)
+        W = half * gw
 
         # hat-function data: element 0 is the flat center piece
-        left = np.maximum(elem - 1, 0)
-        right = elem.copy()
-        h = np.where(elem > 0, highs[elem] - lows[elem], 1.0)
-        NL = np.where(elem > 0, (highs[elem] - R) / h, 0.0)
-        NR = np.where(elem > 0, (R - lows[elem]) / h, 1.0)
-        self.inv_h = np.where(elem > 0, 1.0 / h, 0.0)
-        self.left, self.right, self.NL, self.NR = left, right, NL, NR
+        h = highs - lows
+        h[0] = 1.0
+        self.NL = (highs - R) / h
+        self.NR = (R - lows) / h
+        self.NL[0], self.NR[0] = 0.0, 1.0
+        self.inv_h = 1.0 / h
+        self.inv_h[0] = 0.0
         self.R = R
 
         area = sphere_area(n)
@@ -492,28 +498,40 @@ class _Assembly:
         one_m = (1.0 - R) * (1.0 + R)
         self.w_fins = base * ((1.0 - (a * R) ** 2) / one_m) ** p
         self.w_klein = base * one_m ** (-p)
-        self.w_leb = base
         # F* prefactor c(r) = (1-r^2)/(1-a^2 r^2) and Klein dual factor
         self.c = one_m / (1.0 - (a * R) ** 2)
         self.ar = a * R
         self.klein_dual = one_m**2
 
-        self._kappa_cache = {}
+        self._kappa = self._kappa_at = None
         self._chol = None
 
     # -- nodal evaluation ---------------------------------------------------
 
+    def _left(self, u):
+        """Value of each element's left node: u_{e-1}, and u_0 for e = 0."""
+        return np.concatenate((u[:1], u[:-1]))[:, None]
+
     def at_points(self, u):
-        return u[self.left] * self.NL + u[self.right] * self.NR
+        return self._left(u) * self.NL + u[:, None] * self.NR
 
     def slopes(self, u):
-        return (u[self.right] - u[self.left]) * self.inv_h
+        return (u[:, None] - self._left(u)) * self.inv_h
+
+    @staticmethod
+    def _collect(out, vals, left=False):
+        """Add per-point terms to their nodes: each element's own right
+        node, or with ``left`` the left node of elements 1..M-1."""
+        if left:
+            out, vals = out[:-1], vals[1:]
+        for col in vals.T:
+            out += col
 
     def _kappa_vals(self, kappa):
-        key = id(kappa)
-        if key not in self._kappa_cache:
-            self._kappa_cache[key] = kappa.kappa(self.R)
-        return self._kappa_cache[key]
+        # keyed by identity, not id(): a freed weight's id can be reused
+        if self._kappa is not kappa:
+            self._kappa, self._kappa_at = kappa, kappa.kappa(self.R)
+        return self._kappa_at
 
     # -- energies -----------------------------------------------------------
 
@@ -524,15 +542,11 @@ class _Assembly:
         else:
             absdu = np.abs(du)
         integrand = (self.c * (absdu - self.ar * du)) ** 2
-        return float(self.w_fins @ integrand)
-
-    def mass(self, u, weights):
-        up = self.at_points(u)
-        return float(weights @ (up * up))
+        return float(np.vdot(self.w_fins, integrand))
 
     def g_int(self, u, kappa, nl):
         up = self.at_points(u)
-        return float(self.w_fins @ (self._kappa_vals(kappa) * nl.G(up)))
+        return float(np.vdot(self.w_fins, self._kappa_vals(kappa) * nl.G(up)))
 
     def j_lambda(self, u, lam, kappa, nl, eps=0.0):
         return 0.5 * self.energy(u, eps=eps) - lam * self.g_int(u, kappa, nl)
@@ -550,14 +564,31 @@ class _Assembly:
         dphi = 2.0 * self.c**2 * du * (1.0 - self.ar * sigma) ** 2
         flux = self.w_fins * dphi * self.inv_h
         out = np.zeros(self.M)
-        np.add.at(out, self.right, 0.5 * flux)
-        np.add.at(out, self.left, -0.5 * flux)
+        self._collect(out, 0.5 * flux)
+        self._collect(out, -0.5 * flux, left=True)
         up = self.at_points(u)
         gsrc = self.w_fins * self._kappa_vals(kappa) * nl.g(up) * lam
-        np.add.at(out, self.left, -gsrc * self.NL)
-        np.add.at(out, self.right, -gsrc * self.NR)
+        self._collect(out, -gsrc * self.NL, left=True)
+        self._collect(out, -gsrc * self.NR)
         out[-1] = 0.0
         return out
+
+    def _tridiag(self, stiff, mass):
+        """Free-DOF matrix of sum(stiff * s_i s_j + mass * N_i N_j) over the
+        points, where the hat slopes s are +-1 per element length (so
+        ``stiff`` carries inv_h^2), in solve_banded (1, 1) layout; its first
+        two rows are the upper form cholesky_banded takes."""
+        diag = np.zeros(self.M)
+        off = np.zeros(self.M)  # off[i]: coupling (i, i+1)
+        self._collect(diag, stiff + mass * self.NL**2, left=True)
+        self._collect(diag, stiff + mass * self.NR**2)
+        self._collect(off, -stiff + mass * self.NL * self.NR, left=True)
+        nf = self.M - 1
+        ab = np.zeros((3, nf))
+        ab[0, 1:] = off[: nf - 1]
+        ab[1] = diag[:nf]
+        ab[2, : nf - 1] = off[: nf - 1]
+        return ab
 
     def hessian_banded(self, u, lam, kappa, nl):
         """Tridiagonal Hessian on the free DOFs, in solve_banded layout."""
@@ -567,42 +598,15 @@ class _Assembly:
         we = 0.5 * self.w_fins * d2phi * self.inv_h**2
         up = self.at_points(u)
         wg = lam * self.w_fins * self._kappa_vals(kappa) * nl.dg(up)
-
-        diag = np.zeros(self.M)
-        off = np.zeros(self.M)  # off[i]: coupling (i, i+1)
-        np.add.at(diag, self.left, we * 1.0 - wg * self.NL**2)
-        np.add.at(diag, self.right, we * 1.0 - wg * self.NR**2)
-        coupling = -we - wg * self.NL * self.NR
-        np.add.at(off, self.left, np.where(self.left != self.right, coupling, 0.0))
-
-        nf = self.M - 1
-        ab = np.zeros((3, nf))
-        ab[1] = diag[:nf]
-        ab[0, 1:] = off[: nf - 1]
-        ab[2, : nf - 1] = off[: nf - 1]
-        return ab
+        return self._tridiag(we, -wg)
 
     # -- H^1_2 Gram matrix and dual residual norm ---------------------------
 
     def gram_banded(self):
-        """Tridiagonal H^1_2 Gram matrix (Klein gradient + Klein mass)."""
+        """Tridiagonal H^1_2 Gram matrix (Klein gradient + Klein mass), in
+        cholesky_banded upper layout."""
         we = self.w_klein * self.klein_dual * self.inv_h**2
-        diag = np.zeros(self.M)
-        off = np.zeros(self.M)
-        np.add.at(diag, self.left, we + self.w_klein * self.NL**2)
-        np.add.at(diag, self.right, we + self.w_klein * self.NR**2)
-        # the flat center element has left == right and contributes via the
-        # diagonal only, which the general terms above already cover
-        np.add.at(
-            off,
-            self.left,
-            np.where(self.left != self.right, -we + self.w_klein * self.NL * self.NR, 0.0),
-        )
-        nf = self.M - 1
-        ab = np.zeros((2, nf))
-        ab[0, 1:] = off[: nf - 1]
-        ab[1] = diag[:nf]
-        return ab
+        return self._tridiag(we, self.w_klein)[:2]
 
     def _cholesky(self):
         if self._chol is None:
@@ -610,9 +614,7 @@ class _Assembly:
         return self._chol
 
     def h12_norm_sq(self, u):
-        du = self.slopes(u)
-        up = self.at_points(u)
-        return float(self.w_klein @ (self.klein_dual * du * du + up * up))
+        return self.inner_K(u, u)
 
     def h12_norm(self, u):
         return math.sqrt(max(self.h12_norm_sq(u), 0.0))
@@ -630,7 +632,7 @@ class _Assembly:
         """H^1_2 inner product of two nodal vectors."""
         duv, duw = self.slopes(v), self.slopes(w)
         vp, wp = self.at_points(v), self.at_points(w)
-        return float(self.w_klein @ (self.klein_dual * duv * duw + vp * wp))
+        return float(np.vdot(self.w_klein, self.klein_dual * duv * duw + vp * wp))
 
 
 def _assembly_for(u, params, cfg):
@@ -641,10 +643,10 @@ def _assembly_for(u, params, cfg):
 
 def _mesh_vector(u, asm, what):
     """Nodal vector on the mesh of ``asm`` with the boundary entry pinned to
-    0: a grid profile's values, a closed-form profile sampled at the nodes,
-    or a raw vector of nodal values."""
+    0: a profile (grid-backed or closed-form) sampled at the nodes, or a raw
+    vector of nodal values."""
     if isinstance(u, RadialFunction):
-        v = np.array(u.values if u.is_grid else u.u(asm.nodes), dtype=float)
+        v = np.array(u.u(asm.nodes), dtype=float)
     else:
         v = np.array(u, dtype=float)
     if v.shape != asm.nodes.shape:
@@ -903,9 +905,7 @@ def minimize(lam, params, kappa, nl, cfg=None, init=None):
 # ---------------------------------------------------------------------------
 
 def _reequidistribute(asm, path):
-    seg = np.array(
-        [math.sqrt(max(asm.inner_K(d, d), 0.0)) for d in np.diff(path, axis=0)]
-    )
+    seg = np.array([asm.h12_norm(d) for d in np.diff(path, axis=0)])
     total = float(np.sum(seg))
     if total <= 0.0:
         return path
@@ -975,7 +975,7 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None):
     path = ts[:, None] * target[None, :]
     eps = cfg.smoothing_eps
     # descent directions are K-normalized, so scale steps to the barrier size
-    target_K = math.sqrt(max(asm.inner_K(target, target), 0.0))
+    target_K = asm.h12_norm(target)
     step_hint = max(0.05 * t_peak * target_K, 1e-12)
 
     def J_of(v):
@@ -983,6 +983,15 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None):
 
     def interior_max_ok(energies):
         return float(np.max(energies[1:-1])) > max(energies[0], energies[-1])
+
+    def polished(node):
+        """Newton-polished saddle from ``node``, or None if not certified."""
+        refined, res_r, _ = _newton_refine(asm, node, lam, kappa, nl, cfg)
+        J_r = asm.j_lambda(refined, lam, kappa, nl)
+        if res_r < cfg.tol and J_r > 0.0:
+            profile = RadialFunction.from_values(asm.nodes, refined, label="mountain-pass")
+            return profile, J_r, res_r
+        return None
 
     for sweep in range(cfg.max_sweeps):
         energies = np.array([J_of(v) for v in path])
@@ -999,21 +1008,14 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None):
         node = path[k]
         g = asm.grad(node, lam, kappa, nl)
         res = asm.dual_norm(g)
-        if res < 1e-3 * (1.0 + abs(energies[k])):
-            refined, res_r, _ = _newton_refine(asm, node, lam, kappa, nl, cfg)
-            J_r = asm.j_lambda(refined, lam, kappa, nl)
-            if res_r < cfg.tol and J_r > 0.0:
-                return (
-                    RadialFunction.from_values(asm.nodes, refined, label="mountain-pass"),
-                    J_r,
-                    res_r,
-                )
+        if res < 1e-3 * (1.0 + abs(energies[k])) and (found := polished(node)):
+            return found
         d = asm.riesz(g)
         tau = path[k + 1] - path[k - 1]
         tt = asm.inner_K(tau, tau)
         if tt > 0.0:
             d = d - (asm.inner_K(d, tau) / tt) * tau
-        dn = math.sqrt(max(asm.inner_K(d, d), 0.0))
+        dn = asm.h12_norm(d)
         if dn > 0.0:
             d = d / dn
         t = step_hint
@@ -1028,14 +1030,8 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None):
                 break
             t *= 0.5
         if not moved:
-            refined, res_r, _ = _newton_refine(asm, node, lam, kappa, nl, cfg)
-            J_r = asm.j_lambda(refined, lam, kappa, nl)
-            if res_r < cfg.tol and J_r > 0.0:
-                return (
-                    RadialFunction.from_values(asm.nodes, refined, label="mountain-pass"),
-                    J_r,
-                    res_r,
-                )
+            if found := polished(node):
+                return found
             step_hint = 1.0
         if (sweep + 1) % cfg.reequidistribute_every == 0:
             candidate = _reequidistribute(asm, path)
@@ -1204,9 +1200,7 @@ def _solve_at(lam, params, kappa, nl, cfg, lam_star, lam_tilde, trial, asm):
                 try:
                     u2, J2, res2 = mountain_pass(lam, params, kappa, nl, profile, cfg)
                     cert2 = _certify(asm, u2.values, lam, kappa, nl, cfg)
-                    sep = math.sqrt(
-                        max(asm.inner_K(u2.values - u, u2.values - u), 0.0)
-                    )
+                    sep = asm.h12_norm(u2.values - u)
                     distinct = sep > 1e-4 * (cert["h12_norm"] + cert2["h12_norm"] + 1.0)
                     if cert2["ok"] and J2 > 0.0 and distinct:
                         solutions.append(
@@ -1251,20 +1245,27 @@ def lambda_scan(lambdas, params, kappa=None, nl=None, cfg=None):
     in the report instead of aborting the scan.
 
     The tent search behind lambda~ does not depend on lambda, so it runs
-    once per scan; when it fails, every lambda reports its error.
+    once per scan; when it fails, every lambda reports its error.  With
+    ``lambdas=None`` the schedule is (lambda*/2, 10 lambda~), one point on
+    each side of the two-solution onset; then a failed search or a lambda~
+    that is not finite raises :class:`SolverError`.
     """
     params.require_a_below_one("the lambda scan")
     kappa = kappa or WeightKappa.default()
     nl = nl or Nonlinearity.default()
     cfg = cfg or SolverConfig()
-    lambdas = tuple(float(l) for l in lambdas)
-    reports = []
     lam_star = nonexistence_threshold(params, nl, kappa)
     try:
         search = _tilde_search(params, kappa, nl, cfg)
         lam_tilde = search[0]
     except SolverError as exc:
         search, lam_tilde = exc, math.inf
+    if lambdas is None:
+        if not math.isfinite(lam_tilde):
+            raise SolverError("no finite onset estimate for the default schedule")
+        lambdas = (0.5 * lam_star, 10.0 * lam_tilde)
+    lambdas = tuple(float(l) for l in lambdas)
+    reports = []
     for lam in lambdas:
         try:
             _check_lambda(lam)

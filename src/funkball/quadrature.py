@@ -194,7 +194,7 @@ def _sample_radial(f, r):
     array when ``f`` broadcasts, else one call per entry."""
     vals = np.asarray(f(r), dtype=float)
     if vals.shape != r.shape:
-        vals = np.array([float(f(ri)) for ri in np.atleast_1d(r)]).reshape(r.shape)
+        vals = np.array([float(f(ri)) for ri in r.ravel()]).reshape(r.shape)
     return vals
 
 

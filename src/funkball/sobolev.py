@@ -69,6 +69,18 @@ def _norm_cfg(u, cfg):
     return QuadratureConfig(r_max=min(1.0 - 1e-6, u.r_max))
 
 
+def _klein_parts(u, params, cfg):
+    """Klein-volume mass int u^2 dV_K and gradient int h_K*(Du) dV_K."""
+    mass = radial_integral(lambda r: np.asarray(u.u(r)) ** 2, params, "klein", cfg)
+    grad = radial_integral(
+        lambda r: ((1.0 - np.asarray(r) ** 2) * np.asarray(u.du(r))) ** 2,
+        params,
+        "klein",
+        cfg,
+    )
+    return mass, grad
+
+
 def w12a_norm(u, params, cfg=None):
     """Assemble the :class:`NormReport` of a radial profile.
 
@@ -82,19 +94,9 @@ def w12a_norm(u, params, cfg=None):
     def dual_sq(r):
         return np.asarray(radial_fstar(params, r, u.du(r))) ** 2
 
-    def mass_density(r):
-        vals = np.asarray(u.u(r))
-        return vals * vals
-
     seminorm = radial_integral(dual_sq, params, "finsler_a", cfg)
-    mass = radial_integral(mass_density, params, "finsler_a", cfg)
-    klein_sq = radial_integral(
-        lambda r: ((1.0 - np.asarray(r) ** 2) * np.asarray(u.du(r))) ** 2,
-        params,
-        "klein",
-        cfg,
-    )
-    klein_mass = radial_integral(mass_density, params, "klein", cfg)
+    mass = radial_integral(lambda r: np.asarray(u.u(r)) ** 2, params, "finsler_a", cfg)
+    klein_mass, klein_sq = _klein_parts(u, params, cfg)
     return NormReport(
         seminorm=seminorm,
         mass=mass,
@@ -152,16 +154,7 @@ def federer_fleming_check(u, params, cfg=None, want_ratio=True):
     zero profile has lhs = rhs = 0 and no ratio; requesting one for it
     raises.
     """
-    cfg = _norm_cfg(u, cfg)
-    lhs = radial_integral(
-        lambda r: np.asarray(u.u(r)) ** 2, params, "klein", cfg
-    )
-    grad = radial_integral(
-        lambda r: ((1.0 - np.asarray(r) ** 2) * np.asarray(u.du(r))) ** 2,
-        params,
-        "klein",
-        cfg,
-    )
+    lhs, grad = _klein_parts(u, params, _norm_cfg(u, cfg))
     rhs = 4.0 / (params.n - 1) ** 2 * grad
     if rhs <= 0.0:
         if want_ratio:

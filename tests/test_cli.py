@@ -245,3 +245,37 @@ def test_diag_tables(capsys, tmp_path):
     grad = (out_dir / "diag_gradcheck.csv").read_text().splitlines()
     assert grad[0] == "state,rel_error"
     assert len(grad) == 6
+
+
+def test_scan_default_schedule_runs_one_tent_search(capsys, tmp_path, monkeypatch):
+    from funkball import elliptic_solver as es
+
+    calls = []
+    search = es._tilde_search
+
+    def counting(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(es, "_tilde_search", counting)
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(FAST_CFG)
+    code, out, _ = run(capsys, "scan", "--config", str(cfg))
+    assert code == 0
+    assert len(calls) == 1
+    lam_star = float(value_of(out, "lambda_star"))
+    lam_tilde = float(value_of(out, "lambda_tilde_est"))
+    lams = [
+        float(line[9:].split(":")[0]) for line in out.splitlines() if line.startswith("lambda = ")
+    ]
+    assert lams == [0.5 * lam_star, 10.0 * lam_tilde]
+
+
+def test_scan_default_schedule_needs_an_onset(capsys, tmp_path):
+    # exp(-1/R^2) underflows in the potential of every tent trial
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(FAST_CFG + "problem.kappa_radius = 0.037\n")
+    code, out, err = run(capsys, "scan", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == "error: no finite onset estimate; pass an explicit --lambdas schedule\n"

@@ -553,6 +553,9 @@ def test_lambda_scan_search_failure_reports_every_lambda():
     for rep in report.reports:
         assert rep.lambda_tilde_est == math.inf
         assert len(rep.failures) == 1 and "incompatible" in rep.failures[0]
+    # the default schedule (lambda*/2, 10 lambda~) needs a finite lambda~
+    with pytest.raises(SolverError):
+        lambda_scan(None, ModelParams(n=3, a=0.5), kappa=far, cfg=FAST)
 
 
 def test_lambda_scan_empty_schedule():
@@ -605,3 +608,84 @@ def test_subquadraticity_rejects_direction_off_mesh(extra):
     direction = np.ones(solver_nodes(FAST).size + extra)
     with pytest.raises(ValueError):
         subquadraticity_diagnostic(direction, params, cfg=FAST)
+
+
+# --- assembly kernels ------------------------------------------------------
+
+def _dense(ab):
+    """Symmetric dense matrix from solve_banded (1, 1) or upper layout."""
+    off = ab[0, 1:]
+    return np.diag(ab[1]) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def test_hessian_banded_matches_gradient_differences():
+    params = ModelParams(n=3, a=0.5)
+    kappa, nl = WeightKappa.default(), Nonlinearity.default()
+    cfg = SolverConfig(M=64)
+    asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
+    x = asm.nodes / asm.nodes[-1]
+    u = 2.0 * (1.0 - x) ** 2 + (1.0 - x)  # strictly decreasing: no slope sign change
+    lam = 1e4
+    ab = asm.hessian_banded(u, lam, kappa, nl)
+    assert np.array_equal(ab[2, :-1], ab[0, 1:])
+    H = _dense(ab)
+    nf = asm.M - 1
+    fd = np.empty((nf, nf))
+    h = 1e-6
+    for j in range(nf):
+        step = np.zeros(asm.M)
+        step[j] = h
+        fd[:, j] = (asm.grad(u + step, lam, kappa, nl) - asm.grad(u - step, lam, kappa, nl))[:nf]
+    fd /= 2.0 * h
+    np.testing.assert_allclose(fd, H, rtol=1e-8, atol=0.0)
+    # the source term must show above that tolerance, or only the
+    # stiffness part would be checked
+    source = np.abs(H - _dense(asm.hessian_banded(u, 0.0, kappa, nl)))
+    assert np.max(source[H != 0.0] / np.abs(H[H != 0.0])) > 1e-3
+
+
+def test_gram_banded_matches_inner_product():
+    params = ModelParams(n=3, a=0.5)
+    cfg = SolverConfig(M=64)
+    asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
+    nf = asm.M - 1
+    basis = np.eye(asm.M)[:nf]
+    K = np.array([[asm.inner_K(ei, ej) for ej in basis] for ei in basis])
+    gram = asm.gram_banded()
+    assert gram.shape == (2, nf)
+    np.testing.assert_allclose(_dense(gram), K, rtol=1e-12, atol=1e-14 * np.max(np.abs(K)))
+
+
+def test_g_int_uses_the_weight_of_each_call():
+    # the first weight is freed before the second is built, so the second
+    # can reuse its id(); the kernel must still see the new weight
+    params, nl = ModelParams(n=3, a=0.5), Nonlinearity.default()
+    asm = _Assembly(params, solver_nodes(FAST), quad_order=FAST.quad_order)
+    u = tent_values(asm.nodes, height=5.0, width=0.8)
+    asm.g_int(u, WeightKappa.default(0.3), nl)
+    got = asm.g_int(u, WeightKappa.default(0.6), nl)
+    fresh = _Assembly(params, asm.nodes, quad_order=FAST.quad_order)
+    assert got == fresh.g_int(u, WeightKappa.default(0.6), nl)
+
+
+def test_scalar_valued_weight_is_sampled_per_point():
+    params, nl = ModelParams(n=3, a=0.5), Nonlinearity.default()
+    u = RadialFunction.from_values(solver_nodes(FAST), tent_values(solver_nodes(FAST)))
+    constant = WeightKappa(kappa=lambda r: 1.0)
+    ones = WeightKappa(kappa=lambda r: np.ones_like(np.asarray(r, dtype=float)))
+    got = g_functional(u, params, constant, nl, FAST)
+    assert got > 0.0 and got == g_functional(u, params, ones, nl, FAST)
+
+
+def test_grid_profile_on_another_mesh_is_sampled_at_the_nodes():
+    params = ModelParams(n=3, a=0.5)
+    kappa, nl = WeightKappa.default(), Nonlinearity.default()
+    r = np.linspace(0.01, 0.5, 120)  # same size as the FAST mesh, other nodes
+    other = RadialFunction.from_values(r, np.maximum(1.0 - r / 0.4, 0.0))
+    sampled = other.u(solver_nodes(FAST))
+    est = tilde_lambda_estimate(params, kappa, nl, trials=[other], cfg=FAST)
+    assert est == tilde_lambda_estimate(params, kappa, nl, trials=[sampled], cfg=FAST)
+    # a profile on the solver mesh itself keeps its values exactly
+    asm = _Assembly(params, solver_nodes(FAST), quad_order=FAST.quad_order)
+    own = RadialFunction.from_values(asm.nodes, tent_values(asm.nodes))
+    assert np.array_equal(es._mesh_vector(own, asm, "profile"), own.values)

@@ -599,10 +599,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except CliValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (fc.GeometryError, ValueError) as exc:
+    except ValueError as exc:  # CliValidationError and GeometryError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except CliCertificationError as exc:

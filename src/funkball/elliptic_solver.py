@@ -22,8 +22,8 @@ induced by the discrete H^1_2 Gram matrix.
 
 The map du -> F_a*^2 has a continuous first derivative in du even at du = 0
 (only the second derivative jumps there), so plain descent plus a Newton
-polish is enough; an optional sqrt(du^2 + eps^2) smoothing is applied inside
-line searches only, and every reported residual uses the unsmoothed form.
+polish is enough; line searches use the fixed sqrt(du^2 + SMOOTHING_EPS^2)
+smoothing, and every reported energy and residual uses the unsmoothed form.
 """
 
 import math
@@ -108,9 +108,7 @@ class RadialFunction:
     boundary value pinned to 0 at r_M = r_max and even reflection at r = 0:
     on [0, r_1] the profile is the constant u_1 with zero slope, so the
     derivative is exact for the interpolant everywhere.  Closed-form
-    profiles register u and (preferably) u'; when u' is not supplied it is
-    filled in by centered differences, which is accurate enough for
-    smoke checks but not for tight norm comparisons.
+    profiles register both u and u'.
     """
 
     __slots__ = ("nodes", "values", "r_max", "label", "_fu", "_fdu", "_slopes")
@@ -153,21 +151,12 @@ class RadialFunction:
         return self
 
     @classmethod
-    def from_callables(cls, u, du=None, r_max=1.0, label=""):
-        """Closed-form profile on [0, r_max]; ``du`` defaults to centered
-        differences of ``u``."""
+    def from_callables(cls, u, du, r_max=1.0, label=""):
+        """Closed-form profile on [0, r_max] with value ``u`` and radial
+        derivative ``du``."""
         self = cls._blank()
         if not 0.0 < r_max <= 1.0:
             raise ValueError("r_max must lie in (0, 1]")
-        if du is None:
-            h = 1e-6
-
-            def du(r, _u=u, _h=h, _top=r_max):
-                r = np.asarray(r, dtype=float)
-                hi = np.minimum(r + _h, _top - 1e-12)
-                lo = np.maximum(hi - 2.0 * _h, 0.0)
-                return (np.asarray(_u(hi)) - np.asarray(_u(lo))) / (hi - lo)
-
         object.__setattr__(self, "nodes", None)
         object.__setattr__(self, "values", None)
         object.__setattr__(self, "r_max", float(r_max))
@@ -268,13 +257,11 @@ def _fd_derivative(g):
     return dg
 
 
-def compute_cg(nl, window=(1e-8, 1e8)):
-    """Maximum of g(s)/s over s > 0 by dense log scan plus golden refinement."""
+def compute_cg(nl):
+    """Maximum of g(s)/s over 1e-8 <= s <= 1e8 by dense log scan plus
+    golden refinement."""
     g = nl.g if isinstance(nl, Nonlinearity) else _as_scalar_fn(nl)
-    lo, hi = window
-    if not 0.0 < lo < hi:
-        raise ValueError("search window must satisfy 0 < lo < hi")
-    s = np.geomspace(lo, hi, 4096)
+    s = np.geomspace(1e-8, 1e8, 4096)
     with np.errstate(over="ignore", invalid="ignore"):
         ratio = g(s) / s
     ratio = np.where(np.isfinite(ratio), ratio, -np.inf)
@@ -407,20 +394,31 @@ class WeightKappa:
 # Discretization
 # ---------------------------------------------------------------------------
 
+#: Damped Newton steps per refinement.
+NEWTON_ITERS = 80
+#: Slope smoothing sqrt(du^2 + eps^2) used by line searches only.
+SMOOTHING_EPS = 1e-10
+#: Mountain-pass sweeps between re-equidistributions of the path.
+REEQUIDISTRIBUTE_EVERY = 10
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Mesh, quadrature and iteration knobs for the variational solver."""
+    """Mesh, quadrature and iteration knobs for the variational solver.
+
+    The Newton step cap, the line-search smoothing and the mountain-pass
+    re-equidistribution period are the module constants
+    :data:`NEWTON_ITERS`, :data:`SMOOTHING_EPS` and
+    :data:`REEQUIDISTRIBUTE_EVERY`.
+    """
 
     M: int = 400
     r_max: float = 1.0 - 1e-6
     quad_order: int = 8
     tol: float = 1e-8
     max_iter: int = 400
-    newton_iters: int = 80
-    smoothing_eps: float = 1e-10
     path_nodes: int = 32
     max_sweeps: int = 4000
-    reequidistribute_every: int = 10
     seed: int = 0
 
     def __post_init__(self):
@@ -430,7 +428,7 @@ class SolverConfig:
             raise ValueError("r_max must lie in (0, 1)")
         if self.quad_order < 2:
             raise ValueError("quadrature order must be at least 2")
-        if self.tol <= 0.0 or self.smoothing_eps < 0.0:
+        if self.tol <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.path_nodes < 4:
             raise ValueError("need at least 4 interior path nodes")
@@ -808,7 +806,7 @@ def _newton_refine(asm, u, lam, kappa, nl, cfg):
     res = asm.dual_norm(asm.grad(u, lam, kappa, nl))
     mu = 0.0
     iters = 0
-    for _ in range(cfg.newton_iters):
+    for _ in range(NEWTON_ITERS):
         if res < cfg.tol:
             break
         g = asm.grad(u, lam, kappa, nl)
@@ -840,8 +838,7 @@ def _newton_refine(asm, u, lam, kappa, nl, cfg):
 def _minimize_vec(asm, lam, kappa, nl, cfg, init_vec):
     u = np.asarray(init_vec, dtype=float).copy()
     u[-1] = 0.0
-    eps = cfg.smoothing_eps
-    J = asm.j_lambda(u, lam, kappa, nl, eps=eps)
+    J = asm.j_lambda(u, lam, kappa, nl, eps=SMOOTHING_EPS)
     iters = 0
     for it in range(cfg.max_iter):
         g = asm.grad(u, lam, kappa, nl)
@@ -854,7 +851,7 @@ def _minimize_vec(asm, lam, kappa, nl, cfg, init_vec):
             iters += extra
             if res < cfg.tol:
                 break
-            J = asm.j_lambda(u, lam, kappa, nl, eps=eps)
+            J = asm.j_lambda(u, lam, kappa, nl, eps=SMOOTHING_EPS)
             continue  # gradient is stale after the refinement step
         d = -asm.riesz(g)
         slope = float(g[:-1] @ d[:-1])
@@ -862,7 +859,7 @@ def _minimize_vec(asm, lam, kappa, nl, cfg, init_vec):
         accepted = False
         for _ in range(50):
             trial = u + t * d
-            Jt = asm.j_lambda(trial, lam, kappa, nl, eps=eps)
+            Jt = asm.j_lambda(trial, lam, kappa, nl, eps=SMOOTHING_EPS)
             if Jt <= J + 1e-4 * t * slope:
                 u, J = trial, Jt
                 accepted = True
@@ -946,7 +943,9 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None):
     large lambda the barrier sits at a tiny multiple of the target.  The
     periodic re-equidistribution in the H^1_2 path metric is applied only
     when it preserves a positive interior maximum; otherwise the previous
-    node layout is kept.  Returns (profile, J_lambda, residual).
+    node layout is kept.  The path energies are evaluated once and then
+    updated with each accepted move or layout, since a sweep moves at most
+    one node.  Returns (profile, J_lambda, residual).
 
     Raises :class:`PathCollapseError` when the running maximum sits at an
     endpoint (the barrier vanished), with sweep diagnostics attached.
@@ -973,13 +972,12 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None):
     above = np.geomspace(t_peak, 1.0, P - P // 2 + 1)
     ts = np.concatenate(([0.0], below, above))
     path = ts[:, None] * target[None, :]
-    eps = cfg.smoothing_eps
     # descent directions are K-normalized, so scale steps to the barrier size
     target_K = asm.h12_norm(target)
     step_hint = max(0.05 * t_peak * target_K, 1e-12)
 
     def J_of(v):
-        return asm.j_lambda(v, lam, kappa, nl, eps=eps)
+        return asm.j_lambda(v, lam, kappa, nl, eps=SMOOTHING_EPS)
 
     def interior_max_ok(energies):
         return float(np.max(energies[1:-1])) > max(energies[0], energies[-1])
@@ -993,8 +991,8 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None):
             return profile, J_r, res_r
         return None
 
+    energies = np.array([J_of(v) for v in path])
     for sweep in range(cfg.max_sweeps):
-        energies = np.array([J_of(v) for v in path])
         if not interior_max_ok(energies):
             raise PathCollapseError(
                 "mountain-pass path collapsed: the maximum sits at an endpoint",
@@ -1020,11 +1018,11 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None):
             d = d / dn
         t = step_hint
         moved = False
-        J_here = energies[k]
         for _ in range(60):
             trial = node - t * d
-            if J_of(trial) < J_here:
-                path[k] = trial
+            J_trial = J_of(trial)
+            if J_trial < energies[k]:
+                path[k], energies[k] = trial, J_trial
                 step_hint = 2.0 * t
                 moved = True
                 break
@@ -1033,11 +1031,11 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None):
             if found := polished(node):
                 return found
             step_hint = 1.0
-        if (sweep + 1) % cfg.reequidistribute_every == 0:
+        if (sweep + 1) % REEQUIDISTRIBUTE_EVERY == 0:
             candidate = _reequidistribute(asm, path)
             cand_E = np.array([J_of(v) for v in candidate])
             if interior_max_ok(cand_E):
-                path = candidate
+                path, energies = candidate, cand_E
     raise SolverError(
         "mountain-pass search did not stabilize within the sweep budget",
         diagnostics={"lambda": lam, "sweeps": cfg.max_sweeps},

@@ -35,6 +35,9 @@ __all__ = [
 #: stored in the model parameters ("finsler" is accepted as a shorthand).
 MEASURES = ("lebesgue", "klein", "finsler_a")
 
+#: Panel count of the uniform scheme.
+UNIFORM_PANELS = 8
+
 
 def _canonical_measure(measure):
     if measure == "finsler":
@@ -88,16 +91,13 @@ class QuadratureConfig:
         sweeping ``r_max``, never by evaluating at 1.
     scheme : str
         ``"geometric"`` refines panels toward the boundary (default);
-        ``"uniform"`` splits [0, r_max] into ``n_panels`` equal panels,
-        which is mainly useful for convergence-order studies.
-    n_panels : int
-        Panel count for the uniform scheme.
+        ``"uniform"`` splits [0, r_max] into :data:`UNIFORM_PANELS` equal
+        panels, which is mainly useful for convergence-order studies.
     """
 
     m: int = 64
     r_max: float = 1.0 - 1e-6
     scheme: str = "geometric"
-    n_panels: int = 8
 
     def __post_init__(self):
         if self.m < 8:
@@ -106,8 +106,6 @@ class QuadratureConfig:
             raise ValueError(f"r_max must lie in (0, 1), got {self.r_max}")
         if self.scheme not in ("geometric", "uniform"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.n_panels < 1:
-            raise ValueError("n_panels must be positive")
 
 
 @dataclass(frozen=True)
@@ -139,7 +137,7 @@ class RadialGrid:
 
 def _panel_edges(cfg):
     if cfg.scheme == "uniform":
-        return np.linspace(0.0, cfg.r_max, cfg.n_panels + 1)
+        return np.linspace(0.0, cfg.r_max, UNIFORM_PANELS + 1)
     # Geometric refinement toward the singularity at r = 1: each panel halves
     # the remaining distance to 1, stopping once the next edge would pass
     # r_max.  Panel widths then track the (1-r) scale of the Klein blow-up.
@@ -191,9 +189,13 @@ def measure_density(params, r, measure):
 
 def _sample_radial(f, r):
     """``f`` on the float array ``r``, elementwise: one call on the whole
-    array when ``f`` broadcasts, else one call per entry."""
-    vals = np.asarray(f(r), dtype=float)
-    if vals.shape != r.shape:
+    array when ``f`` broadcasts, else one call per entry (when the whole-array
+    call raises TypeError or ValueError or returns another shape)."""
+    try:
+        vals = np.asarray(f(r), dtype=float)
+    except (TypeError, ValueError):
+        vals = None
+    if vals is None or vals.shape != r.shape:
         vals = np.array([float(f(ri)) for ri in r.ravel()]).reshape(r.shape)
     return vals
 

@@ -116,6 +116,11 @@ def test_radial_function_evaluation():
     np.testing.assert_allclose(w.values, [-1.0, -0.5, 0.0])
 
 
+def test_closed_form_profile_needs_its_derivative():
+    with pytest.raises(TypeError):
+        RadialFunction.from_callables(lambda r: 1.0 - np.asarray(r))
+
+
 # --- energy and potential --------------------------------------------------
 
 def test_zero_profile_functionals():
@@ -336,6 +341,37 @@ def test_weight_kappa_validation():
     np.testing.assert_allclose(bump.sup_norm, math.exp(-4.0), rtol=1e-12)
 
 
+def test_scalar_only_weight_is_sampled_per_entry():
+    # math.exp raises TypeError on an array, so the weight is called per entry
+    scalar = WeightKappa(kappa=lambda r: math.exp(-r))
+    vector = WeightKappa(kappa=lambda r: np.exp(-np.asarray(r, dtype=float)))
+    assert scalar.sup_norm == 1.0
+    r = np.linspace(0.0, 0.9, 7)
+    np.testing.assert_allclose(scalar.kappa(r), vector.kappa(r), rtol=1e-15)
+    params, nl = ModelParams(n=3, a=0.5), Nonlinearity.default()
+    u = RadialFunction.from_values(solver_nodes(FAST), tent_values(solver_nodes(FAST)))
+    np.testing.assert_allclose(
+        g_functional(u, params, scalar, nl, FAST),
+        g_functional(u, params, vector, nl, FAST),
+        rtol=1e-14,
+    )
+
+
+def test_branching_scalar_nonlinearity_is_sampled_per_entry():
+    # `if s > 0` raises ValueError on an array, so g is called per entry
+    def g(s):
+        if s > 0:
+            return s * s / (1.0 + s**1.5)
+        return 0.0
+
+    nl, ref = Nonlinearity(g=g), Nonlinearity.default()
+    s = np.array([-1.0, 0.0, 0.5, 2.0, 1e3])
+    np.testing.assert_allclose(nl.g(s), ref.g(s), rtol=1e-14)
+    assert nl.c_g == pytest.approx(ref.c_g, rel=1e-12)
+    # the primitive is built from the same g values as from the array form
+    np.testing.assert_allclose(nl.G(s), Nonlinearity(g=ref.g).G(s), rtol=1e-13)
+
+
 # --- onset estimate --------------------------------------------------------
 
 def test_tilde_estimate_finite_positive():
@@ -456,6 +492,28 @@ def test_mountain_pass_saddle_above_zero():
     assert np.min(u2.values) >= -1e-10
     diff = u1.values - u2.values
     assert math.sqrt(asm.h12_norm_sq(diff)) > 1e-4
+
+
+def test_mountain_pass_energy_calls_capped(monkeypatch):
+    # the path energies are kept between sweeps; re-evaluating every path
+    # node on every sweep takes 836 energy calls on this setup
+    params = ModelParams(n=3, a=0.5)
+    kappa = WeightKappa.default()
+    nl = Nonlinearity.default()
+    lam_tilde, best_vec, _ = _tilde_search(params, kappa, nl, FAST)
+    lam = 10.0 * lam_tilde
+    u1, _, _ = minimize(lam, params, kappa, nl, FAST, best_vec)
+    calls = []
+    energy = _Assembly.energy
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        return energy(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Assembly, "energy", counting)
+    _, J2, res2 = mountain_pass(lam, params, kappa, nl, u1, FAST)
+    assert J2 > 0.0 and res2 < FAST.tol
+    assert len(calls) <= 600
 
 
 # --- full pipeline ---------------------------------------------------------

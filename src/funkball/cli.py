@@ -10,6 +10,10 @@ subquadraticity and gradient-check tables.
 Configuration is a flat ``key = value`` text file with dotted keys
 (``params.a = 0.5``), overridden by command-line flags; every run that
 writes outputs also writes its fully resolved configuration next to them.
+The ``quad.*`` and ``solver.*`` keys are the fields of ``QuadratureConfig``
+and ``SolverConfig``, defaults included.  Every subcommand validates every
+key, each by the class that owns it; the CLI checks only what no class owns
+(key names, numbers, worker count, problem names, weight radius).
 ``scan`` runs its schedule sequentially through ``lambda_scan``; the worker
 count (``--workers``, ``FUNKBALL_WORKERS`` or ``run.workers``) is validated
 and recorded in ``resolved.cfg`` but does not change what runs or the results.
@@ -21,6 +25,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -68,40 +74,22 @@ def _write_json(path, obj):
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _section_defaults(section, cls):
+    """``section.<lower-cased field>`` keys with the defaults of ``cls``."""
+    return {f"{section}.{f.name.lower()}": f.default for f in fields(cls)}
+
+
 CONFIG_DEFAULTS = {
     "params.n": 3,
     "params.a": 0.5,
-    "quad.m": 64,
-    "quad.r_max": 1.0 - 1e-6,
-    "quad.scheme": "geometric",
-    "solver.m": 400,
-    "solver.r_max": 1.0 - 1e-6,
-    "solver.quad_order": 8,
-    "solver.tol": 1e-8,
-    "solver.max_iter": 400,
-    "solver.path_nodes": 32,
-    "solver.max_sweeps": 4000,
-    "solver.seed": 0,
+    **_section_defaults("quad", QuadratureConfig),
+    **_section_defaults("solver", es.SolverConfig),
     "problem.g": "default",
     "problem.kappa": "bump",
     "problem.kappa_radius": 0.5,
     "run.workers": 0,
     "run.verify": 0,
 }
-
-_INT_KEYS = {
-    "params.n",
-    "quad.m",
-    "solver.m",
-    "solver.quad_order",
-    "solver.max_iter",
-    "solver.path_nodes",
-    "solver.max_sweeps",
-    "solver.seed",
-    "run.workers",
-    "run.verify",
-}
-_STR_KEYS = {"quad.scheme", "problem.g", "problem.kappa"}
 
 
 def _parse_config_file(path):
@@ -126,18 +114,43 @@ def _parse_config_file(path):
 
 
 def _coerce(key, value):
-    if isinstance(value, str):
-        if key in _STR_KEYS:
-            return value
-        try:
-            return int(value) if key in _INT_KEYS else float(value)
-        except ValueError:
-            raise CliValidationError(f"config key {key} expects a number, got {value!r}")
-    return value
+    """Text from a config file, converted to the type of the key's default."""
+    kind = type(CONFIG_DEFAULTS[key])
+    if not isinstance(value, str) or kind is str:
+        return value
+    try:
+        return kind(value)
+    except ValueError:
+        raise CliValidationError(f"config key {key} expects a number, got {value!r}")
+
+
+def _section(cfg, section, cls):
+    return cls(**{f.name: cfg[f"{section}.{f.name.lower()}"] for f in fields(cls)})
+
+
+def _problem(cfg):
+    if cfg["problem.g"] != "default":
+        raise CliValidationError(
+            f"unknown nonlinearity {cfg['problem.g']!r}; only 'default' is built in"
+        )
+    if cfg["problem.kappa"] != "bump":
+        raise CliValidationError(
+            f"unknown weight {cfg['problem.kappa']!r}; only 'bump' is built in"
+        )
+    radius = cfg["problem.kappa_radius"]
+    if not 0.0 < radius < 1.0:
+        raise CliValidationError("the weight radius must lie in (0, 1)")
+    return es.Nonlinearity.default(), es.WeightKappa.default(radius=radius)
 
 
 def resolve_config(args):
-    """Merge defaults, config file, and flags; validate bounds."""
+    """Merge defaults, config file and flags, and validate every key.
+
+    Returns a namespace holding the resolved ``cfg`` dict and the objects
+    built from it: ``params``, ``quad``, ``solver``, ``nl`` and ``kappa``.
+    Each class checks its own fields, so every subcommand validates the
+    whole configuration, whichever parts it uses.
+    """
     cfg = dict(CONFIG_DEFAULTS)
     if getattr(args, "config", None):
         cfg.update(_parse_config_file(args.config))
@@ -154,60 +167,13 @@ def resolve_config(args):
     cfg = {k: _coerce(k, v) for k, v in cfg.items()}
     if cfg["run.workers"] == 0:
         cfg["run.workers"] = int(os.environ.get("FUNKBALL_WORKERS", "1") or "1")
-    if cfg["params.n"] < 2:
-        raise CliValidationError("dimension must be at least 2")
-    if not 0.0 <= cfg["params.a"] <= 1.0:
-        raise CliValidationError("the interpolation parameter must lie in [0, 1]")
-    if cfg["solver.tol"] <= 0.0:
-        raise CliValidationError("solver tolerance must be positive")
-    if not 0.0 < cfg["quad.r_max"] < 1.0 or not 0.0 < cfg["solver.r_max"] < 1.0:
-        raise CliValidationError("truncation radii must lie in (0, 1)")
+    params = fc.ModelParams(n=cfg["params.n"], a=cfg["params.a"])
+    quad = _section(cfg, "quad", QuadratureConfig)
+    solver = _section(cfg, "solver", es.SolverConfig)
     if cfg["run.workers"] < 1:
         raise CliValidationError("worker count must be at least 1")
-    return cfg
-
-
-def _params(cfg):
-    try:
-        return fc.ModelParams(n=cfg["params.n"], a=cfg["params.a"])
-    except fc.GeometryError as exc:
-        raise CliValidationError(str(exc))
-
-
-def _quad_cfg(cfg, r_max=None):
-    return QuadratureConfig(
-        m=cfg["quad.m"],
-        r_max=r_max if r_max is not None else cfg["quad.r_max"],
-        scheme=cfg["quad.scheme"],
-    )
-
-
-def _solver_cfg(cfg):
-    return es.SolverConfig(
-        M=cfg["solver.m"],
-        r_max=cfg["solver.r_max"],
-        quad_order=cfg["solver.quad_order"],
-        tol=cfg["solver.tol"],
-        max_iter=cfg["solver.max_iter"],
-        path_nodes=cfg["solver.path_nodes"],
-        max_sweeps=cfg["solver.max_sweeps"],
-        seed=cfg["solver.seed"],
-    )
-
-
-def _problem(cfg):
-    if cfg["problem.g"] != "default":
-        raise CliValidationError(
-            f"unknown nonlinearity {cfg['problem.g']!r}; only 'default' is built in"
-        )
-    if cfg["problem.kappa"] != "bump":
-        raise CliValidationError(
-            f"unknown weight {cfg['problem.kappa']!r}; only 'bump' is built in"
-        )
-    radius = cfg["problem.kappa_radius"]
-    if not 0.0 < radius < 1.0:
-        raise CliValidationError("the weight radius must lie in (0, 1)")
-    return es.Nonlinearity.default(), es.WeightKappa.default(radius=radius)
+    nl, kappa = _problem(cfg)
+    return SimpleNamespace(cfg=cfg, params=params, quad=quad, solver=solver, nl=nl, kappa=kappa)
 
 
 def _ensure_outdir(args):
@@ -242,17 +208,14 @@ def _parse_vec(text, n, name):
 
 
 def cmd_metric(args):
-    cfg = resolve_config(args)
-    params = _params(cfg)
+    run = resolve_config(args)
+    params = run.params
     n = params.n
     lines = []
     if args.reversibility:
         lines.append(f"r_F = {_fmt(fc.reversibility(params))}")
     x = _parse_vec(args.x, n, "x")
-    try:
-        p = fc.BallPoint(x) if x is not None else None
-    except fc.GeometryError as exc:
-        raise CliValidationError(str(exc))
+    p = fc.BallPoint(x) if x is not None else None
     y = _parse_vec(args.y, n, "y")
     alpha = _parse_vec(args.alpha, n, "alpha")
     x2 = _parse_vec(args.x2, n, "x2")
@@ -275,7 +238,7 @@ def cmd_metric(args):
         grad = fc.legendre_gradient(params, p, alpha)
         lines.append(f"F_star = {_fmt(Fs)}")
         lines.append(f"grad = {','.join(_fmt(float(v)) for v in grad)}")
-        if cfg["run.verify"]:
+        if run.cfg["run.verify"]:
             oracle = fc.polar_F_star_oracle(params, p, alpha, samples=20000)
             if abs(oracle - Fs) > 1e-3 * (1.0 + Fs):
                 mismatches.append(f"dual-norm oracle {oracle} vs closed form {Fs}")
@@ -284,7 +247,7 @@ def cmd_metric(args):
                 mismatches.append("duality identity alpha(grad) = F_star^2 failed")
             if abs(fc.randers_F(params, p, grad) - Fs) > 1e-8 * (1.0 + Fs):
                 mismatches.append("duality identity F(grad) = F_star failed")
-    if p is not None and cfg["run.verify"] and params.a < 1.0:
+    if p is not None and run.cfg["run.verify"] and params.a < 1.0:
         r_pt = (1.0 + params.a * p.r) / (1.0 - params.a * p.r)
         oracle = fc.reversibility_oracle(params, p, samples=20000)
         if abs(oracle - r_pt) > 1e-3 * (1.0 + r_pt):
@@ -292,10 +255,7 @@ def cmd_metric(args):
     if p is not None and x2 is not None:
         if params.a != 1.0:
             raise CliValidationError("the distance formula applies to a = 1 only")
-        try:
-            lines.append(f"funk_distance = {_fmt(fc.funk_distance(p, fc.BallPoint(x2)))}")
-        except fc.GeometryError as exc:
-            raise CliValidationError(str(exc))
+        lines.append(f"funk_distance = {_fmt(fc.funk_distance(p, fc.BallPoint(x2)))}")
     if not lines:
         raise CliValidationError("nothing to evaluate: pass --x with --y/--alpha, or --reversibility")
     print("\n".join(lines))
@@ -307,8 +267,7 @@ def cmd_metric(args):
 
 
 def cmd_norms(args):
-    cfg = resolve_config(args)
-    params = _params(cfg)
+    run = resolve_config(args)
     if args.profile == "counterexample":
         u = sb.counterexample_profile()
     elif args.profile.startswith("tent:"):
@@ -326,10 +285,8 @@ def cmd_norms(args):
         )
     else:
         raise CliValidationError(f"unknown profile {args.profile!r}")
-    r_max = args.r_max if args.r_max is not None else cfg["quad.r_max"]
-    if not 0.0 < r_max < 1.0:
-        raise CliValidationError("truncation radius must lie in (0, 1)")
-    report = sb.w12a_norm(u, params, _quad_cfg(cfg, r_max=r_max))
+    quad = run.quad if args.r_max is None else replace(run.quad, r_max=args.r_max)
+    report = sb.w12a_norm(u, run.params, quad)
     for name in sb.NormReport.CSV_HEADER:
         print(f"{name} = {_fmt(getattr(report, name))}")
     outdir = _ensure_outdir(args)
@@ -340,26 +297,19 @@ def cmd_norms(args):
             sb.NormReport.CSV_HEADER,
             [report.to_csv_row()],
         )
-        _dump_resolved(cfg, outdir)
+        _dump_resolved(run.cfg, outdir)
     return EXIT_OK
 
 
 def cmd_counterexample(args):
-    cfg = resolve_config(args)
-    n = cfg["params.n"]
+    run = resolve_config(args)
+    schedule = None  # divergence_trend's default, 1 - 10^-k for k = 1..9
     if args.r_schedule:
         try:
             schedule = [float(v) for v in args.r_schedule.split(",")]
         except ValueError:
             raise CliValidationError("--r-schedule expects comma-separated radii")
-    else:
-        schedule = [1.0 - 10.0 ** (-k) for k in range(1, 10)]
-    if len(schedule) < 2:
-        raise CliValidationError("need at least two truncation radii to fit a slope")
-    try:
-        trend = sb.divergence_trend(n, schedule, _quad_cfg(cfg))
-    except ValueError as exc:
-        raise CliValidationError(str(exc))
+    trend = sb.divergence_trend(run.params.n, schedule, run.quad)
     rows = [
         (R, c1, c2, trend["slope"])
         for R, c1, c2 in zip(trend["R"], trend["C1"], trend["C2"])
@@ -377,7 +327,7 @@ def cmd_counterexample(args):
     outdir = _ensure_outdir(args)
     if outdir:
         _write_csv(os.path.join(outdir, "counterexample.csv"), header, rows)
-        _dump_resolved(cfg, outdir)
+        _dump_resolved(run.cfg, outdir)
     if verdict != "PASS":
         raise CliCertificationError("dichotomy verdict FAIL")
     return EXIT_OK
@@ -395,21 +345,15 @@ def _write_profiles(outdir, report, tag=""):
 
 
 def cmd_solve(args):
-    cfg = resolve_config(args)
-    params = _params(cfg)
-    if params.a >= 1.0:
+    run = resolve_config(args)
+    if run.params.a >= 1.0:
         raise CliValidationError(
             "the solver requires a < 1: at a = 1 the function class is not closed "
             "under negation, so the variational formulation is unavailable"
         )
-    lam = args.lam
-    if lam is None:
+    if args.lam is None:
         raise CliValidationError("--lambda is required for solve")
-    if lam < 0.0:
-        raise CliValidationError("lambda must be non-negative")
-    nl, kappa = _problem(cfg)
-    scfg = _solver_cfg(cfg)
-    report = es.solve(lam, params, kappa, nl, scfg)
+    report = es.solve(args.lam, run.params, run.kappa, run.nl, run.solver)
     print(f"lambda_star = {_fmt(report.lambda_star)}")
     print(f"lambda_tilde_est = {_fmt(report.lambda_tilde_est)}")
     print(f"classification = {report.classification}")
@@ -425,22 +369,19 @@ def cmd_solve(args):
         _write_json(os.path.join(outdir, "report.json"), report.to_json_dict())
         _write_csv(os.path.join(outdir, "report.csv"), es.CSV_SCAN_HEADER, report.csv_rows())
         _write_profiles(outdir, report)
-        _dump_resolved(cfg, outdir)
+        _dump_resolved(run.cfg, outdir)
     if report.failures or any(not s["ok"] for s in report.solutions):
         raise CliCertificationError("solution certification failed")
     return EXIT_OK
 
 
 def cmd_scan(args):
-    cfg = resolve_config(args)
-    params = _params(cfg)
-    if params.a >= 1.0:
+    run = resolve_config(args)
+    if run.params.a >= 1.0:
         raise CliValidationError(
             "the scan requires a < 1: at a = 1 the function class is not closed "
             "under negation, so the variational formulation is unavailable"
         )
-    nl, kappa = _problem(cfg)
-    scfg = _solver_cfg(cfg)
     schedule = None  # lambda_scan's default (lambda*/2, 10 lambda~)
     if args.lambdas:
         try:
@@ -450,7 +391,7 @@ def cmd_scan(args):
         if any(l < 0.0 for l in schedule):
             raise CliValidationError("lambda values must be non-negative")
     try:
-        report = es.lambda_scan(schedule, params, kappa, nl, scfg)
+        report = es.lambda_scan(schedule, run.params, run.kappa, run.nl, run.solver)
     except es.SolverError:  # raised only for the default schedule
         raise CliValidationError("no finite onset estimate; pass an explicit --lambdas schedule")
     print(f"lambda_star = {_fmt(report.lambda_star)}")
@@ -463,7 +404,7 @@ def cmd_scan(args):
         _write_csv(os.path.join(outdir, "scan.csv"), es.CSV_SCAN_HEADER, report.csv_rows())
         for k, rep in enumerate(report.reports):
             _write_profiles(outdir, rep, f"{k}_")
-        _dump_resolved(cfg, outdir)
+        _dump_resolved(run.cfg, outdir)
     bad = [r for r in report.reports if r.classification == "error"]
     if bad or any(not s["ok"] for r in report.reports for s in r.solutions):
         raise CliCertificationError("scan encountered per-lambda failures")
@@ -471,12 +412,10 @@ def cmd_scan(args):
 
 
 def cmd_diag(args):
-    cfg = resolve_config(args)
-    params = _params(cfg)
+    run = resolve_config(args)
+    params, kappa, nl, scfg = run.params, run.kappa, run.nl, run.solver
     if params.a >= 1.0:
         raise CliValidationError("diagnostics require a < 1")
-    nl, kappa = _problem(cfg)
-    scfg = _solver_cfg(cfg)
     outdir = _ensure_outdir(args)
 
     nodes = es.solver_nodes(scfg)
@@ -529,7 +468,7 @@ def cmd_diag(args):
             ("state", "rel_error"),
             gradcheck_rows,
         )
-        _dump_resolved(cfg, outdir)
+        _dump_resolved(run.cfg, outdir)
     if worst > 1e-5:
         raise CliCertificationError("gradient check exceeded its tolerance")
     return EXIT_OK
@@ -599,7 +538,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:  # CliValidationError and GeometryError included
+    except ValueError as exc:  # the CLI's checks and every library class's
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except CliCertificationError as exc:

@@ -13,6 +13,7 @@ cheaply.  A Monte-Carlo ball integrator provides a non-radial oracle for
 cross-checks.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +38,8 @@ MEASURES = ("lebesgue", "klein", "finsler_a")
 
 #: Panel count of the uniform scheme.
 UNIFORM_PANELS = 8
+#: Distinct configs whose rules :func:`radial_grid` keeps.
+GRID_CACHE_SIZE = 32
 
 
 def _canonical_measure(measure):
@@ -113,6 +116,7 @@ class RadialGrid:
     """A flattened 1-d quadrature rule on (0, r_max].
 
     ``sum(weights * phi(nodes))`` approximates ``int_0^r_max phi(r) dr``.
+    The stored arrays are read-only copies, so a cached rule can be shared.
     """
 
     nodes: np.ndarray
@@ -121,8 +125,9 @@ class RadialGrid:
     m: int
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)
+        weights = np.array(self.weights, dtype=float)
+        nodes.flags.writeable = weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         if nodes.ndim != 1 or nodes.shape != weights.shape:
@@ -151,8 +156,10 @@ def _panel_edges(cfg):
     return np.array(edges)
 
 
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
 def radial_grid(cfg=None):
-    """Build the panel Gauss-Legendre rule described by ``cfg``."""
+    """The panel Gauss-Legendre rule described by ``cfg``, built once per
+    distinct config (the :data:`GRID_CACHE_SIZE` most recently used are kept)."""
     if cfg is None:
         cfg = QuadratureConfig()
     gx, gw = np.polynomial.legendre.leggauss(cfg.m)

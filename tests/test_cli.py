@@ -279,3 +279,77 @@ def test_scan_default_schedule_needs_an_onset(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: no finite onset estimate; pass an explicit --lambdas schedule\n"
+
+
+RESOLVED_DEFAULT = """\
+params.a = 0.5
+params.n = 3
+problem.g = default
+problem.kappa = bump
+problem.kappa_radius = 0.5
+quad.m = 64
+quad.r_max = 0.99999899999999997
+quad.scheme = geometric
+run.verify = 0
+run.workers = 1
+solver.m = 400
+solver.max_iter = 400
+solver.max_sweeps = 4000
+solver.path_nodes = 32
+solver.quad_order = 8
+solver.r_max = 0.99999899999999997
+solver.seed = 0
+solver.tol = 1e-08
+"""
+
+
+def test_resolved_cfg_of_default_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("FUNKBALL_WORKERS", raising=False)
+    out_dir = tmp_path / "ce"
+    code, _, _ = run(capsys, "counterexample", "--out", str(out_dir))
+    assert code == 0
+    assert (out_dir / "resolved.cfg").read_text() == RESOLVED_DEFAULT
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("solver.m = 8", "need at least 16 radial elements"),
+        ("solver.path_nodes = 2", "need at least 4 interior path nodes"),
+        ("quad.m = 4", "need at least 8 points per panel, got 4"),
+        ("quad.scheme = spiral", "unknown scheme 'spiral'"),
+        ("problem.kappa_radius = 1.5", "the weight radius must lie in (0, 1)"),
+        ("problem.g = cubic", "unknown nonlinearity 'cubic'"),
+    ],
+)
+def test_every_subcommand_validates_the_whole_config(capsys, tmp_path, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    for argv in (("metric", "--reversibility"), ("counterexample", "--r-schedule", "0.5,0.9")):
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, cfg_line, message",
+    [
+        (("metric", "--n", "1", "--reversibility"), "", "dimension must be an integer >= 2"),
+        (("metric", "--a", "1.5", "--reversibility"), "", "interpolation parameter must lie in"),
+        (("metric", "--reversibility"), "solver.tol = 0", "tolerances must be positive"),
+        (("metric", "--reversibility"), "quad.r_max = 1", "r_max must lie in (0, 1), got 1.0"),
+        (("metric", "--reversibility"), "solver.r_max = 1.5", "r_max must lie in (0, 1)"),
+        (("norms", "--r-max", "1"), "", "r_max must lie in (0, 1), got 1.0"),
+        (("counterexample", "--r-schedule", "0.9"), "", "need at least two truncation radii"),
+        (("counterexample", "--r-schedule", "0.5,1.2"), "", "truncation radii must lie in (0, 1)"),
+        (("solve", "--lambda", "-1"), "", "lambda must be non-negative"),
+        (("metric", "--x", "1.5,0,0", "--y", "1,0,0"), "", "not strictly inside the unit ball"),
+        (("metric", "--a", "1", "--x", "0,0,0", "--x2", "2,0,0"), "", "not strictly inside"),
+    ],
+)
+def test_checks_left_to_the_owning_class_exit_2(capsys, tmp_path, argv, cfg_line, message):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(cfg_line + "\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err

@@ -372,6 +372,12 @@ def test_branching_scalar_nonlinearity_is_sampled_per_entry():
     np.testing.assert_allclose(nl.G(s), Nonlinearity(g=ref.g).G(s), rtol=1e-13)
 
 
+def test_cached_primitive_matches_closed_form():
+    ref = Nonlinearity.default()
+    s = np.geomspace(1e-6, 1e6, 2001)
+    np.testing.assert_allclose(Nonlinearity(g=ref.g).G(s), ref.G(s), rtol=1e-5)
+
+
 # --- onset estimate --------------------------------------------------------
 
 def test_tilde_estimate_finite_positive():

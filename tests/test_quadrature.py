@@ -58,6 +58,27 @@ def test_grid_invariants():
     grid = radial_grid(QuadratureConfig(m=32, r_max=0.9))
     assert np.all(np.diff(grid.nodes) > 0)
     assert np.all(grid.weights > 0)
+
+
+def test_grid_is_built_once_and_read_only():
+    cfg = QuadratureConfig(m=16, r_max=0.9)
+    grid = radial_grid(cfg)
+    assert radial_grid(cfg) is grid
+    assert radial_grid(QuadratureConfig(m=16, r_max=0.9)) is grid
+    assert not grid.nodes.flags.writeable and not grid.weights.flags.writeable
+    nodes = grid.nodes.copy()
+    params = ModelParams(n=3, a=0.5)
+    before = radial_integral(lambda r: r, params, "klein", cfg)
+
+    def doubling(r):
+        r *= 2.0  # on the shared array this raises; each entry is then doubled
+        return r
+
+    np.testing.assert_allclose(
+        radial_integral(doubling, params, "klein", cfg), 2.0 * before, rtol=1e-14
+    )
+    assert radial_integral(lambda r: r, params, "klein", cfg) == before
+    np.testing.assert_array_equal(grid.nodes, nodes)
     assert grid.nodes[0] > 0 and grid.nodes[-1] <= 0.9
 
 

@@ -38,7 +38,9 @@ MEASURES = ("lebesgue", "klein", "finsler_a")
 
 #: Panel count of the uniform scheme.
 UNIFORM_PANELS = 8
-#: Distinct configs whose rules :func:`radial_grid` keeps.
+#: Distinct configs whose rules :func:`radial_grid` keeps.  A geometry case
+#: (norm sandwich, Federer-Fleming, divergence trend) uses 9 distinct configs
+#: in 24 calls; the solver never calls :func:`radial_grid`.
 GRID_CACHE_SIZE = 32
 
 

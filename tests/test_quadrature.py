@@ -58,6 +58,7 @@ def test_grid_invariants():
     grid = radial_grid(QuadratureConfig(m=32, r_max=0.9))
     assert np.all(np.diff(grid.nodes) > 0)
     assert np.all(grid.weights > 0)
+    assert grid.nodes[0] > 0 and grid.nodes[-1] <= 0.9
 
 
 def test_grid_is_built_once_and_read_only():

@@ -13,7 +13,7 @@ writes outputs also writes its fully resolved configuration next to them.
 The ``quad.*`` and ``solver.*`` keys are the fields of ``QuadratureConfig``
 and ``SolverConfig``, defaults included.  Every subcommand validates every
 key, each by the class that owns it; the CLI checks only what no class owns
-(key names, numbers, worker count, problem names, weight radius).
+(key names, numbers, worker count, problem names).
 ``scan`` runs its schedule sequentially through ``lambda_scan``; the worker
 count (``--workers``, ``FUNKBALL_WORKERS`` or ``run.workers``) is validated
 and recorded in ``resolved.cfg`` but does not change what runs or the results.
@@ -138,8 +138,6 @@ def _problem(cfg):
             f"unknown weight {cfg['problem.kappa']!r}; only 'bump' is built in"
         )
     radius = cfg["problem.kappa_radius"]
-    if not 0.0 < radius < 1.0:
-        raise CliValidationError("the weight radius must lie in (0, 1)")
     return es.Nonlinearity.default(), es.WeightKappa.default(radius=radius)
 
 

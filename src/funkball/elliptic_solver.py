@@ -227,13 +227,17 @@ def _cached_primitive(g):
     """Primitive of g from cumulative panel quadrature, interpolated by cubic
     Hermite pieces with the known slopes G' = g at the breaks.
 
-    For the default g it is good to 2e-7 relative on [1e-6, 1e6]; below 1e-6
-    the error grows to 6e-6 at 1e-7 and 2e-4 near 1e-8.  Above s = 1e7 the
-    tail is extrapolated linearly with slope g(1e7), which is 12 % low at
-    2e7 for the default g.  Register a closed form when the energy values
-    themselves are under test.
+    The breaks are log-spaced about 2.9 % apart from 1e-8 to 1e12.  For the
+    default g it is good to 2e-7 relative on [1e-6, 1e12]; below 1e-6 the
+    error grows to 6e-6 at 1e-7 and 2e-4 near 1e-8.  Above s = 1e12 the
+    tail is extrapolated linearly with slope g(1e12).  Register a closed
+    form when the energy values themselves are under test.
     """
-    breaks = np.concatenate(([0.0], np.geomspace(1e-8, 1e7, 1200)))
+    # two runs of breaks, so that G at s <= 1e7 does not depend on how far
+    # the table reaches
+    breaks = np.concatenate(
+        ([0.0], np.geomspace(1e-8, 1e7, 1200), np.geomspace(1e7, 1e12, 401)[1:])
+    )
     gx, gw = np.polynomial.legendre.leggauss(16)
     lo, hi = breaks[:-1], breaks[1:]
     half = 0.5 * (hi - lo)
@@ -359,9 +363,9 @@ class Nonlinearity:
 class WeightKappa:
     """Non-negative radial weight with cached sup norm.
 
-    ``measure`` records against which volume its L^1 mass is quoted in
-    reports; the variational functionals themselves always integrate
-    kappa * G(u) against the canonical (finsler_a) volume.
+    ``measure`` is a tag naming the volume the weight is meant against,
+    copied into reports as ``kappa_measure``; the variational functionals
+    always integrate kappa * G(u) against the canonical (finsler_a) volume.
     """
 
     kappa: Callable
@@ -383,13 +387,12 @@ class WeightKappa:
         if not 0.0 < self.sup_norm < math.inf:
             raise ValueError("sup norm must be finite and positive")
 
-    def l1_mass(self, params, cfg=None):
-        """Integral of the weight against its declared measure tag."""
-        return radial_integral(self.kappa, params, self.measure, cfg)
-
     @classmethod
     def default(cls, radius=0.5):
-        """Smooth bump exp(-1/(R^2 - r^2)) supported in r < R, sup at r = 0."""
+        """Smooth bump exp(-1/(R^2 - r^2)) supported in r < R, sup at r = 0,
+        for a radius 0 < R < 1."""
+        if not 0.0 < radius < 1.0:
+            raise ValueError("the weight radius must lie in (0, 1)")
         R2 = float(radius) ** 2
 
         def kappa(r):
@@ -444,6 +447,10 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if self.path_nodes < 4:
             raise ValueError("need at least 4 interior path nodes")
+        if self.max_iter < 1 or self.max_sweeps < 1:
+            raise ValueError("max_iter and max_sweeps must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def solver_nodes(cfg=None):
@@ -472,6 +479,17 @@ class _Assembly:
     quadrature column at a time.  Each node thus sums its terms in point
     order, as a point-by-point scatter does; a row sum per element rounds
     differently, which moves Newton iterates and certified residuals.
+
+    The source terms (``g_int``, the ``g`` part of ``grad``, the ``dg``
+    part of ``hessian_banded``) are evaluated on the rows ``[:nk]`` only,
+    where ``nk`` is one past the last row with a nonzero weight: beyond it
+    every source term is an exact zero.  The results keep the summation
+    order of the full arrays, so they are bit-identical to them: the
+    potential's integrand and the Hessian's source weights are zero-padded
+    to ``(M, q)`` before the full-length dot product or ``_tridiag``, and
+    the gradient's source columns go through ``_collect`` on ``out[:nk]``,
+    whose nodes receive the same terms in the same order (a skipped term
+    is +-0, which leaves a nonzero sum, or a +0 one, unchanged).
     """
 
     def __init__(self, params, nodes, quad_order=8):
@@ -514,6 +532,7 @@ class _Assembly:
         self.klein_dual = one_m**2
 
         self._kappa = self._kappa_at = None
+        self.nk = M
         self._chol = None
 
     # -- nodal evaluation ---------------------------------------------------
@@ -522,8 +541,11 @@ class _Assembly:
         """Value of each element's left node: u_{e-1}, and u_0 for e = 0."""
         return np.concatenate((u[:1], u[:-1]))[:, None]
 
-    def at_points(self, u):
-        return self._left(u) * self.NL + u[:, None] * self.NR
+    def at_points(self, u, rows=None):
+        """Values at the points of the first ``rows`` elements (all of them
+        by default)."""
+        k = self.M if rows is None else rows
+        return self._left(u)[:k] * self.NL[:k] + u[:k, None] * self.NR[:k]
 
     def slopes(self, u):
         return (u[:, None] - self._left(u)) * self.inv_h
@@ -538,10 +560,20 @@ class _Assembly:
             out += col
 
     def _kappa_vals(self, kappa):
+        """The weight at the points of rows ``[:nk]``; sets ``self.nk``."""
         # keyed by identity, not id(): a freed weight's id can be reused
         if self._kappa is not kappa:
-            self._kappa, self._kappa_at = kappa, kappa.kappa(self.R)
+            vals = kappa.kappa(self.R)
+            live = np.flatnonzero(np.any(vals != 0.0, axis=1))
+            self.nk = int(live[-1]) + 1 if live.size else 0
+            self._kappa, self._kappa_at = kappa, vals[: self.nk]
         return self._kappa_at
+
+    def _padded(self, vals):
+        """Rows ``[:nk]`` zero-padded to the full ``(M, q)`` shape."""
+        out = np.zeros_like(self.R)
+        out[: self.nk] = vals
+        return out
 
     # -- energies -----------------------------------------------------------
 
@@ -555,8 +587,9 @@ class _Assembly:
         return float(np.vdot(self.w_fins, integrand))
 
     def g_int(self, u, kappa, nl):
-        up = self.at_points(u)
-        return float(np.vdot(self.w_fins, self._kappa_vals(kappa) * nl.G(up)))
+        kap = self._kappa_vals(kappa)
+        integrand = kap * nl.G(self.at_points(u, self.nk))
+        return float(np.vdot(self.w_fins, self._padded(integrand)))
 
     def j_lambda(self, u, lam, kappa, nl, eps=0.0):
         return 0.5 * self.energy(u, eps=eps) - lam * self.g_int(u, kappa, nl)
@@ -576,10 +609,11 @@ class _Assembly:
         out = np.zeros(self.M)
         self._collect(out, 0.5 * flux)
         self._collect(out, -0.5 * flux, left=True)
-        up = self.at_points(u)
-        gsrc = self.w_fins * self._kappa_vals(kappa) * nl.g(up) * lam
-        self._collect(out, -gsrc * self.NL, left=True)
-        self._collect(out, -gsrc * self.NR)
+        kap = self._kappa_vals(kappa)
+        k = self.nk
+        gsrc = self.w_fins[:k] * kap * nl.g(self.at_points(u, k)) * lam
+        self._collect(out[:k], -gsrc * self.NL[:k], left=True)
+        self._collect(out[:k], -gsrc * self.NR[:k])
         out[-1] = 0.0
         return out
 
@@ -606,9 +640,10 @@ class _Assembly:
         sigma = np.sign(du)
         d2phi = 2.0 * self.c**2 * (1.0 - self.ar * sigma) ** 2
         we = 0.5 * self.w_fins * d2phi * self.inv_h**2
-        up = self.at_points(u)
-        wg = lam * self.w_fins * self._kappa_vals(kappa) * nl.dg(up)
-        return self._tridiag(we, -wg)
+        kap = self._kappa_vals(kappa)
+        k = self.nk
+        wg = lam * self.w_fins[:k] * kap * nl.dg(self.at_points(u, k))
+        return self._tridiag(we, -self._padded(wg))
 
     # -- H^1_2 Gram matrix and dual residual norm ---------------------------
 

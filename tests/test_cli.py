@@ -320,6 +320,9 @@ def test_resolved_cfg_of_default_run(capsys, tmp_path, monkeypatch):
         ("quad.scheme = spiral", "unknown scheme 'spiral'"),
         ("problem.kappa_radius = 1.5", "the weight radius must lie in (0, 1)"),
         ("problem.g = cubic", "unknown nonlinearity 'cubic'"),
+        ("solver.seed = -1", "seed must be non-negative"),
+        ("solver.max_iter = 0", "max_iter and max_sweeps must be at least 1"),
+        ("solver.max_sweeps = 0", "max_iter and max_sweeps must be at least 1"),
     ],
 )
 def test_every_subcommand_validates_the_whole_config(capsys, tmp_path, line, message):

@@ -339,6 +339,23 @@ def test_weight_kappa_validation():
         WeightKappa(kappa=lambda r: np.zeros_like(np.asarray(r, dtype=float)))
     bump = WeightKappa.default(radius=0.5)
     np.testing.assert_allclose(bump.sup_norm, math.exp(-4.0), rtol=1e-12)
+    for radius in (0.0, -0.5, 1.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"the weight radius must lie in \(0, 1\)"):
+            WeightKappa.default(radius)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("seed", -1, "seed must be non-negative"),
+        ("max_iter", 0, "max_iter and max_sweeps must be at least 1"),
+        ("max_sweeps", 0, "max_iter and max_sweeps must be at least 1"),
+    ],
+)
+def test_solver_config_rejects_bad_iteration_knobs(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        SolverConfig(**{field: value})
+    SolverConfig(**{field: value + 1})  # the smallest accepted value
 
 
 def test_scalar_only_weight_is_sampled_per_entry():
@@ -376,6 +393,13 @@ def test_cached_primitive_matches_closed_form():
     ref = Nonlinearity.default()
     s = np.geomspace(1e-6, 1e6, 2001)
     np.testing.assert_allclose(Nonlinearity(g=ref.g).G(s), ref.G(s), rtol=1e-5)
+
+
+def test_cached_primitive_tail_matches_closed_form():
+    # profiles pass s = 1e7 at large lambda; the table must not end there
+    ref = Nonlinearity.default()
+    s = np.array([2e7, 1e9, 1e11])
+    np.testing.assert_allclose(Nonlinearity(g=ref.g).G(s), ref.G(s), rtol=1e-6)
 
 
 # --- onset estimate --------------------------------------------------------
@@ -730,6 +754,90 @@ def test_g_int_uses_the_weight_of_each_call():
     got = asm.g_int(u, WeightKappa.default(0.6), nl)
     fresh = _Assembly(params, asm.nodes, quad_order=FAST.quad_order)
     assert got == fresh.g_int(u, WeightKappa.default(0.6), nl)
+
+
+def _full_points(asm, u):
+    left = np.concatenate((u[:1], u[:-1]))[:, None]
+    return left * asm.NL + u[:, None] * asm.NR
+
+
+def _full_g_int(asm, u, kappa, nl):
+    return float(np.vdot(asm.w_fins, kappa.kappa(asm.R) * nl.G(_full_points(asm, u))))
+
+
+def _full_grad(asm, u, lam, kappa, nl):
+    du = asm.slopes(u)
+    dphi = 2.0 * asm.c**2 * du * (1.0 - asm.ar * np.sign(du)) ** 2
+    flux = asm.w_fins * dphi * asm.inv_h
+    gsrc = asm.w_fins * kappa.kappa(asm.R) * nl.g(_full_points(asm, u)) * lam
+    out = np.zeros(asm.M)
+    asm._collect(out, 0.5 * flux)
+    asm._collect(out, -0.5 * flux, left=True)
+    asm._collect(out, -gsrc * asm.NL, left=True)
+    asm._collect(out, -gsrc * asm.NR)
+    out[-1] = 0.0
+    return out
+
+
+def _full_hessian(asm, u, lam, kappa, nl):
+    d2phi = 2.0 * asm.c**2 * (1.0 - asm.ar * np.sign(asm.slopes(u))) ** 2
+    we = 0.5 * asm.w_fins * d2phi * asm.inv_h**2
+    wg = lam * asm.w_fins * kappa.kappa(asm.R) * nl.dg(_full_points(asm, u))
+    return asm._tridiag(we, -wg)
+
+
+def _narrow_bump(r, R=0.005):
+    # exp(-1/(R^2 - r^2)) scaled to sup 1, which does not underflow at small R
+    r = np.asarray(r, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(r < R, np.exp(1.0 / R**2 - 1.0 / np.maximum(R**2 - r * r, 1e-300)), 0.0)
+
+
+EXP_WEIGHT = WeightKappa(kappa=lambda r: np.exp(-np.asarray(r, dtype=float)), name="exp")
+NARROW_BUMP = WeightKappa(kappa=_narrow_bump, name="narrow bump")
+
+
+def _assert_source_kernels_match_full_arrays(asm, kappa, rng):
+    for nl in (Nonlinearity.default(), Nonlinearity(g=Nonlinearity.default().g)):
+        for scale in (1e-3, 1.0, 1e4):
+            u = scale * rng.standard_normal(asm.M)  # both signs: g = 0 on s <= 0
+            u[-1] = 0.0
+            assert asm.g_int(u, kappa, nl) == _full_g_int(asm, u, kappa, nl)
+            for lam in (0.0, 25.0, 2e5):
+                np.testing.assert_array_equal(
+                    asm.grad(u, lam, kappa, nl), _full_grad(asm, u, lam, kappa, nl)
+                )
+                np.testing.assert_array_equal(
+                    asm.hessian_banded(u, lam, kappa, nl), _full_hessian(asm, u, lam, kappa, nl)
+                )
+
+
+@pytest.mark.parametrize(
+    "kappa, live_rows_ok",
+    [
+        (WeightKappa.default(0.5), lambda nk, M: 0.3 * M < nk < 0.7 * M),
+        (EXP_WEIGHT, lambda nk, M: nk == M),
+        (NARROW_BUMP, lambda nk, M: 0 < nk < 10),
+    ],
+    ids=["bump", "full-support", "narrow-bump"],
+)
+def test_source_kernels_match_full_arrays(rng, kappa, live_rows_ok):
+    # the kernels evaluate the source terms on the rows [:nk] only; every
+    # output must equal the full-array computation bit for bit
+    asm = _Assembly(ModelParams(n=3, a=0.5), solver_nodes(FAST), quad_order=FAST.quad_order)
+    _assert_source_kernels_match_full_arrays(asm, kappa, rng)
+    vals = kappa.kappa(asm.R)
+    assert vals[asm.nk - 1].any() and not vals[asm.nk :].any()
+    assert live_rows_ok(asm.nk, asm.M)
+
+
+def test_switching_weights_recomputes_the_live_rows(rng):
+    asm = _Assembly(ModelParams(n=3, a=0.5), solver_nodes(FAST), quad_order=FAST.quad_order)
+    seen = []
+    for kappa in (EXP_WEIGHT, NARROW_BUMP, WeightKappa.default(0.5), EXP_WEIGHT):
+        _assert_source_kernels_match_full_arrays(asm, kappa, rng)
+        seen.append(asm.nk)
+    assert seen[0] == seen[3] == asm.M and seen[1] < seen[2] < asm.M
 
 
 def test_scalar_valued_weight_is_sampled_per_point():

@@ -339,21 +339,24 @@ class Nonlinearity:
     def default(cls):
         """g(s) = s^2/(1 + s^(3/2)) with closed-form primitive and c_g = 2^(2/3)/3."""
 
+        # sp * sqrt(sp) is sp^(3/2): a multiply and a sqrt are cheaper than pow
         def g(s):
             s = np.asarray(s, dtype=float)
             sp = np.maximum(s, 0.0)
-            return np.where(s > 0.0, sp * sp / (1.0 + sp**1.5), 0.0)
+            return np.where(s > 0.0, sp * sp / (1.0 + sp * np.sqrt(sp)), 0.0)
 
         def G(s):
             s = np.asarray(s, dtype=float)
-            sp = np.maximum(s, 0.0) ** 1.5
+            sp = np.maximum(s, 0.0)
+            sp = sp * np.sqrt(sp)
             return np.where(s > 0.0, (2.0 / 3.0) * (sp - np.log1p(sp)), 0.0)
 
         def dg(s):
             s = np.asarray(s, dtype=float)
             sp = np.maximum(s, 0.0)
+            root = np.sqrt(sp)
             return np.where(
-                s > 0.0, (2.0 * sp + 0.5 * sp**2.5) / (1.0 + sp**1.5) ** 2, 0.0
+                s > 0.0, (2.0 * sp + 0.5 * sp * sp * root) / (1.0 + sp * root) ** 2, 0.0
             )
 
         return cls(g=g, G=G, dg=dg, c_g=2.0 ** (2.0 / 3.0) / 3.0, name="default")
@@ -461,6 +464,11 @@ def solver_nodes(cfg=None):
     return cfg.r_max * 0.5 * (1.0 - np.cos(math.pi * t))
 
 
+def _row_dot(x, y):
+    """Dot product of each row of ``x`` with the same row of ``y``."""
+    return np.einsum("ij,ij->i", x, y)
+
+
 class _Assembly:
     """Element-aligned quadrature and exact derivatives of the discrete
     functionals on a fixed radial mesh.
@@ -468,28 +476,33 @@ class _Assembly:
     Nodal vectors have length M with the last entry pinned to 0; free
     degrees of freedom are the first M-1 entries.  The element [0, r_1]
     carries the constant value u_1 (even reflection), all others are
-    linear.
+    linear.  Quadrature data are ``(M, q)`` arrays, one row of q points per
+    element; the inverse element length ``inv_h`` and the slopes are ``(M,)``
+    (0 on the flat centre element).
 
-    Quadrature data are ``(M, q)`` arrays, one row of q points per
-    element; the inverse element length ``inv_h``, and with it every slope,
-    is ``(M, 1)`` (0 on the flat centre element).  Integrals are dot
-    products over the points in row order.  Element e touches nodes e-1
-    and e only, so ``_collect`` adds each element's right-hat terms to node
-    e and its left-hat terms to node e-1 through shifted slices, one
-    quadrature column at a time.  Each node thus sums its terms in point
-    order, as a point-by-point scatter does; a row sum per element rounds
-    differently, which moves Newton iterates and certified residuals.
+    The slope du is constant on each element, so the slope terms are
+    assembled from per-element moment tables built once: with
+    c = (1 - r^2)/(1 - a^2 r^2) and the Finsler weights w,
 
-    The source terms (``g_int``, the ``g`` part of ``grad``, the ``dg``
-    part of ``hessian_banded``) are evaluated on the rows ``[:nk]`` only,
-    where ``nk`` is one past the last row with a nonzero weight: beyond it
-    every source term is an exact zero.  The results keep the summation
-    order of the full arrays, so they are bit-identical to them: the
-    potential's integrand and the Hessian's source weights are zero-padded
-    to ``(M, q)`` before the full-length dot product or ``_tridiag``, and
-    the gradient's source columns go through ``_collect`` on ``out[:nk]``,
-    whose nodes receive the same terms in the same order (a skipped term
-    is +-0, which leaves a nonzero sum, or a +0 one, unchanged).
+        A+- = sum_p w c^2 (1 -+ a r)^2,   A0 = sum_p w c^2,
+        B+- = sum_p w c^2 (1 -+ a r).
+
+    The energy is sum_e A_sigma(e) du_e^2 with sigma the sign of du_e, the
+    gradient's flux A_sigma du_e / h_e and the Hessian's stiffness
+    A_sigma / h_e^2, with A0 where du = 0 (sign(0) = 0; the one-sided
+    values A+ and A- differ there).  The smoothed energy writes
+    sqrt(du^2 + eps^2) = |du| + delta and adds A0 delta^2 + 2 B_sigma delta |du|.
+    The moments are split by sign rather than expanded into powers of a r:
+    m0 - 2 m1 + m2 with m_k = sum_p w c^2 (a r)^k cancels as a r -> 1, with
+    a relative error of about machine epsilon / (1 - a r)^2, while every
+    table above is a sum of positive terms.  The Gram matrix's stiffness is
+    likewise a per-element moment of the Klein weights.
+
+    Only the source terms (``g_int``, the ``g`` part of ``grad``, the ``dg``
+    part of ``hessian_banded``) are evaluated per point, and only on the
+    rows ``[:nk]``, where ``nk`` is one past the last row with a nonzero
+    weight: beyond it every source term is an exact zero.  Each element's
+    source terms are reduced by row sums onto its two nodes.
     """
 
     def __init__(self, params, nodes, quad_order=8):
@@ -516,7 +529,7 @@ class _Assembly:
         self.NL = (highs - R) / h
         self.NR = (R - lows) / h
         self.NL[0], self.NR[0] = 0.0, 1.0
-        self.inv_h = 1.0 / h
+        self.inv_h = 1.0 / h[:, 0]
         self.inv_h[0] = 0.0
         self.R = R
 
@@ -526,12 +539,16 @@ class _Assembly:
         one_m = (1.0 - R) * (1.0 + R)
         self.w_fins = base * ((1.0 - (a * R) ** 2) / one_m) ** p
         self.w_klein = base * one_m ** (-p)
-        # F* prefactor c(r) = (1-r^2)/(1-a^2 r^2) and Klein dual factor
-        self.c = one_m / (1.0 - (a * R) ** 2)
-        self.ar = a * R
         self.klein_dual = one_m**2
 
-        self._kappa = self._kappa_at = None
+        # slope moment tables; F* prefactor c(r) = (1-r^2)/(1-a^2 r^2)
+        wc2 = self.w_fins * (one_m / (1.0 - (a * R) ** 2)) ** 2
+        down, up = 1.0 - a * R, 1.0 + a * R
+        self.A0 = wc2.sum(axis=1)
+        self.B_pos, self.B_neg = _row_dot(wc2, down), _row_dot(wc2, up)
+        self.A_pos, self.A_neg = _row_dot(wc2 * down, down), _row_dot(wc2 * up, up)
+
+        self._kappa = self._kappa_w = None
         self.nk = M
         self._chol = None
 
@@ -539,57 +556,56 @@ class _Assembly:
 
     def _left(self, u):
         """Value of each element's left node: u_{e-1}, and u_0 for e = 0."""
-        return np.concatenate((u[:1], u[:-1]))[:, None]
+        return np.concatenate((u[:1], u[:-1]))
 
     def at_points(self, u, rows=None):
         """Values at the points of the first ``rows`` elements (all of them
         by default)."""
         k = self.M if rows is None else rows
-        return self._left(u)[:k] * self.NL[:k] + u[:k, None] * self.NR[:k]
+        return self._left(u)[:k, None] * self.NL[:k] + u[:k, None] * self.NR[:k]
 
     def slopes(self, u):
-        return (u[:, None] - self._left(u)) * self.inv_h
+        return (u - self._left(u)) * self.inv_h
 
-    @staticmethod
-    def _collect(out, vals, left=False):
-        """Add per-point terms to their nodes: each element's own right
-        node, or with ``left`` the left node of elements 1..M-1."""
-        if left:
-            out, vals = out[:-1], vals[1:]
-        for col in vals.T:
-            out += col
+    def _slope_moment(self, du):
+        """A_sigma of each element: A+ where du > 0, A- where du < 0, A0 where
+        du = 0."""
+        return np.where(du > 0.0, self.A_pos, np.where(du < 0.0, self.A_neg, self.A0))
 
-    def _kappa_vals(self, kappa):
-        """The weight at the points of rows ``[:nk]``; sets ``self.nk``."""
+    def _source_weights(self, kappa):
+        """Finsler weights times the weight at the points of rows ``[:nk]``;
+        sets ``self.nk``."""
         # keyed by identity, not id(): a freed weight's id can be reused
         if self._kappa is not kappa:
             vals = kappa.kappa(self.R)
             live = np.flatnonzero(np.any(vals != 0.0, axis=1))
             self.nk = int(live[-1]) + 1 if live.size else 0
-            self._kappa, self._kappa_at = kappa, vals[: self.nk]
-        return self._kappa_at
+            self._kappa, self._kappa_w = kappa, self.w_fins[: self.nk] * vals[: self.nk]
+        return self._kappa_w
 
-    def _padded(self, vals):
-        """Rows ``[:nk]`` zero-padded to the full ``(M, q)`` shape."""
-        out = np.zeros_like(self.R)
-        out[: self.nk] = vals
+    @staticmethod
+    def _to_nodes(right, left):
+        """Node sums of per-element terms: element e adds ``right[e]`` to node
+        e and ``left[e]`` to node e-1 (element 0 has no left node)."""
+        out = right.copy()
+        out[:-1] += left[1:]
         return out
 
     # -- energies -----------------------------------------------------------
 
     def energy(self, u, eps=0.0):
         du = self.slopes(u)
+        E = self._slope_moment(du) @ (du * du)
         if eps > 0.0:
-            absdu = np.sqrt(du * du + eps * eps)
-        else:
-            absdu = np.abs(du)
-        integrand = (self.c * (absdu - self.ar * du)) ** 2
-        return float(np.vdot(self.w_fins, integrand))
+            adu = np.abs(du)
+            delta = eps * eps / (np.sqrt(du * du + eps * eps) + adu)
+            B = np.where(du > 0.0, self.B_pos, self.B_neg)
+            E += self.A0 @ (delta * delta) + 2.0 * (B @ (delta * adu))
+        return float(E)
 
     def g_int(self, u, kappa, nl):
-        kap = self._kappa_vals(kappa)
-        integrand = kap * nl.G(self.at_points(u, self.nk))
-        return float(np.vdot(self.w_fins, self._padded(integrand)))
+        kw = self._source_weights(kappa)
+        return float(np.vdot(kw, nl.G(self.at_points(u, self.nk))))
 
     def j_lambda(self, u, lam, kappa, nl, eps=0.0):
         return 0.5 * self.energy(u, eps=eps) - lam * self.g_int(u, kappa, nl)
@@ -603,55 +619,53 @@ class _Assembly:
         derivative 0, which is also the subgradient selection used here.
         """
         du = self.slopes(u)
-        sigma = np.sign(du)
-        dphi = 2.0 * self.c**2 * du * (1.0 - self.ar * sigma) ** 2
-        flux = self.w_fins * dphi * self.inv_h
-        out = np.zeros(self.M)
-        self._collect(out, 0.5 * flux)
-        self._collect(out, -0.5 * flux, left=True)
-        kap = self._kappa_vals(kappa)
+        flux = self._slope_moment(du) * du * self.inv_h
+        right, left = flux, -flux
+        kw = self._source_weights(kappa)
         k = self.nk
-        gsrc = self.w_fins[:k] * kap * nl.g(self.at_points(u, k)) * lam
-        self._collect(out[:k], -gsrc * self.NL[:k], left=True)
-        self._collect(out[:k], -gsrc * self.NR[:k])
+        src = kw * nl.g(self.at_points(u, k))
+        right[:k] -= lam * _row_dot(src, self.NR[:k])
+        left[:k] -= lam * _row_dot(src, self.NL[:k])
+        out = self._to_nodes(right, left)
         out[-1] = 0.0
         return out
 
     def _tridiag(self, stiff, mass):
-        """Free-DOF matrix of sum(stiff * s_i s_j + mass * N_i N_j) over the
-        points, where the hat slopes s are +-1 per element length (so
-        ``stiff`` carries inv_h^2), in solve_banded (1, 1) layout; its first
-        two rows are the upper form cholesky_banded takes."""
-        diag = np.zeros(self.M)
-        off = np.zeros(self.M)  # off[i]: coupling (i, i+1)
-        self._collect(diag, stiff + mass * self.NL**2, left=True)
-        self._collect(diag, stiff + mass * self.NR**2)
-        self._collect(off, -stiff + mass * self.NL * self.NR, left=True)
+        """Free-DOF matrix of sum_e stiff_e s_i s_j plus sum(mass * N_i N_j)
+        over the points of the first ``len(mass)`` elements, where the hat
+        slopes s are +-1 per element length (so ``stiff`` carries inv_h^2),
+        in solve_banded (1, 1) layout; its first two rows are the upper form
+        cholesky_banded takes."""
+        k = mass.shape[0]
+        NL, NR = self.NL[:k], self.NR[:k]
+        mL = mass * NL
+        right, left, coupling = stiff.copy(), stiff.copy(), -stiff
+        right[:k] += _row_dot(mass * NR, NR)
+        left[:k] += _row_dot(mL, NL)
+        coupling[:k] += _row_dot(mL, NR)
+        diag = self._to_nodes(right, left)
         nf = self.M - 1
         ab = np.zeros((3, nf))
-        ab[0, 1:] = off[: nf - 1]
+        ab[0, 1:] = coupling[1:nf]  # coupling[e]: nodes (e-1, e)
         ab[1] = diag[:nf]
-        ab[2, : nf - 1] = off[: nf - 1]
+        ab[2, : nf - 1] = coupling[1:nf]
         return ab
 
     def hessian_banded(self, u, lam, kappa, nl):
         """Tridiagonal Hessian on the free DOFs, in solve_banded layout."""
-        du = self.slopes(u)
-        sigma = np.sign(du)
-        d2phi = 2.0 * self.c**2 * (1.0 - self.ar * sigma) ** 2
-        we = 0.5 * self.w_fins * d2phi * self.inv_h**2
-        kap = self._kappa_vals(kappa)
-        k = self.nk
-        wg = lam * self.w_fins[:k] * kap * nl.dg(self.at_points(u, k))
-        return self._tridiag(we, -self._padded(wg))
+        stiff = self._slope_moment(self.slopes(u)) * self.inv_h**2
+        kw = self._source_weights(kappa)
+        mass = kw * nl.dg(self.at_points(u, self.nk))
+        mass *= -lam
+        return self._tridiag(stiff, mass)
 
     # -- H^1_2 Gram matrix and dual residual norm ---------------------------
 
     def gram_banded(self):
         """Tridiagonal H^1_2 Gram matrix (Klein gradient + Klein mass), in
         cholesky_banded upper layout."""
-        we = self.w_klein * self.klein_dual * self.inv_h**2
-        return self._tridiag(we, self.w_klein)[:2]
+        stiff = _row_dot(self.w_klein, self.klein_dual) * self.inv_h**2
+        return self._tridiag(stiff, self.w_klein)[:2]
 
     def _cholesky(self):
         if self._chol is None:
@@ -675,9 +689,9 @@ class _Assembly:
 
     def inner_K(self, v, w):
         """H^1_2 inner product of two nodal vectors."""
-        duv, duw = self.slopes(v), self.slopes(w)
+        duvw = (self.slopes(v) * self.slopes(w))[:, None]
         vp, wp = self.at_points(v), self.at_points(w)
-        return float(np.vdot(self.w_klein, self.klein_dual * duv * duw + vp * wp))
+        return float(np.vdot(self.w_klein, self.klein_dual * duvw + vp * wp))
 
 
 def _assembly_for(u, params, cfg):
@@ -971,9 +985,11 @@ def _ray_barrier(asm, target, lam, kappa, nl):
     The barrier can sit many orders of magnitude below t = 1 when lambda
     is deep in the two-solution regime, so the scan is logarithmic.
     Returns (t_peak, J_peak); J_peak <= 0 means no barrier on the ray.
+    The energy is 2-homogeneous, E(t v) = t^2 E(v), so it is evaluated once.
     """
     ts = np.geomspace(1e-10, 1.0, 240)
-    Js = np.array([asm.j_lambda(t * target, lam, kappa, nl) for t in ts])
+    half_E = 0.5 * asm.energy(target)
+    Js = np.array([half_E * t * t - lam * asm.g_int(t * target, kappa, nl) for t in ts])
     k = int(np.argmax(Js))
     return float(ts[k]), float(Js[k])
 

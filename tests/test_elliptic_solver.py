@@ -303,6 +303,18 @@ def test_compute_cg_default_closed_form():
     assert abs(compute_cg(nl) - 2.0 ** (2.0 / 3.0) / 3.0) < 1e-8
 
 
+def test_default_nonlinearity_matches_power_forms():
+    # g, G and dg take s^(3/2) as s * sqrt(s); compare with the pow forms
+    nl = Nonlinearity.default()
+    s = np.geomspace(1e-8, 1e12, 4001)
+    s15 = s**1.5
+    np.testing.assert_allclose(nl.g(s), s * s / (1.0 + s15), rtol=1e-13)
+    np.testing.assert_allclose(nl.G(s), (2.0 / 3.0) * (s15 - np.log1p(s15)), rtol=1e-13)
+    np.testing.assert_allclose(
+        nl.dg(s), (2.0 * s + 0.5 * s**2.5) / (1.0 + s15) ** 2, rtol=1e-13
+    )
+
+
 def test_nonlinearity_validator_rejects_non_sublinear():
     with pytest.raises(ValueError):
         Nonlinearity(g=lambda s: np.where(s > 0.0, s * np.exp(-s), 0.0))
@@ -525,8 +537,9 @@ def test_mountain_pass_saddle_above_zero():
 
 
 def test_mountain_pass_energy_calls_capped(monkeypatch):
-    # the path energies are kept between sweeps; re-evaluating every path
-    # node on every sweep takes 836 energy calls on this setup
+    # the path energies are kept between sweeps, and the ray barrier takes
+    # one energy call: this run makes 203, while re-evaluating every path
+    # node on every sweep takes 597 on this setup
     params = ModelParams(n=3, a=0.5)
     kappa = WeightKappa.default()
     nl = Nonlinearity.default()
@@ -543,7 +556,27 @@ def test_mountain_pass_energy_calls_capped(monkeypatch):
     monkeypatch.setattr(_Assembly, "energy", counting)
     _, J2, res2 = mountain_pass(lam, params, kappa, nl, u1, FAST)
     assert J2 > 0.0 and res2 < FAST.tol
-    assert len(calls) <= 600
+    assert len(calls) <= 400
+
+
+@pytest.mark.parametrize("multiple", [10.0, 100.0])
+def test_ray_barrier_matches_per_point_energies(multiple):
+    # the barrier scan evaluates the energy once, through E(t v) = t^2 E(v)
+    params = ModelParams(n=3, a=0.5)
+    kappa = WeightKappa.default()
+    nl = Nonlinearity.default()
+    lam_tilde, best_vec, asm = _tilde_search(params, kappa, nl, FAST)
+    u1, _, _ = minimize(10.0 * lam_tilde, params, kappa, nl, FAST, best_vec)
+    lam = multiple * lam_tilde
+    target = (multiple / 10.0) ** 2 * u1.values  # amplitudes grow like lambda^2
+    assert asm.j_lambda(target, lam, kappa, nl) < 0.0
+    t_peak, J_peak = es._ray_barrier(asm, target, lam, kappa, nl)
+    ts = np.geomspace(1e-10, 1.0, 240)
+    Js = np.array([asm.j_lambda(t * target, lam, kappa, nl) for t in ts])
+    k = int(np.argmax(Js))
+    assert J_peak > 0.0
+    assert t_peak == ts[k]
+    assert J_peak == pytest.approx(Js[k], rel=1e-13)
 
 
 # --- full pipeline ---------------------------------------------------------
@@ -744,6 +777,90 @@ def test_gram_banded_matches_inner_product():
     np.testing.assert_allclose(_dense(gram), K, rtol=1e-12, atol=1e-14 * np.max(np.abs(K)))
 
 
+# pointwise oracle: the slope terms evaluated at every quadrature point, as
+# the kernels did before they were assembled from per-element moments
+
+def _pointwise_slope_data(asm, params, u):
+    c = (1.0 - asm.R) * (1.0 + asm.R) / (1.0 - (params.a * asm.R) ** 2)
+    du = (u - np.concatenate((u[:1], u[:-1]))) * asm.inv_h
+    return c, params.a * asm.R, du[:, None]
+
+
+def _pointwise_energy(asm, params, u, eps):
+    c, ar, du = _pointwise_slope_data(asm, params, u)
+    absdu = np.sqrt(du * du + eps * eps) if eps > 0.0 else np.abs(du)
+    return float(np.vdot(asm.w_fins, (c * (absdu - ar * du)) ** 2))
+
+
+def _pointwise_flux(asm, params, u):
+    """Per-element flux: element e adds it to node e and subtracts it from
+    node e-1."""
+    c, ar, du = _pointwise_slope_data(asm, params, u)
+    dphi = 2.0 * c**2 * du * (1.0 - ar * np.sign(du)) ** 2
+    return 0.5 * (asm.w_fins * dphi).sum(axis=1) * asm.inv_h
+
+
+def _pointwise_grad(asm, params, u):
+    flux = _pointwise_flux(asm, params, u)
+    out = flux.copy()
+    out[:-1] -= flux[1:]
+    out[-1] = 0.0
+    return out
+
+
+def _pointwise_hessian(asm, params, u):
+    c, ar, du = _pointwise_slope_data(asm, params, u)
+    we = 0.5 * asm.w_fins * 2.0 * c**2 * (1.0 - ar * np.sign(du)) ** 2
+    we = we.sum(axis=1) * asm.inv_h**2
+    H = np.zeros((asm.M, asm.M))
+    for e in range(1, asm.M):
+        H[e - 1 : e + 1, e - 1 : e + 1] += we[e] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    nf = asm.M - 1
+    return H[:nf, :nf]
+
+
+def _oracle_profiles(nodes, rng):
+    mixed = rng.standard_normal(nodes.size)
+    tent = tent_values(nodes, height=3.0, width=0.6)
+    steps = np.repeat(rng.standard_normal(nodes.size // 4 + 1), 4)[: nodes.size]
+    # 1e-12 * mixed has slopes near SMOOTHING_EPS, where the smoothing shows
+    for u in (mixed, 1e-12 * mixed, tent, -tent, steps, np.abs(steps), -np.abs(steps)):
+        u = u.copy()
+        u[-1] = 0.0
+        yield u
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+@pytest.mark.parametrize("a", [0.0, 0.5, 0.9, 0.99, 0.9999])
+def test_slope_moments_match_pointwise_kernels(rng, n, a):
+    params = ModelParams(n=n, a=a)
+    cfg = SolverConfig(M=48)
+    asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
+    kappa, nl = WeightKappa.default(), Nonlinearity.default()
+    flat_seen = False
+    for u in _oracle_profiles(asm.nodes, rng):
+        flat_seen |= bool(np.any(asm.slopes(u)[1:] == 0.0))
+        for eps in (0.0, es.SMOOTHING_EPS):
+            np.testing.assert_allclose(
+                asm.energy(u, eps=eps), _pointwise_energy(asm, params, u, eps), rtol=1e-13
+            )
+        # a gradient entry is the difference of two element fluxes, so its
+        # rounding error scales with the fluxes, not with the entry
+        flux_scale = np.max(np.abs(_pointwise_flux(asm, params, u)))
+        np.testing.assert_allclose(
+            asm.grad(u, 0.0, kappa, nl),
+            _pointwise_grad(asm, params, u),
+            rtol=1e-13,
+            atol=1e-13 * flux_scale,
+        )
+        np.testing.assert_allclose(
+            _dense(asm.hessian_banded(u, 0.0, kappa, nl)),
+            _pointwise_hessian(asm, params, u),
+            rtol=1e-13,
+        )
+    assert flat_seen
+
+
 def test_g_int_uses_the_weight_of_each_call():
     # the first weight is freed before the second is built, so the second
     # can reuse its id(); the kernel must still see the new weight
@@ -761,29 +878,34 @@ def _full_points(asm, u):
     return left * asm.NL + u[:, None] * asm.NR
 
 
+def _full_weights(asm, kappa):
+    return asm.w_fins * kappa.kappa(asm.R)
+
+
 def _full_g_int(asm, u, kappa, nl):
-    return float(np.vdot(asm.w_fins, kappa.kappa(asm.R) * nl.G(_full_points(asm, u))))
+    kw, Gv = _full_weights(asm, kappa), nl.G(_full_points(asm, u))
+    # the rows the kernel skips add exact zeros; the dot product itself is
+    # taken over the live rows, as BLAS may round a zero-padded one otherwise
+    assert not (kw[asm.nk :] * Gv[asm.nk :]).any()
+    return float(np.vdot(kw[: asm.nk], Gv[: asm.nk]))
 
 
 def _full_grad(asm, u, lam, kappa, nl):
     du = asm.slopes(u)
-    dphi = 2.0 * asm.c**2 * du * (1.0 - asm.ar * np.sign(du)) ** 2
-    flux = asm.w_fins * dphi * asm.inv_h
-    gsrc = asm.w_fins * kappa.kappa(asm.R) * nl.g(_full_points(asm, u)) * lam
-    out = np.zeros(asm.M)
-    asm._collect(out, 0.5 * flux)
-    asm._collect(out, -0.5 * flux, left=True)
-    asm._collect(out, -gsrc * asm.NL, left=True)
-    asm._collect(out, -gsrc * asm.NR)
+    flux = asm._slope_moment(du) * du * asm.inv_h
+    src = _full_weights(asm, kappa) * nl.g(_full_points(asm, u))
+    right = flux - lam * es._row_dot(src, asm.NR)
+    left = -flux - lam * es._row_dot(src, asm.NL)
+    out = asm._to_nodes(right, left)
     out[-1] = 0.0
     return out
 
 
 def _full_hessian(asm, u, lam, kappa, nl):
-    d2phi = 2.0 * asm.c**2 * (1.0 - asm.ar * np.sign(asm.slopes(u))) ** 2
-    we = 0.5 * asm.w_fins * d2phi * asm.inv_h**2
-    wg = lam * asm.w_fins * kappa.kappa(asm.R) * nl.dg(_full_points(asm, u))
-    return asm._tridiag(we, -wg)
+    stiff = asm._slope_moment(asm.slopes(u)) * asm.inv_h**2
+    mass = _full_weights(asm, kappa) * nl.dg(_full_points(asm, u))
+    mass *= -lam
+    return asm._tridiag(stiff, mass)
 
 
 def _narrow_bump(r, R=0.005):
@@ -823,7 +945,7 @@ def _assert_source_kernels_match_full_arrays(asm, kappa, rng):
 )
 def test_source_kernels_match_full_arrays(rng, kappa, live_rows_ok):
     # the kernels evaluate the source terms on the rows [:nk] only; every
-    # output must equal the full-array computation bit for bit
+    # output must equal the same computation on the full arrays bit for bit
     asm = _Assembly(ModelParams(n=3, a=0.5), solver_nodes(FAST), quad_order=FAST.quad_order)
     _assert_source_kernels_match_full_arrays(asm, kappa, rng)
     vals = kappa.kappa(asm.R)

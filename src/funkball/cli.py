@@ -13,10 +13,8 @@ writes outputs also writes its fully resolved configuration next to them.
 The ``quad.*`` and ``solver.*`` keys are the fields of ``QuadratureConfig``
 and ``SolverConfig``, defaults included.  Every subcommand validates every
 key, each by the class that owns it; the CLI checks only what no class owns
-(key names, numbers, worker count, problem names).
-``scan`` runs its schedule sequentially through ``lambda_scan``; the worker
-count (``--workers``, ``FUNKBALL_WORKERS`` or ``run.workers``) is validated
-and recorded in ``resolved.cfg`` but does not change what runs or the results.
+(key names, numbers, problem names).
+``scan`` runs its schedule sequentially through ``lambda_scan``.
 Exit codes: 0 success, 1 certification failure, 2 validation failure.
 All CSV numbers use 17 significant digits so doubles round-trip exactly.
 """
@@ -87,7 +85,6 @@ CONFIG_DEFAULTS = {
     "problem.g": "default",
     "problem.kappa": "bump",
     "problem.kappa_radius": 0.5,
-    "run.workers": 0,
     "run.verify": 0,
 }
 
@@ -158,18 +155,12 @@ def resolve_config(args):
         cfg["params.a"] = args.a
     if getattr(args, "seed", None) is not None:
         cfg["solver.seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
-        cfg["run.workers"] = args.workers
     if getattr(args, "verify", False):
         cfg["run.verify"] = 1
     cfg = {k: _coerce(k, v) for k, v in cfg.items()}
-    if cfg["run.workers"] == 0:
-        cfg["run.workers"] = int(os.environ.get("FUNKBALL_WORKERS", "1") or "1")
     params = fc.ModelParams(n=cfg["params.n"], a=cfg["params.a"])
     quad = _section(cfg, "quad", QuadratureConfig)
     solver = _section(cfg, "solver", es.SolverConfig)
-    if cfg["run.workers"] < 1:
-        raise CliValidationError("worker count must be at least 1")
     nl, kappa = _problem(cfg)
     return SimpleNamespace(cfg=cfg, params=params, quad=quad, solver=solver, nl=nl, kappa=kappa)
 
@@ -482,7 +473,6 @@ def _add_common(sub):
     sub.add_argument("--config", help="flat key = value configuration file")
     sub.add_argument("--out", help="output directory for reports")
     sub.add_argument("--seed", type=int, help="master seed for randomized stages")
-    sub.add_argument("--workers", type=int, help="recorded worker count; scans run sequentially")
     sub.add_argument("--verify", action="store_true", help="run oracle cross-checks")
 
 

@@ -78,20 +78,28 @@ class PathCollapseError(SolverError):
 # Radial dual norm
 # ---------------------------------------------------------------------------
 
+def _one_minus_ar(a, r):
+    """(1 - a r, 1 + a r) for a, r in [0, 1].  1 - a r is formed as
+    (1 - r) + (1 - a) r, exact in 1 - r for r >= 1/2: subtracting the rounded
+    a*r from 1 would lose eps / (1 - a r) of relative accuracy."""
+    return (1.0 - r) + (1.0 - a) * r, 1.0 + a * r
+
+
 def radial_fstar(params, r, du):
     """Dual norm of the radial covector du * x/|x| at radius r.
 
-    Closed form (1-r^2)(|du| - a r du)/(1 - a^2 r^2).  For a = 0 this is
-    the Klein radial dual (1-r^2)|du|; for a = 1 and du = 1/(1-r) it is
-    identically 1 (the forward eikonal profile).  Scalar in, scalar out;
-    arrays broadcast.
+    Closed form (1-r^2)(|du| - a r du)/(1 - a^2 r^2), evaluated as
+    (1-r^2)|du|/(1 + a r) for du >= 0 and (1-r^2)|du|/(1 - a r) for du < 0,
+    where the factor 1 - a r cancels.  For a = 0 this is the Klein radial
+    dual (1-r^2)|du|; for a = 1 and du = 1/(1-r) it is identically 1 (the
+    forward eikonal profile).  Scalar in, scalar out; arrays broadcast.
     """
     r_arr = np.asarray(r, dtype=float)
     du_arr = np.asarray(du, dtype=float)
     if np.any(r_arr < 0.0) or np.any(r_arr >= 1.0):
         raise GeometryError("radius must lie in [0, 1)")
-    c = (1.0 - r_arr * r_arr) / (1.0 - (params.a * r_arr) ** 2)
-    out = c * (np.abs(du_arr) - params.a * r_arr * du_arr)
+    down, up = _one_minus_ar(params.a, r_arr)
+    out = (1.0 - r_arr) * (1.0 + r_arr) * np.abs(du_arr) / np.where(du_arr < 0.0, down, up)
     if np.isscalar(r) and np.isscalar(du):
         return float(out)
     return out
@@ -502,7 +510,13 @@ class _Assembly:
     part of ``hessian_banded``) are evaluated per point, and only on the
     rows ``[:nk]``, where ``nk`` is one past the last row with a nonzero
     weight: beyond it every source term is an exact zero.  Each element's
-    source terms are reduced by row sums onto its two nodes.
+    source terms are reduced by row sums onto its two nodes.  ``g_int`` is
+    ``_potential(_live_points(u))``; since the point values are linear in u,
+    a family t v (tent heights, the ray barrier, the subquadraticity table)
+    takes ``P = _live_points(v)`` once and scores each t as ``_potential(t P)``.
+    ``_residual(g)`` returns the dual norm of a gradient with the Riesz
+    vector K^{-1} g behind it, which is also the descent direction, so an
+    iterate needs one banded solve.
     """
 
     def __init__(self, params, nodes, quad_order=8):
@@ -537,13 +551,14 @@ class _Assembly:
         base = W * area * R ** (n - 1)
         p = 0.5 * (n + 1)
         one_m = (1.0 - R) * (1.0 + R)
-        self.w_fins = base * ((1.0 - (a * R) ** 2) / one_m) ** p
+        down, up = _one_minus_ar(a, R)
+        one_m_a = down * up  # 1 - a^2 r^2
+        self.w_fins = base * (one_m_a / one_m) ** p
         self.w_klein = base * one_m ** (-p)
         self.klein_dual = one_m**2
 
         # slope moment tables; F* prefactor c(r) = (1-r^2)/(1-a^2 r^2)
-        wc2 = self.w_fins * (one_m / (1.0 - (a * R) ** 2)) ** 2
-        down, up = 1.0 - a * R, 1.0 + a * R
+        wc2 = self.w_fins * (one_m / one_m_a) ** 2
         self.A0 = wc2.sum(axis=1)
         self.B_pos, self.B_neg = _row_dot(wc2, down), _row_dot(wc2, up)
         self.A_pos, self.A_neg = _row_dot(wc2 * down, down), _row_dot(wc2 * up, up)
@@ -603,9 +618,17 @@ class _Assembly:
             E += self.A0 @ (delta * delta) + 2.0 * (B @ (delta * adu))
         return float(E)
 
+    def _live_points(self, u, kappa):
+        """Values of u at the points of the rows ``[:nk]`` of ``kappa``."""
+        self._source_weights(kappa)
+        return self.at_points(u, self.nk)
+
+    def _potential(self, points, kappa, nl):
+        """Weighted potential of values at the points of the rows ``[:nk]``."""
+        return float(np.vdot(self._source_weights(kappa), nl.G(points)))
+
     def g_int(self, u, kappa, nl):
-        kw = self._source_weights(kappa)
-        return float(np.vdot(kw, nl.G(self.at_points(u, self.nk))))
+        return self._potential(self._live_points(u, kappa), kappa, nl)
 
     def j_lambda(self, u, lam, kappa, nl, eps=0.0):
         return 0.5 * self.energy(u, eps=eps) - lam * self.g_int(u, kappa, nl)
@@ -621,9 +644,8 @@ class _Assembly:
         du = self.slopes(u)
         flux = self._slope_moment(du) * du * self.inv_h
         right, left = flux, -flux
-        kw = self._source_weights(kappa)
+        src = self._source_weights(kappa) * nl.g(self._live_points(u, kappa))
         k = self.nk
-        src = kw * nl.g(self.at_points(u, k))
         right[:k] -= lam * _row_dot(src, self.NR[:k])
         left[:k] -= lam * _row_dot(src, self.NL[:k])
         out = self._to_nodes(right, left)
@@ -654,8 +676,7 @@ class _Assembly:
     def hessian_banded(self, u, lam, kappa, nl):
         """Tridiagonal Hessian on the free DOFs, in solve_banded layout."""
         stiff = self._slope_moment(self.slopes(u)) * self.inv_h**2
-        kw = self._source_weights(kappa)
-        mass = kw * nl.dg(self.at_points(u, self.nk))
+        mass = self._source_weights(kappa) * nl.dg(self._live_points(u, kappa))
         mass *= -lam
         return self._tridiag(stiff, mass)
 
@@ -683,9 +704,14 @@ class _Assembly:
         sol = cho_solve_banded((self._cholesky(), False), g[:-1])
         return np.concatenate((sol, [0.0]))
 
+    def _residual(self, g):
+        """Residual norm sqrt(g^T K^{-1} g) of a gradient vector, and K^{-1} g."""
+        Kg = self.riesz(g)
+        return math.sqrt(max(float(g[:-1] @ Kg[:-1]), 0.0)), Kg
+
     def dual_norm(self, g):
         """Residual norm sqrt(g^T K^{-1} g) of a gradient vector."""
-        return math.sqrt(max(float(g[:-1] @ self.riesz(g)[:-1]), 0.0))
+        return self._residual(g)[0]
 
     def inner_K(self, v, w):
         """H^1_2 inner product of two nodal vectors."""
@@ -796,18 +822,21 @@ def _tent_vector(nodes, height, width):
     return v
 
 
+def _ratio(E, G):
+    """Onset ratio E/(2G); inf when the potential G is not positive."""
+    return E / (2.0 * G) if G > 0.0 else math.inf
+
+
 def _onset_ratio(asm, v, kappa, nl):
-    """E/(2G) of a nodal vector; inf when its potential G is not positive."""
-    G = asm.g_int(v, kappa, nl)
-    return asm.energy(v) / (2.0 * G) if G > 0.0 else math.inf
+    """The onset ratio E/(2G) of a nodal vector."""
+    return _ratio(asm.energy(v), asm.g_int(v, kappa, nl))
 
 
-def _best_trial(asm, vectors, kappa, nl):
-    """Smallest onset ratio over nodal vectors and the index of the first
-    vector attaining it; raises when no vector has positive potential."""
+def _best_trial(ratios):
+    """Smallest of the onset ratios and the index of the first one attaining
+    it; raises when none is finite (no trial has positive potential)."""
     best, arg = math.inf, None
-    for i, v in enumerate(vectors):
-        rat = _onset_ratio(asm, v, kappa, nl)
+    for i, rat in enumerate(ratios):
         if rat < best:
             best, arg = rat, i
     if arg is None:
@@ -820,15 +849,27 @@ def _best_trial(asm, vectors, kappa, nl):
 
 def _tilde_search(params, kappa, nl, cfg):
     """Best tent-profile bound on the onset ratio E/(2G); also returns the
-    minimizing trial vector."""
+    minimizing trial vector and its assembly.  A tent of height h scores
+    h^2 E_b / (2 G(h P)) from its width's unit tent's energy E_b and point
+    values P."""
     asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
-    tents = [(h, w) for w in np.linspace(0.15, 0.8, 10) for h in np.geomspace(1e-2, 1e2, 25)]
-    best, k = _best_trial(asm, (_tent_vector(asm.nodes, h, w) for h, w in tents), kappa, nl)
-    h0, w0 = tents[k]
+    widths, heights = np.linspace(0.15, 0.8, 10), np.geomspace(1e-2, 1e2, 25)
+
+    def unit_tent(w):
+        base = _tent_vector(asm.nodes, 1.0, w)
+        return asm.energy(base), asm._live_points(base, kappa)
+
+    def ratio(h, E_b, P):
+        return _ratio(h * h * E_b, asm._potential(h * P, kappa, nl))
+
+    # one width at a time, so that only one width's point values are held
+    best, k = _best_trial(ratio(h, *tent) for tent in map(unit_tent, widths) for h in heights)
+    w0, h0 = widths[k // heights.size], heights[k % heights.size]
+    tent = unit_tent(w0)
 
     # refine log(height) by golden section; maximizing -ratio minimizes the ratio
     def neg_ratio(log_h):
-        return -_onset_ratio(asm, _tent_vector(asm.nodes, math.exp(log_h), w0), kappa, nl)
+        return -ratio(math.exp(log_h), *tent)
 
     log_h, neg_rat, _ = _golden_max(
         neg_ratio, math.log(h0 / 3.0), math.log(h0 * 3.0), tol=1e-10, max_iter=60
@@ -839,8 +880,10 @@ def _tilde_search(params, kappa, nl, cfg):
 def tilde_lambda_estimate(params, kappa, nl, trials=None, cfg=None):
     """Upper bound on the onset value inf E/(2G) over profiles with G > 0.
 
-    With no explicit trials, scans tent profiles varied in height and
-    width and refines the best height by golden section.  Explicit trials
+    With no explicit trials, scans tent profiles over 10 widths and 25
+    heights and refines the best height by golden section; each width is
+    assembled once, and its heights are scored through E(h v) = h^2 E(v)
+    and the point values h P of the unit tent.  Explicit trials
     are grid-backed profiles or nodal vectors on the solver mesh, or
     closed-form profiles, which are sampled at its nodes; each is scored
     with its boundary value pinned to 0.  Being a trial-family minimum, the
@@ -853,7 +896,7 @@ def tilde_lambda_estimate(params, kappa, nl, trials=None, cfg=None):
         return _tilde_search(params, kappa, nl, cfg)[0]
     asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
     vectors = (_mesh_vector(t, asm, "trial profiles") for t in trials)
-    return _best_trial(asm, vectors, kappa, nl)[0]
+    return _best_trial(_onset_ratio(asm, v, kappa, nl) for v in vectors)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -864,13 +907,13 @@ def _newton_refine(asm, u, lam, kappa, nl, cfg):
     """Damped Newton iteration on the gradient system; returns the refined
     vector, its residual, and the iteration count."""
     u = u.copy()
-    res = asm.dual_norm(asm.grad(u, lam, kappa, nl))
+    g = asm.grad(u, lam, kappa, nl)
+    res = asm.dual_norm(g)
     mu = 0.0
     iters = 0
     for _ in range(NEWTON_ITERS):
         if res < cfg.tol:
             break
-        g = asm.grad(u, lam, kappa, nl)
         ab = asm.hessian_banded(u, lam, kappa, nl)
         accepted = False
         for _ in range(10):
@@ -883,9 +926,10 @@ def _newton_refine(asm, u, lam, kappa, nl, cfg):
                 continue
             trial = u.copy()
             trial[:-1] += step
-            new_res = asm.dual_norm(asm.grad(trial, lam, kappa, nl))
+            g_trial = asm.grad(trial, lam, kappa, nl)
+            new_res = asm.dual_norm(g_trial)
             if new_res < res or new_res < cfg.tol:
-                u, res = trial, new_res
+                u, res, g = trial, new_res, g_trial
                 mu /= 3.0
                 accepted = True
                 break
@@ -897,13 +941,15 @@ def _newton_refine(asm, u, lam, kappa, nl, cfg):
 
 
 def _minimize_vec(asm, lam, kappa, nl, cfg, init_vec):
+    """Descent plus Newton from ``init_vec``; returns (u, J, residual,
+    iterations).  Each iterate takes one gradient and one Riesz solve."""
     u = np.asarray(init_vec, dtype=float).copy()
     u[-1] = 0.0
     J = asm.j_lambda(u, lam, kappa, nl, eps=SMOOTHING_EPS)
     iters = 0
     for it in range(cfg.max_iter):
         g = asm.grad(u, lam, kappa, nl)
-        res = asm.dual_norm(g)
+        res, Kg = asm._residual(g)
         iters = it
         if res < cfg.tol:
             break
@@ -914,7 +960,7 @@ def _minimize_vec(asm, lam, kappa, nl, cfg, init_vec):
                 break
             J = asm.j_lambda(u, lam, kappa, nl, eps=SMOOTHING_EPS)
             continue  # gradient is stale after the refinement step
-        d = -asm.riesz(g)
+        d = -Kg
         slope = float(g[:-1] @ d[:-1])
         t = 1.0
         accepted = False
@@ -922,7 +968,7 @@ def _minimize_vec(asm, lam, kappa, nl, cfg, init_vec):
             trial = u + t * d
             Jt = asm.j_lambda(trial, lam, kappa, nl, eps=SMOOTHING_EPS)
             if Jt <= J + 1e-4 * t * slope:
-                u, J = trial, Jt
+                u, J, res = trial, Jt, None  # the residual of the new u is unknown
                 accepted = True
                 break
             t *= 0.5
@@ -930,8 +976,8 @@ def _minimize_vec(asm, lam, kappa, nl, cfg, init_vec):
             u, res, extra = _newton_refine(asm, u, lam, kappa, nl, cfg)
             iters += extra
             break
-    g = asm.grad(u, lam, kappa, nl)
-    res = asm.dual_norm(g)
+    if res is None:
+        res = asm.dual_norm(asm.grad(u, lam, kappa, nl))
     if res >= cfg.tol:
         u, res, extra = _newton_refine(asm, u, lam, kappa, nl, cfg)
         iters += extra
@@ -985,11 +1031,14 @@ def _ray_barrier(asm, target, lam, kappa, nl):
     The barrier can sit many orders of magnitude below t = 1 when lambda
     is deep in the two-solution regime, so the scan is logarithmic.
     Returns (t_peak, J_peak); J_peak <= 0 means no barrier on the ray.
-    The energy is 2-homogeneous, E(t v) = t^2 E(v), so it is evaluated once.
+    The energy is 2-homogeneous, E(t v) = t^2 E(v), and the point values are
+    linear, at_points(t v) = t at_points(v), so the target is assembled once
+    and each t costs one ``_potential``.
     """
     ts = np.geomspace(1e-10, 1.0, 240)
     half_E = 0.5 * asm.energy(target)
-    Js = np.array([half_E * t * t - lam * asm.g_int(t * target, kappa, nl) for t in ts])
+    P = asm._live_points(target, kappa)
+    Js = np.array([half_E * t * t - lam * asm._potential(t * P, kappa, nl) for t in ts])
     k = int(np.argmax(Js))
     return float(ts[k]), float(Js[k])
 
@@ -1067,11 +1116,9 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None):
             )
         k = int(np.argmax(energies[1:-1])) + 1
         node = path[k]
-        g = asm.grad(node, lam, kappa, nl)
-        res = asm.dual_norm(g)
+        res, d = asm._residual(asm.grad(node, lam, kappa, nl))
         if res < 1e-3 * (1.0 + abs(energies[k])) and (found := polished(node)):
             return found
-        d = asm.riesz(g)
         tau = path[k + 1] - path[k - 1]
         tt = asm.inner_K(tau, tau)
         if tt > 0.0:
@@ -1371,8 +1418,9 @@ def subquadraticity_diagnostic(u_dir, params, kappa=None, nl=None, t_schedule=No
     base = asm.h12_norm_sq(v)
     if base <= 0.0:
         raise ValueError("the direction profile must be nonzero")
+    P = asm._live_points(v, kappa)
     out = np.empty((t_schedule.size, 2))
     for i, t in enumerate(t_schedule):
         out[i, 0] = t
-        out[i, 1] = asm.g_int(t * v, kappa, nl) / (t * t * base)
+        out[i, 1] = asm._potential(t * P, kappa, nl) / (t * t * base)
     return out

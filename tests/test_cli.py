@@ -156,28 +156,19 @@ def test_scan_explicit_schedule_and_determinism(capsys, tmp_path):
     assert lines[0].startswith("lambda,classification")
 
 
-def test_scan_worker_count_does_not_change_output(capsys, tmp_path):
+def test_scan_two_runs_write_identical_output(capsys, tmp_path):
     cfg = tmp_path / "fast.cfg"
     cfg.write_text(FAST_CFG)
     dirs = []
-    for name, workers in (("w1", "1"), ("w2", "3")):
+    for name in ("run1", "run2"):
         out_dir = tmp_path / name
         code, _, _ = run(
-            capsys, "scan", "--config", str(cfg), "--lambdas", "1,2",
-            "--out", str(out_dir), "--workers", workers,
+            capsys, "scan", "--config", str(cfg), "--lambdas", "1,2", "--out", str(out_dir)
         )
         assert code == 0
         dirs.append(out_dir)
-    assert (dirs[0] / "scan.json").read_bytes() == (dirs[1] / "scan.json").read_bytes()
-
-
-def test_workers_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("FUNKBALL_WORKERS", "not-a-number")
-    code, _, _ = run(capsys, "counterexample", "--n", "2", "--r-schedule", "0.5,0.9")
-    assert code == 2  # env value must parse as an integer
-    monkeypatch.setenv("FUNKBALL_WORKERS", "2")
-    code, _, _ = run(capsys, "counterexample", "--n", "2", "--r-schedule", "0.5,0.9")
-    assert code in (0, 1)
+    for fname in ("scan.json", "scan.csv", "resolved.cfg"):
+        assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
 
 
 def test_config_flag_precedence(capsys, tmp_path):
@@ -291,7 +282,6 @@ quad.m = 64
 quad.r_max = 0.99999899999999997
 quad.scheme = geometric
 run.verify = 0
-run.workers = 1
 solver.m = 400
 solver.max_iter = 400
 solver.max_sweeps = 4000
@@ -303,8 +293,7 @@ solver.tol = 1e-08
 """
 
 
-def test_resolved_cfg_of_default_run(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("FUNKBALL_WORKERS", raising=False)
+def test_resolved_cfg_of_default_run(capsys, tmp_path):
     out_dir = tmp_path / "ce"
     code, _, _ = run(capsys, "counterexample", "--out", str(out_dir))
     assert code == 0

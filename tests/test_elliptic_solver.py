@@ -1,5 +1,6 @@
 import math
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -90,6 +91,30 @@ def test_radial_fstar_matches_polar(rng):
             polar_F_star(params, BallPoint(x), alpha),
             atol=1e-12,
         )
+
+
+@pytest.mark.parametrize("a", [0.99, 0.9999])
+def test_one_minus_ar_forms_match_exact_values(a):
+    # against the exact rationals of the float inputs a and r; forming
+    # 1 - (a r)^2 by subtracting the rounded square is 2e3 eps off at
+    # a = 0.9999, r = r_max
+    eps = np.finfo(float).eps
+    r_max = SolverConfig().r_max
+    A = Fraction(a)
+    for r in (r_max, float(np.nextafter(r_max, 0.0)), 1.0 - 1e-5, 1.0 - 3e-4, 0.99):
+        R = Fraction(r)
+        down, up = es._one_minus_ar(a, r)
+        assert abs(Fraction(down) - (1 - A * R)) <= 4 * eps * (1 - A * R)
+        assert abs(Fraction(down * up) - (1 - A * A * R * R)) <= 4 * eps * (1 - A * A * R * R)
+        params = ModelParams(n=3, a=a)
+        for du, exact in ((1.0, (1 - R * R) / (1 + A * R)), (-1.0, (1 - R * R) / (1 - A * R))):
+            assert abs(Fraction(radial_fstar(params, r, du)) - exact) <= 4 * eps * exact
+    # the assembly's Finsler weights: w_fins / w_klein = (1 - a^2 r^2)^((n+1)/2)
+    asm = _Assembly(ModelParams(n=3, a=a), solver_nodes(SolverConfig(M=48)))
+    for r, wf, wk in zip(asm.R[-1], asm.w_fins[-1], asm.w_klein[-1]):
+        R = Fraction(float(r))
+        exact = (1 - A * A * R * R) ** 2
+        assert abs(Fraction(float(wf)) / Fraction(float(wk)) - exact) <= 4 * eps * exact
 
 
 # --- profiles --------------------------------------------------------------
@@ -441,6 +466,79 @@ def test_tilde_best_trial_has_positive_potential():
     assert math.isfinite(ratio) and ratio > 0.0
 
 
+def _counting(monkeypatch, names):
+    """Count the calls of the named _Assembly kernels."""
+    calls = {name: 0 for name in names}
+    for name in names:
+        kernel = getattr(_Assembly, name)
+
+        def counted(self, *args, _name=name, _kernel=kernel, **kwargs):
+            calls[_name] += 1
+            return _kernel(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Assembly, name, counted)
+    return calls
+
+
+def test_tilde_search_assembles_each_width_once(monkeypatch):
+    # one energy per width plus the chosen width again; the heights are
+    # scored through the point values, never through g_int
+    calls = _counting(monkeypatch, ("energy", "g_int"))
+    _tilde_search(ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default(), FAST)
+    assert calls["energy"] <= 12
+    assert calls["g_int"] == 0
+
+
+def _scored_tilde_search(params, kappa, nl, cfg):
+    """The tent search that scores every (height, width) tent by its own
+    energy and potential: (lambda~, grid height, grid width)."""
+    asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
+    tents = [(h, w) for w in np.linspace(0.15, 0.8, 10) for h in np.geomspace(1e-2, 1e2, 25)]
+    ratios = [es._onset_ratio(asm, tent_values(asm.nodes, h, w), kappa, nl) for h, w in tents]
+    k = int(np.argmin(ratios))  # the first minimum
+    h0, w0 = tents[k]
+
+    def neg_ratio(log_h):
+        return -es._onset_ratio(asm, tent_values(asm.nodes, math.exp(log_h), w0), kappa, nl)
+
+    _, neg_rat, _ = es._golden_max(
+        neg_ratio, math.log(h0 / 3.0), math.log(h0 * 3.0), tol=1e-10, max_iter=60
+    )
+    return min(-neg_rat, ratios[k]), h0, w0
+
+
+@pytest.mark.parametrize(
+    "kappa",
+    [
+        WeightKappa.default(0.5),
+        WeightKappa.default(0.3),
+        WeightKappa(kappa=lambda r: np.exp(-np.asarray(r)), name="exp"),
+    ],
+    ids=["bump0.5", "bump0.3", "exp"],
+)
+@pytest.mark.parametrize("a", [0.0, 0.5, 0.99])
+@pytest.mark.parametrize("n", [2, 3, 10])
+def test_tilde_search_matches_per_tent_scoring(monkeypatch, n, a, kappa):
+    params, nl = ModelParams(n=n, a=a), Nonlinearity.default()
+    ref, h_ref, w_ref = _scored_tilde_search(params, kappa, nl, FAST)
+    brackets = []
+    golden = es._golden_max
+
+    def recording(fn, lo, hi, **kwargs):
+        brackets.append((lo, hi))
+        return golden(fn, lo, hi, **kwargs)
+
+    monkeypatch.setattr(es, "_golden_max", recording)
+    lam_tilde, trial, asm = _tilde_search(params, kappa, nl, FAST)
+    # the bracket is centred on the grid height in log scale
+    (lo, hi), = brackets
+    np.testing.assert_allclose(math.exp(0.5 * (lo + hi)), h_ref, rtol=1e-12)
+    # a tent's shape trial / trial[0] depends on its width only
+    shape = tent_values(asm.nodes, 1.0, w_ref)
+    np.testing.assert_allclose(trial / trial[0], shape / shape[0], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(lam_tilde, ref, rtol=1e-12)
+
+
 def test_tilde_estimate_signals_incompatible_weight():
     # weight supported where every solver-mesh trial stays flat at 0 height
     params = ModelParams(n=3, a=0.5)
@@ -585,6 +683,16 @@ def test_solve_classifies_zero_coupling():
     report = solve(0.0, ModelParams(n=3, a=0.5), cfg=FAST)
     assert report.classification == "only-zero"
     assert report.solutions == ()
+
+
+def test_solve_below_threshold_solves_one_riesz_system_per_gradient(monkeypatch):
+    # each iterate's Riesz vector gives both its residual and its direction
+    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
+    lam = 0.5 * nonexistence_threshold(params, nl, kappa)
+    calls = _counting(monkeypatch, ("grad", "riesz"))
+    assert solve(lam, params, kappa, nl, FAST).classification == "only-zero"
+    assert calls["grad"] > 0
+    assert calls["riesz"] == calls["grad"]
 
 
 def test_solve_two_solution_regime():
@@ -781,22 +889,28 @@ def test_gram_banded_matches_inner_product():
 # the kernels did before they were assembled from per-element moments
 
 def _pointwise_slope_data(asm, params, u):
-    c = (1.0 - asm.R) * (1.0 + asm.R) / (1.0 - (params.a * asm.R) ** 2)
-    du = (u - np.concatenate((u[:1], u[:-1]))) * asm.inv_h
-    return c, params.a * asm.R, du[:, None]
+    """c = (1-r^2)/(1-a^2 r^2), 1 - a r sign(du) and du at every point.
+    1 - a r is formed as (1 - r) + (1 - a) r: subtracting the rounded a*r
+    from 1 costs eps / (1 - a r) of relative accuracy as a r -> 1."""
+    R, a = asm.R, params.a
+    down, up = (1.0 - R) + (1.0 - a) * R, 1.0 + a * R
+    c = (1.0 - R) * (1.0 + R) / (down * up)
+    du = ((u - np.concatenate((u[:1], u[:-1]))) * asm.inv_h)[:, None]
+    return c, np.where(du > 0.0, down, np.where(du < 0.0, up, 1.0)), du
 
 
 def _pointwise_energy(asm, params, u, eps):
-    c, ar, du = _pointwise_slope_data(asm, params, u)
+    # F* = c (|du|_eps - a r du) = c (|du| (1 - a r sign(du)) + |du|_eps - |du|)
+    c, side, du = _pointwise_slope_data(asm, params, u)
     absdu = np.sqrt(du * du + eps * eps) if eps > 0.0 else np.abs(du)
-    return float(np.vdot(asm.w_fins, (c * (absdu - ar * du)) ** 2))
+    return float(np.vdot(asm.w_fins, (c * (np.abs(du) * side + (absdu - np.abs(du)))) ** 2))
 
 
 def _pointwise_flux(asm, params, u):
     """Per-element flux: element e adds it to node e and subtracts it from
     node e-1."""
-    c, ar, du = _pointwise_slope_data(asm, params, u)
-    dphi = 2.0 * c**2 * du * (1.0 - ar * np.sign(du)) ** 2
+    c, side, du = _pointwise_slope_data(asm, params, u)
+    dphi = 2.0 * c**2 * du * side**2
     return 0.5 * (asm.w_fins * dphi).sum(axis=1) * asm.inv_h
 
 
@@ -809,8 +923,8 @@ def _pointwise_grad(asm, params, u):
 
 
 def _pointwise_hessian(asm, params, u):
-    c, ar, du = _pointwise_slope_data(asm, params, u)
-    we = 0.5 * asm.w_fins * 2.0 * c**2 * (1.0 - ar * np.sign(du)) ** 2
+    c, side, du = _pointwise_slope_data(asm, params, u)
+    we = 0.5 * asm.w_fins * 2.0 * c**2 * side**2
     we = we.sum(axis=1) * asm.inv_h**2
     H = np.zeros((asm.M, asm.M))
     for e in range(1, asm.M):

@@ -11,9 +11,10 @@ Configuration is a flat ``key = value`` text file with dotted keys
 (``params.a = 0.5``), overridden by command-line flags; every run that
 writes outputs also writes its fully resolved configuration next to them.
 The ``quad.*`` and ``solver.*`` keys are the fields of ``QuadratureConfig``
-and ``SolverConfig``, defaults included.  Every subcommand validates every
-key, each by the class that owns it; the CLI checks only what no class owns
-(key names, numbers, problem names).
+and ``SolverConfig``, defaults included.  The problem is the default
+nonlinearity with the bump weight of radius ``problem.kappa_radius``.
+Every subcommand validates every key, each by the class that owns it; the
+CLI checks only what no class owns (key names and numbers).
 ``scan`` runs its schedule sequentially through ``lambda_scan``.
 Exit codes: 0 success, 1 certification failure, 2 validation failure.
 All CSV numbers use 17 significant digits so doubles round-trip exactly.
@@ -82,8 +83,6 @@ CONFIG_DEFAULTS = {
     "params.a": 0.5,
     **_section_defaults("quad", QuadratureConfig),
     **_section_defaults("solver", es.SolverConfig),
-    "problem.g": "default",
-    "problem.kappa": "bump",
     "problem.kappa_radius": 0.5,
     "run.verify": 0,
 }
@@ -112,30 +111,16 @@ def _parse_config_file(path):
 
 def _coerce(key, value):
     """Text from a config file, converted to the type of the key's default."""
-    kind = type(CONFIG_DEFAULTS[key])
-    if not isinstance(value, str) or kind is str:
+    if not isinstance(value, str):
         return value
     try:
-        return kind(value)
+        return type(CONFIG_DEFAULTS[key])(value)
     except ValueError:
         raise CliValidationError(f"config key {key} expects a number, got {value!r}")
 
 
 def _section(cfg, section, cls):
     return cls(**{f.name: cfg[f"{section}.{f.name.lower()}"] for f in fields(cls)})
-
-
-def _problem(cfg):
-    if cfg["problem.g"] != "default":
-        raise CliValidationError(
-            f"unknown nonlinearity {cfg['problem.g']!r}; only 'default' is built in"
-        )
-    if cfg["problem.kappa"] != "bump":
-        raise CliValidationError(
-            f"unknown weight {cfg['problem.kappa']!r}; only 'bump' is built in"
-        )
-    radius = cfg["problem.kappa_radius"]
-    return es.Nonlinearity.default(), es.WeightKappa.default(radius=radius)
 
 
 def resolve_config(args):
@@ -161,7 +146,8 @@ def resolve_config(args):
     params = fc.ModelParams(n=cfg["params.n"], a=cfg["params.a"])
     quad = _section(cfg, "quad", QuadratureConfig)
     solver = _section(cfg, "solver", es.SolverConfig)
-    nl, kappa = _problem(cfg)
+    nl = es.Nonlinearity.default()
+    kappa = es.WeightKappa.default(radius=cfg["problem.kappa_radius"])
     return SimpleNamespace(cfg=cfg, params=params, quad=quad, solver=solver, nl=nl, kappa=kappa)
 
 

@@ -424,18 +424,14 @@ class WeightKappa:
 NEWTON_ITERS = 80
 #: Slope smoothing sqrt(du^2 + eps^2) used by line searches only.
 SMOOTHING_EPS = 1e-10
-#: Mountain-pass sweeps between re-equidistributions of the path.
-REEQUIDISTRIBUTE_EVERY = 10
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Mesh, quadrature and iteration knobs for the variational solver.
 
-    The Newton step cap, the line-search smoothing and the mountain-pass
-    re-equidistribution period are the module constants
-    :data:`NEWTON_ITERS`, :data:`SMOOTHING_EPS` and
-    :data:`REEQUIDISTRIBUTE_EVERY`.
+    The Newton step cap and the line-search smoothing are the module
+    constants :data:`NEWTON_ITERS` and :data:`SMOOTHING_EPS`.
     """
 
     M: int = 400
@@ -903,12 +899,11 @@ def tilde_lambda_estimate(params, kappa, nl, trials=None, cfg=None):
 # Minimization
 # ---------------------------------------------------------------------------
 
-def _newton_refine(asm, u, lam, kappa, nl, cfg):
-    """Damped Newton iteration on the gradient system; returns the refined
-    vector, its residual, and the iteration count."""
+def _newton_refine(asm, u, lam, kappa, nl, cfg, g, res):
+    """Damped Newton iteration on the gradient system from ``u`` with its
+    gradient ``g`` and residual ``res``; returns the refined vector, its
+    residual, the iteration count and its gradient."""
     u = u.copy()
-    g = asm.grad(u, lam, kappa, nl)
-    res = asm.dual_norm(g)
     mu = 0.0
     iters = 0
     for _ in range(NEWTON_ITERS):
@@ -937,7 +932,7 @@ def _newton_refine(asm, u, lam, kappa, nl, cfg):
         iters += 1
         if not accepted:
             break
-    return u, res, iters
+    return u, res, iters, g
 
 
 def _minimize_vec(asm, lam, kappa, nl, cfg, init_vec):
@@ -954,12 +949,12 @@ def _minimize_vec(asm, lam, kappa, nl, cfg, init_vec):
         if res < cfg.tol:
             break
         if res < 1e-3 * (1.0 + abs(J)):
-            u, res, extra = _newton_refine(asm, u, lam, kappa, nl, cfg)
+            u, res, extra, g = _newton_refine(asm, u, lam, kappa, nl, cfg, g, res)
             iters += extra
             if res < cfg.tol:
                 break
             J = asm.j_lambda(u, lam, kappa, nl, eps=SMOOTHING_EPS)
-            continue  # gradient is stale after the refinement step
+            continue  # the descent direction is stale after the refinement step
         d = -Kg
         slope = float(g[:-1] @ d[:-1])
         t = 1.0
@@ -973,13 +968,14 @@ def _minimize_vec(asm, lam, kappa, nl, cfg, init_vec):
                 break
             t *= 0.5
         if not accepted:
-            u, res, extra = _newton_refine(asm, u, lam, kappa, nl, cfg)
+            u, res, extra, g = _newton_refine(asm, u, lam, kappa, nl, cfg, g, res)
             iters += extra
             break
     if res is None:
-        res = asm.dual_norm(asm.grad(u, lam, kappa, nl))
+        g = asm.grad(u, lam, kappa, nl)
+        res = asm.dual_norm(g)
     if res >= cfg.tol:
-        u, res, extra = _newton_refine(asm, u, lam, kappa, nl, cfg)
+        u, res, extra, g = _newton_refine(asm, u, lam, kappa, nl, cfg, g, res)
         iters += extra
     J = asm.j_lambda(u, lam, kappa, nl, eps=0.0)
     return u, J, res, iters + 1
@@ -1007,23 +1003,6 @@ def minimize(lam, params, kappa, nl, cfg=None, init=None):
 # ---------------------------------------------------------------------------
 # Mountain pass
 # ---------------------------------------------------------------------------
-
-def _reequidistribute(asm, path):
-    seg = np.array([asm.h12_norm(d) for d in np.diff(path, axis=0)])
-    total = float(np.sum(seg))
-    if total <= 0.0:
-        return path
-    s = np.concatenate(([0.0], np.cumsum(seg))) / total
-    targets = np.linspace(0.0, 1.0, path.shape[0])
-    out = np.empty_like(path)
-    out[0], out[-1] = path[0], path[-1]
-    for k in range(1, path.shape[0] - 1):
-        j = int(np.searchsorted(s, targets[k], side="right") - 1)
-        j = min(max(j, 0), path.shape[0] - 2)
-        w = (targets[k] - s[j]) / max(s[j + 1] - s[j], 1e-300)
-        out[k] = (1.0 - w) * path[j] + w * path[j + 1]
-    return out
-
 
 def _ray_barrier(asm, target, lam, kappa, nl):
     """Locate the energy maximum along t -> J(t * target), t in (0, 1].
@@ -1053,11 +1032,9 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None):
     polished by damped Newton.  The initial nodes are log-concentrated
     around the ray barrier (located by a geometric pre-scan), because for
     large lambda the barrier sits at a tiny multiple of the target.  The
-    periodic re-equidistribution in the H^1_2 path metric is applied only
-    when it preserves a positive interior maximum; otherwise the previous
-    node layout is kept.  The path energies are evaluated once and then
-    updated with each accepted move or layout, since a sweep moves at most
-    one node.  Returns (profile, J_lambda, residual).
+    path energies are evaluated once and then updated with each accepted
+    move, since a sweep moves at most one node.  Returns (profile,
+    J_lambda, residual).
 
     Raises :class:`PathCollapseError` when the running maximum sits at an
     endpoint (the barrier vanished), with sweep diagnostics attached.
@@ -1091,12 +1068,10 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None):
     def J_of(v):
         return asm.j_lambda(v, lam, kappa, nl, eps=SMOOTHING_EPS)
 
-    def interior_max_ok(energies):
-        return float(np.max(energies[1:-1])) > max(energies[0], energies[-1])
-
-    def polished(node):
-        """Newton-polished saddle from ``node``, or None if not certified."""
-        refined, res_r, _ = _newton_refine(asm, node, lam, kappa, nl, cfg)
+    def polished(node, g, res):
+        """Newton-polished saddle from ``node`` with its gradient ``g`` and
+        residual ``res``, or None if not certified."""
+        refined, res_r, _, _ = _newton_refine(asm, node, lam, kappa, nl, cfg, g, res)
         J_r = asm.j_lambda(refined, lam, kappa, nl)
         if res_r < cfg.tol and J_r > 0.0:
             profile = RadialFunction.from_values(asm.nodes, refined, label="mountain-pass")
@@ -1105,7 +1080,7 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None):
 
     energies = np.array([J_of(v) for v in path])
     for sweep in range(cfg.max_sweeps):
-        if not interior_max_ok(energies):
+        if not float(np.max(energies[1:-1])) > max(energies[0], energies[-1]):
             raise PathCollapseError(
                 "mountain-pass path collapsed: the maximum sits at an endpoint",
                 diagnostics={
@@ -1116,8 +1091,9 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None):
             )
         k = int(np.argmax(energies[1:-1])) + 1
         node = path[k]
-        res, d = asm._residual(asm.grad(node, lam, kappa, nl))
-        if res < 1e-3 * (1.0 + abs(energies[k])) and (found := polished(node)):
+        g = asm.grad(node, lam, kappa, nl)
+        res, d = asm._residual(g)
+        if res < 1e-3 * (1.0 + abs(energies[k])) and (found := polished(node, g, res)):
             return found
         tau = path[k + 1] - path[k - 1]
         tt = asm.inner_K(tau, tau)
@@ -1138,14 +1114,9 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None):
                 break
             t *= 0.5
         if not moved:
-            if found := polished(node):
+            if found := polished(node, g, res):
                 return found
             step_hint = 1.0
-        if (sweep + 1) % REEQUIDISTRIBUTE_EVERY == 0:
-            candidate = _reequidistribute(asm, path)
-            cand_E = np.array([J_of(v) for v in candidate])
-            if interior_max_ok(cand_E):
-                path, energies = candidate, cand_E
     raise SolverError(
         "mountain-pass search did not stabilize within the sweep budget",
         diagnostics={"lambda": lam, "sweeps": cfg.max_sweeps},
@@ -1232,14 +1203,16 @@ class LambdaScanReport:
 CSV_SCAN_HEADER = ("lambda", "classification", "energy", "residual", "h12_norm", "iterations")
 
 
-def _certify(asm, u, lam, kappa, nl, cfg):
-    res = asm.dual_norm(asm.grad(u, lam, kappa, nl))
-    return {
+def _certify(asm, u, res, cfg):
+    """Certificate of a candidate solution ``u`` with dual residual ``res``,
+    and whether ``u`` is told apart from zero (H^1_2 norm at least 1e-6)."""
+    cert = {
         "residual": res,
         "min_value": float(np.min(u)),
         "h12_norm": asm.h12_norm(u),
         "ok": bool(res < cfg.tol and np.min(u) >= -1e-10),
     }
+    return cert, cert["h12_norm"] >= 1e-6
 
 
 def solve(lam, params, kappa=None, nl=None, cfg=None):
@@ -1248,10 +1221,10 @@ def solve(lam, params, kappa=None, nl=None, cfg=None):
 
     Classification: ``only-zero`` when every start collapses to the zero
     profile, ``one`` when a single nonzero certified solution is found,
-    ``two`` when a negative-energy minimizer and a distinct positive-energy
-    saddle are both certified.  Initial guesses are scaled copies of the
-    best tent trial plus seeded random perturbations, so runs are
-    deterministic for a fixed config.
+    ``two`` when a negative-energy minimizer and a distinct, nonzero
+    positive-energy saddle are both certified.  Initial guesses are scaled
+    copies of the best tent trial plus seeded random perturbations, so runs
+    are deterministic for a fixed config.
     """
     _check_lambda(lam)
     params.require_a_below_one("the variational solver")
@@ -1290,8 +1263,7 @@ def _solve_at(lam, params, kappa, nl, cfg, lam_star, lam_tilde, trial, asm):
     classification = "only-zero"
     if best is not None:
         u, J, res = best
-        cert = _certify(asm, u, lam, kappa, nl, cfg)
-        nonzero = cert["h12_norm"] >= 1e-6
+        cert, nonzero = _certify(asm, u, res, cfg)
         if nonzero and cert["ok"]:
             profile = RadialFunction.from_values(asm.nodes, u, label="minimizer")
             solutions.append(
@@ -1307,10 +1279,15 @@ def _solve_at(lam, params, kappa, nl, cfg, lam_star, lam_tilde, trial, asm):
             if J < 0.0:
                 try:
                     u2, J2, res2 = mountain_pass(lam, params, kappa, nl, profile, cfg)
-                    cert2 = _certify(asm, u2.values, lam, kappa, nl, cfg)
+                    cert2, nonzero2 = _certify(asm, u2.values, res2, cfg)
                     sep = asm.h12_norm(u2.values - u)
                     distinct = sep > 1e-4 * (cert["h12_norm"] + cert2["h12_norm"] + 1.0)
-                    if cert2["ok"] and J2 > 0.0 and distinct:
+                    if not nonzero2:
+                        failures.append(
+                            "mountain-pass candidate is numerically zero "
+                            f"(h12_norm {cert2['h12_norm']:.3e})"
+                        )
+                    elif cert2["ok"] and J2 > 0.0 and distinct:
                         solutions.append(
                             {
                                 "which": "mountain-pass",

@@ -36,8 +36,6 @@ __all__ = [
 #: stored in the model parameters ("finsler" is accepted as a shorthand).
 MEASURES = ("lebesgue", "klein", "finsler_a")
 
-#: Panel count of the uniform scheme.
-UNIFORM_PANELS = 8
 #: Distinct configs whose rules :func:`radial_grid` keeps.  A geometry case
 #: (norm sandwich, Federer-Fleming, divergence trend) uses 9 distinct configs
 #: in 24 calls; the solver never calls :func:`radial_grid`.
@@ -94,23 +92,18 @@ class QuadratureConfig:
         Truncation radius, strictly inside the unit interval.  Integrals
         that diverge as the truncation approaches 1 are exhibited by
         sweeping ``r_max``, never by evaluating at 1.
-    scheme : str
-        ``"geometric"`` refines panels toward the boundary (default);
-        ``"uniform"`` splits [0, r_max] into :data:`UNIFORM_PANELS` equal
-        panels, which is mainly useful for convergence-order studies.
+
+    The panels are refined geometrically toward the boundary.
     """
 
     m: int = 64
     r_max: float = 1.0 - 1e-6
-    scheme: str = "geometric"
 
     def __post_init__(self):
         if self.m < 8:
             raise ValueError(f"need at least 8 points per panel, got {self.m}")
         if not 0.0 < self.r_max < 1.0:
             raise ValueError(f"r_max must lie in (0, 1), got {self.r_max}")
-        if self.scheme not in ("geometric", "uniform"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -143,8 +136,6 @@ class RadialGrid:
 
 
 def _panel_edges(cfg):
-    if cfg.scheme == "uniform":
-        return np.linspace(0.0, cfg.r_max, UNIFORM_PANELS + 1)
     # Geometric refinement toward the singularity at r = 1: each panel halves
     # the remaining distance to 1, stopping once the next edge would pass
     # r_max.  Panel widths then track the (1-r) scale of the Klein blow-up.

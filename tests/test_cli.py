@@ -275,12 +275,9 @@ def test_scan_default_schedule_needs_an_onset(capsys, tmp_path):
 RESOLVED_DEFAULT = """\
 params.a = 0.5
 params.n = 3
-problem.g = default
-problem.kappa = bump
 problem.kappa_radius = 0.5
 quad.m = 64
 quad.r_max = 0.99999899999999997
-quad.scheme = geometric
 run.verify = 0
 solver.m = 400
 solver.max_iter = 400
@@ -306,9 +303,10 @@ def test_resolved_cfg_of_default_run(capsys, tmp_path):
         ("solver.m = 8", "need at least 16 radial elements"),
         ("solver.path_nodes = 2", "need at least 4 interior path nodes"),
         ("quad.m = 4", "need at least 8 points per panel, got 4"),
-        ("quad.scheme = spiral", "unknown scheme 'spiral'"),
+        ("quad.scheme = spiral", "unknown key 'quad.scheme'"),
         ("problem.kappa_radius = 1.5", "the weight radius must lie in (0, 1)"),
-        ("problem.g = cubic", "unknown nonlinearity 'cubic'"),
+        ("problem.g = cubic", "unknown key 'problem.g'"),
+        ("problem.kappa = bump", "unknown key 'problem.kappa'"),
         ("solver.seed = -1", "seed must be non-negative"),
         ("solver.max_iter = 0", "max_iter and max_sweeps must be at least 1"),
         ("solver.max_sweeps = 0", "max_iter and max_sweeps must be at least 1"),

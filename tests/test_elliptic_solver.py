@@ -636,8 +636,9 @@ def test_mountain_pass_saddle_above_zero():
 
 def test_mountain_pass_energy_calls_capped(monkeypatch):
     # the path energies are kept between sweeps, and the ray barrier takes
-    # one energy call: this run makes 203, while re-evaluating every path
-    # node on every sweep takes 597 on this setup
+    # one energy call: this run makes 167; with the path's periodic
+    # re-equidistribution it made 203, and re-evaluating every path node on
+    # every sweep takes 597 on this setup
     params = ModelParams(n=3, a=0.5)
     kappa = WeightKappa.default()
     nl = Nonlinearity.default()
@@ -654,7 +655,7 @@ def test_mountain_pass_energy_calls_capped(monkeypatch):
     monkeypatch.setattr(_Assembly, "energy", counting)
     _, J2, res2 = mountain_pass(lam, params, kappa, nl, u1, FAST)
     assert J2 > 0.0 and res2 < FAST.tol
-    assert len(calls) <= 400
+    assert len(calls) <= 180
 
 
 @pytest.mark.parametrize("multiple", [10.0, 100.0])
@@ -695,6 +696,23 @@ def test_solve_below_threshold_solves_one_riesz_system_per_gradient(monkeypatch)
     assert calls["riesz"] == calls["grad"]
 
 
+def test_solve_below_threshold_evaluates_each_gradient_once(monkeypatch):
+    # the Newton polish and the certificate take the gradient and residual
+    # that their caller already holds
+    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
+    lam = 0.5 * nonexistence_threshold(params, nl, kappa)
+    seen = {}
+    grad = _Assembly.grad
+
+    def keyed(self, u, *args):
+        seen[u.tobytes()] = seen.get(u.tobytes(), 0) + 1
+        return grad(self, u, *args)
+
+    monkeypatch.setattr(_Assembly, "grad", keyed)
+    assert solve(lam, params, kappa, nl, FAST).classification == "only-zero"
+    assert seen and max(seen.values()) == 1
+
+
 def test_solve_two_solution_regime():
     params = ModelParams(n=3, a=0.5)
     kappa = WeightKappa.default()
@@ -710,6 +728,19 @@ def test_solve_two_solution_regime():
         assert s["min_value"] >= -1e-10
         assert s["ok"]
     assert report.solutions[0]["energy"] < 0.0 < report.solutions[1]["energy"]
+
+
+def test_solve_rejects_a_numerically_zero_saddle():
+    # at n = 10 the mountain pass polishes onto the zero critical point
+    # (J ~ 1e-17, h12_norm ~ 7e-9), which must not certify a second solution
+    params = ModelParams(n=10, a=0.5)
+    kappa, nl = WeightKappa.default(), Nonlinearity.default()
+    lam = 10.0 * tilde_lambda_estimate(params, kappa, nl, cfg=FAST)
+    report = solve(lam, params, kappa, nl, FAST)
+    assert report.classification == "one"
+    assert [s["which"] for s in report.solutions] == ["minimizer"]
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("mountain-pass candidate is numerically zero")
 
 
 def test_solve_report_serialization():

@@ -686,21 +686,8 @@ def test_solve_classifies_zero_coupling():
     assert report.solutions == ()
 
 
-def test_solve_below_threshold_solves_one_riesz_system_per_gradient(monkeypatch):
-    # each iterate's Riesz vector gives both its residual and its direction
-    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
-    lam = 0.5 * nonexistence_threshold(params, nl, kappa)
-    calls = _counting(monkeypatch, ("grad", "riesz"))
-    assert solve(lam, params, kappa, nl, FAST).classification == "only-zero"
-    assert calls["grad"] > 0
-    assert calls["riesz"] == calls["grad"]
-
-
-def test_solve_below_threshold_evaluates_each_gradient_once(monkeypatch):
-    # the Newton polish and the certificate take the gradient and residual
-    # that their caller already holds
-    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
-    lam = 0.5 * nonexistence_threshold(params, nl, kappa)
+def _keyed_grads(monkeypatch):
+    """Count the _Assembly.grad calls on each vector, keyed by its bytes."""
     seen = {}
     grad = _Assembly.grad
 
@@ -709,8 +696,76 @@ def test_solve_below_threshold_evaluates_each_gradient_once(monkeypatch):
         return grad(self, u, *args)
 
     monkeypatch.setattr(_Assembly, "grad", keyed)
+    return seen
+
+
+def test_solve_below_threshold_solves_one_riesz_system_per_gradient(monkeypatch):
+    # each iterate's residual takes one Riesz solve, and the shifted-Newton
+    # direction takes none
+    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
+    lam = 0.5 * nonexistence_threshold(params, nl, kappa)
+    calls = _counting(monkeypatch, ("grad", "riesz"))
+    assert solve(lam, params, kappa, nl, FAST).classification == "only-zero"
+    assert calls["grad"] > 0
+    assert calls["riesz"] == calls["grad"]
+    # the shifted-Newton direction takes 26 gradients here; the Riesz
+    # direction alone took 127
+    assert calls["grad"] <= 40
+
+
+def test_solve_below_threshold_evaluates_each_gradient_once(monkeypatch):
+    # the Newton polish and the certificate take the gradient and residual
+    # that their caller already holds
+    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
+    lam = 0.5 * nonexistence_threshold(params, nl, kappa)
+    seen = _keyed_grads(monkeypatch)
     assert solve(lam, params, kappa, nl, FAST).classification == "only-zero"
     assert seen and max(seen.values()) == 1
+
+
+def test_solve_stops_a_start_whose_newton_polish_accepts_no_step(monkeypatch):
+    # at 25 lambda~ one start's polish accepts no step; repeating it from
+    # the same iterate until max_iter evaluated one vector 399 times
+    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
+    cfg = SolverConfig(M=160, path_nodes=16)
+    lam = 25.0 * tilde_lambda_estimate(params, kappa, nl, cfg=cfg)
+    seen = _keyed_grads(monkeypatch)
+    report = solve(lam, params, kappa, nl, cfg)
+    assert report.classification == "two"
+    assert len(report.failures) == 1
+    assert seen and max(seen.values()) == 1
+
+
+@pytest.mark.parametrize("where, expected", [("below", "only-zero"), ("above", "two")])
+def test_solve_falls_back_to_the_riesz_direction(monkeypatch, where, expected):
+    # a shifted Hessian that is never positive definite leaves the Riesz
+    # direction -K^{-1} g, which must reach the same classification
+    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
+    if where == "below":
+        lam = 0.5 * nonexistence_threshold(params, nl, kappa)
+    else:
+        lam = 10.0 * tilde_lambda_estimate(params, kappa, nl, cfg=FAST)
+    attempts = []
+
+    def not_positive_definite(self, ab, g):
+        attempts.append(None)
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(_Assembly, "shifted_solve", not_positive_definite)
+    report = solve(lam, params, kappa, nl, FAST)
+    assert attempts
+    assert report.classification == expected
+    assert report.failures == ()
+
+
+def test_solve_certifies_two_near_a_one():
+    # the Riesz direction alone ended every start at zero here and answered
+    # only-zero with no failures
+    params, kappa, nl = ModelParams(n=2, a=0.99), WeightKappa.default(), Nonlinearity.default()
+    lam = 10.0 * tilde_lambda_estimate(params, kappa, nl, cfg=FAST)
+    report = solve(lam, params, kappa, nl, FAST)
+    assert report.classification == "two"
+    assert all(s["ok"] for s in report.solutions)
 
 
 def test_solve_two_solution_regime():

@@ -21,14 +21,15 @@ analytic gradient to roundoff.  Residuals are measured in the dual norm
 induced by the discrete H^1_2 Gram matrix.
 
 The map du -> F_a*^2 has a continuous first derivative in du even at du = 0
-(only the second derivative jumps there), so Newton-type descent plus a
-Newton polish is enough.  Descent steps go along -(H + mu K)^{-1} g, the
-exact tridiagonal Hessian H shifted by a small multiple mu = HESSIAN_SHIFT
-of the Gram matrix K: K carries a Klein mass term that the energy lacks, so
-the Riesz direction -K^{-1} g alone contracts only 0.3 to 0.8 per step.
-Where H + mu K is not positive definite the step falls back to that Riesz
-direction.  Line searches use the fixed sqrt(du^2 + SMOOTHING_EPS^2)
-smoothing, and every reported energy and residual uses the unsmoothed form.
+(only the second derivative jumps there), so one line-search Newton descent
+followed by one Newton polish is enough.  Descent steps go along
+-(H + mu K)^{-1} g, the exact tridiagonal Hessian H shifted by a small
+multiple mu = HESSIAN_SHIFT of the Gram matrix K: K carries a Klein mass
+term that the energy lacks, so the Riesz direction -K^{-1} g alone
+contracts only 0.3 to 0.8 per step.  Where H + mu K is not positive
+definite the step falls back to that Riesz direction.  Line searches use
+the fixed sqrt(du^2 + SMOOTHING_EPS^2) smoothing, and every reported energy
+and residual uses the unsmoothed form.
 """
 
 import math
@@ -958,15 +959,16 @@ def _newton_refine(asm, u, lam, kappa, nl, cfg, g, res):
 
 
 def _minimize_vec(asm, lam, kappa, nl, cfg, init_vec):
-    """Shifted-Newton descent plus a Newton polish from ``init_vec``; returns
-    (u, J, residual, iterations).
+    """Shifted-Newton descent, then one Newton polish, from ``init_vec``;
+    returns (u, J, residual, iterations).
 
     Each descent step goes along -(H + HESSIAN_SHIFT K)^{-1} g, or along the
     Riesz direction -K^{-1} g where H + HESSIAN_SHIFT K is not positive
     definite, and each iterate takes one gradient and one Riesz solve for
-    its residual.  Near stationarity, or when no Armijo step is found, the
-    damped Newton polish takes over; a polish that accepts no step ends the
-    start, since repeating it from the same iterate would repeat it exactly.
+    its residual.  The Armijo search halves the step only while its target
+    J + 1e-4 t slope is still a decrease that J can resolve in floating
+    point; when it finds no step, the descent ends.  If the residual is
+    then still at or above tol, the damped Newton polish runs once.
     """
     u = np.asarray(init_vec, dtype=float).copy()
     u[-1] = 0.0
@@ -977,39 +979,28 @@ def _minimize_vec(asm, lam, kappa, nl, cfg, init_vec):
     for _ in range(cfg.max_iter):
         if res < cfg.tol:
             break
-        if res < 1e-3 * (1.0 + abs(J)):
-            u, new_res, extra, g = _newton_refine(asm, u, lam, kappa, nl, cfg, g, res)
-            iters += extra
-            if not new_res < res:
-                break
-            # the polish's Riesz vector is not kept; the fallback direction solves again
-            res, Kg = new_res, None
-            J = asm.j_lambda(u, lam, kappa, nl, eps=SMOOTHING_EPS)
-            continue
         try:
             d = -asm.shifted_solve(asm.hessian_banded(u, lam, kappa, nl), g)
         except np.linalg.LinAlgError:
-            d = -(asm.riesz(g) if Kg is None else Kg)
+            d = -Kg
         slope = float(g[:-1] @ d[:-1])
         t = 1.0
-        for _ in range(50):
+        # halve t only while the Armijo target is a decrease J can resolve
+        while J + 1e-4 * t * slope < J:
             trial = u + t * d
             Jt = asm.j_lambda(trial, lam, kappa, nl, eps=SMOOTHING_EPS)
             if Jt <= J + 1e-4 * t * slope:
                 break
             t *= 0.5
         else:
-            u, res, extra, g = _newton_refine(asm, u, lam, kappa, nl, cfg, g, res)
-            iters += extra
             break
         u, J = trial, Jt
         iters += 1
         g = asm.grad(u, lam, kappa, nl)
         res, Kg = asm._residual(g)
-    else:
-        if res >= cfg.tol:
-            u, res, extra, g = _newton_refine(asm, u, lam, kappa, nl, cfg, g, res)
-            iters += extra
+    if res >= cfg.tol:
+        u, res, extra, g = _newton_refine(asm, u, lam, kappa, nl, cfg, g, res)
+        iters += extra
     J = asm.j_lambda(u, lam, kappa, nl, eps=0.0)
     return u, J, res, iters + 1
 
@@ -1020,8 +1011,9 @@ def minimize(lam, params, kappa, nl, cfg=None, init=None):
     Newton descent with the Hessian H shifted by a small multiple of the
     H^1_2 Gram matrix K, direction -(H + mu K)^{-1} g (the Riesz direction
     -K^{-1} g where H + mu K is not positive definite), with Armijo
-    backtracking, switching to damped Newton near stationarity.  Line
-    searches use the slope-smoothed energy; the reported residual is always
+    backtracking until it can resolve no decrease of J, then one damped
+    Newton polish if the residual is still at or above tol.  Line searches
+    use the slope-smoothed energy; the reported residual is always
     unsmoothed.  Returns the profile, its energy J_lambda, and the terminal
     residual; non-convergence returns the best iterate with its (too large)
     residual rather than raising.

@@ -723,16 +723,17 @@ def test_solve_below_threshold_evaluates_each_gradient_once(monkeypatch):
     assert seen and max(seen.values()) == 1
 
 
-def test_solve_stops_a_start_whose_newton_polish_accepts_no_step(monkeypatch):
-    # at 25 lambda~ one start's polish accepts no step; repeating it from
-    # the same iterate until max_iter evaluated one vector 399 times
+def test_solve_certifies_every_start_at_25_lambda_tilde_without_repeating_a_gradient(monkeypatch):
+    # a residual-driven Newton switch inside the descent walked one start
+    # here into a failed polish, and repeating that polish from the same
+    # iterate until max_iter evaluated one vector 399 times
     params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
     cfg = SolverConfig(M=160, path_nodes=16)
     lam = 25.0 * tilde_lambda_estimate(params, kappa, nl, cfg=cfg)
     seen = _keyed_grads(monkeypatch)
     report = solve(lam, params, kappa, nl, cfg)
     assert report.classification == "two"
-    assert len(report.failures) == 1
+    assert report.failures == ()
     assert seen and max(seen.values()) == 1
 
 
@@ -766,6 +767,55 @@ def test_solve_certifies_two_near_a_one():
     report = solve(lam, params, kappa, nl, FAST)
     assert report.classification == "two"
     assert all(s["ok"] for s in report.solutions)
+
+
+@pytest.mark.parametrize("n, a", [(2, 0.0), (3, 0.5), (3, 0.99), (5, 0.9)])
+def test_solve_far_above_lambda_tilde_is_never_a_confident_only_zero(n, a):
+    # a Newton switch at res < 1e-3 (1 + |J|), a threshold growing like
+    # lambda^4, walked every start into zero here and answered only-zero
+    # with no failures
+    params, kappa, nl = ModelParams(n=n, a=a), WeightKappa.default(), Nonlinearity.default()
+    lam_tilde = tilde_lambda_estimate(params, kappa, nl, cfg=FAST)
+    report = solve(100.0 * lam_tilde, params, kappa, nl, FAST)
+    assert report.classification == "two"
+    assert report.failures == ()
+    # at 1000 lambda~ the absolute tol is below the residual floor, so the
+    # starts fail, but the report must say so
+    report = solve(1000.0 * lam_tilde, params, kappa, nl, FAST)
+    assert report.classification != "only-zero" or report.failures
+
+
+def test_minimize_ends_a_start_once_its_line_search_resolves_no_decrease(monkeypatch):
+    # accepting Armijo steps that no longer change J ran two of these
+    # starts for 402 iterations
+    params, kappa, nl = ModelParams(n=3, a=0.9), WeightKappa.default(), Nonlinearity.default()
+    cfg = SolverConfig(M=400)
+    lam = 17.0 * tilde_lambda_estimate(params, kappa, nl, cfg=cfg)
+    iterations = []
+    minimize_vec = es._minimize_vec
+
+    def recorded(*args):
+        out = minimize_vec(*args)
+        iterations.append(out[3])
+        return out
+
+    monkeypatch.setattr(es, "_minimize_vec", recorded)
+    assert solve(lam, params, kappa, nl, cfg).classification == "two"
+    assert len(iterations) == 8
+    assert max(iterations) <= 30
+
+
+def test_solve_certifies_a_minimizer_with_a_full_support_weight():
+    # with exp(-r) the descent used to end every start at zero here and
+    # answer only-zero with no failures
+    params, nl = ModelParams(n=2, a=0.0), Nonlinearity.default()
+    kappa = WeightKappa(kappa=lambda r: np.exp(-r))
+    lam = 10.0 * tilde_lambda_estimate(params, kappa, nl, cfg=FAST)
+    report = solve(lam, params, kappa, nl, FAST)
+    minimizer = report.solutions[0]
+    assert minimizer["which"] == "minimizer"
+    assert minimizer["ok"]
+    assert minimizer["energy"] < 0.0
 
 
 def test_solve_two_solution_regime():

@@ -353,25 +353,37 @@ class Nonlinearity:
     def default(cls):
         """g(s) = s^2/(1 + s^(3/2)) with closed-form primitive and c_g = 2^(2/3)/3."""
 
+        # fmax maps s < 0 and NaN to +0.0, where every kernel is exactly +0.0;
         # sp * sqrt(sp) is sp^(3/2): a multiply and a sqrt are cheaper than pow
         def g(s):
-            s = np.asarray(s, dtype=float)
-            sp = np.maximum(s, 0.0)
-            return np.where(s > 0.0, sp * sp / (1.0 + sp * np.sqrt(sp)), 0.0)
+            sp = np.fmax(np.asarray(s, dtype=float), 0.0)
+            den = np.sqrt(sp)
+            den *= sp
+            den += 1.0
+            sp *= sp
+            sp /= den
+            return sp
 
         def G(s):
-            s = np.asarray(s, dtype=float)
-            sp = np.maximum(s, 0.0)
-            sp = sp * np.sqrt(sp)
-            return np.where(s > 0.0, (2.0 / 3.0) * (sp - np.log1p(sp)), 0.0)
+            sp = np.fmax(np.asarray(s, dtype=float), 0.0)
+            sp *= np.sqrt(sp)
+            sp -= np.log1p(sp)
+            sp *= 2.0 / 3.0
+            return sp
 
         def dg(s):
-            s = np.asarray(s, dtype=float)
-            sp = np.maximum(s, 0.0)
+            sp = np.fmax(np.asarray(s, dtype=float), 0.0)
+            sp += 0.0  # fmax may keep -0.0, and dg's product of three sp would too
             root = np.sqrt(sp)
-            return np.where(
-                s > 0.0, (2.0 * sp + 0.5 * sp * sp * root) / (1.0 + sp * root) ** 2, 0.0
-            )
+            num = 0.5 * sp
+            num *= sp
+            num *= root
+            num += 2.0 * sp
+            root *= sp
+            root += 1.0
+            root *= root
+            num /= root
+            return num
 
         return cls(g=g, G=G, dg=dg, c_g=2.0 ** (2.0 / 3.0) / 3.0, name="default")
 
@@ -868,23 +880,51 @@ def _best_trial(ratios):
 
 def _tilde_search(params, kappa, nl, cfg):
     """Best tent-profile bound on the onset ratio E/(2G); also returns the
-    minimizing trial vector and its assembly.  A tent of height h scores
-    h^2 E_b / (2 G(h P)) from its width's unit tent's energy E_b and point
-    values P."""
+    minimizing trial vector and its assembly.
+
+    A tent of height h scores h^2 E_b / (2 G(h P)) from its width's unit
+    tent's energy E_b and point values P.  Two rules score the potential.
+    A 2-point Gauss rule per element scores each width's 25 heights and
+    picks the first height j of least rough ratio.  The full-order rule
+    (``cfg.quad_order`` points) then rescores heights j-1, j, j+1, which
+    guards against a rough ratio that ranks two neighbouring heights the
+    wrong way round; a width without a finite rough ratio is rescored at
+    every height.  The first full-order minimum in (width, height) order
+    wins, and the golden refinement of its height runs at full order.  E_b
+    always comes from the full-order assembly: through its moment tables
+    it costs O(M).
+    """
     asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
+    rough = _Assembly(params, asm.nodes, quad_order=2)
     widths, heights = np.linspace(0.15, 0.8, 10), np.geomspace(1e-2, 1e2, 25)
 
-    def unit_tent(w):
-        base = _tent_vector(asm.nodes, 1.0, w)
-        return asm.energy(base), asm._live_points(base, kappa)
+    def ratio(h, E_b, P, on=asm):
+        return _ratio(h * h * E_b, on._potential(h * P, kappa, nl))
 
-    def ratio(h, E_b, P):
-        return _ratio(h * h * E_b, asm._potential(h * P, kappa, nl))
+    cells = []  # (width, height) index of each full-order score, in scoring order
 
-    # one width at a time, so that only one width's point values are held
-    best, k = _best_trial(ratio(h, *tent) for tent in map(unit_tent, widths) for h in heights)
-    w0, h0 = widths[k // heights.size], heights[k % heights.size]
-    tent = unit_tent(w0)
+    def rescored():
+        # one width at a time, so that only one width's point values are held
+        for b, w in enumerate(widths):
+            base = _tent_vector(asm.nodes, 1.0, w)
+            E_b = asm.energy(base)
+            P = rough._live_points(base, kappa)
+            coarse = [ratio(h, E_b, P, rough) for h in heights]
+            j = int(np.argmin(coarse))  # the first minimum
+            if math.isfinite(coarse[j]):
+                rows = range(max(j - 1, 0), min(j + 2, heights.size))
+            else:
+                rows = range(heights.size)
+            P = asm._live_points(base, kappa)
+            for i in rows:
+                cells.append((b, i))
+                yield ratio(heights[i], E_b, P)
+
+    best, k = _best_trial(rescored())
+    b, i = cells[k]
+    w0, h0 = widths[b], heights[i]
+    base = _tent_vector(asm.nodes, 1.0, w0)
+    tent = asm.energy(base), asm._live_points(base, kappa)
 
     # refine log(height) by golden section; maximizing -ratio minimizes the ratio
     def neg_ratio(log_h):
@@ -902,7 +942,10 @@ def tilde_lambda_estimate(params, kappa, nl, trials=None, cfg=None):
     With no explicit trials, scans tent profiles over 10 widths and 25
     heights and refines the best height by golden section; each width is
     assembled once, and its heights are scored through E(h v) = h^2 E(v)
-    and the point values h P of the unit tent.  Explicit trials
+    and the point values h P of the unit tent.  A 2-point rule scores the
+    grid and picks each width's best height; the full-order rule rescores
+    that height and its two neighbours, picks the winning cell from those
+    scores and refines it (see ``_tilde_search``).  Explicit trials
     are grid-backed profiles or nodal vectors on the solver mesh, or
     closed-form profiles, which are sampled at its nodes; each is scored
     with its boundary value pinned to 0.  Being a trial-family minimum, the

@@ -340,6 +340,54 @@ def test_default_nonlinearity_matches_power_forms():
     )
 
 
+def _masked_kernels():
+    """The default kernels as formerly written, masked by np.where: the
+    oracle for the fmax forms."""
+
+    def positive_part(s):
+        s = np.asarray(s, dtype=float)
+        return s, np.maximum(s, 0.0)
+
+    def g(s):
+        s, sp = positive_part(s)
+        return np.where(s > 0.0, sp * sp / (1.0 + sp * np.sqrt(sp)), 0.0)
+
+    def G(s):
+        s, sp = positive_part(s)
+        sp = sp * np.sqrt(sp)
+        return np.where(s > 0.0, (2.0 / 3.0) * (sp - np.log1p(sp)), 0.0)
+
+    def dg(s):
+        s, sp = positive_part(s)
+        root = np.sqrt(sp)
+        return np.where(
+            s > 0.0, (2.0 * sp + 0.5 * sp * sp * root) / (1.0 + sp * root) ** 2, 0.0
+        )
+
+    return {"g": g, "G": G, "dg": dg}
+
+
+def test_default_kernels_match_masked_forms_bit_for_bit(rng):
+    nl = Nonlinearity.default()
+    special = np.array(
+        [-1.0, -0.0, 0.0, 5e-324, 1e-300, 1e-8, 1.0, 1e12, np.inf, -np.inf, np.nan]
+    )
+    # SIMD lanes and scalar tails treat -0.0 differently, so every special
+    # value is also placed at every offset of a long array
+    s = np.concatenate(
+        (np.tile(special, 8), 10.0 * rng.standard_normal(500), np.exp(rng.uniform(-60, 60, 500)))
+    )
+    with np.errstate(all="ignore"):
+        for name, oracle in _masked_kernels().items():
+            kernel = getattr(nl, name)
+            for start in range(special.size):
+                got, want = kernel(s[start:]), oracle(s[start:])
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=name)
+            for x in special:
+                got, want = np.asarray(kernel(x)), np.asarray(oracle(x))
+                assert got.view(np.int64) == want.view(np.int64), (name, x)
+
+
 def test_nonlinearity_validator_rejects_non_sublinear():
     with pytest.raises(ValueError):
         Nonlinearity(g=lambda s: np.where(s > 0.0, s * np.exp(-s), 0.0))
@@ -489,6 +537,24 @@ def test_tilde_search_assembles_each_width_once(monkeypatch):
     assert calls["g_int"] == 0
 
 
+def test_tilde_search_scores_the_grid_on_the_rough_rule(monkeypatch):
+    # the 2-point rule scores all 250 cells; full order rescores 3 heights
+    # per width (30) and runs the golden refinement (53 probes), against
+    # 303 full-order potentials when every cell was scored at full order
+    calls = {}
+    potential = _Assembly._potential
+
+    def counted(self, *args):
+        order = self.R.shape[1]
+        calls[order] = calls.get(order, 0) + 1
+        return potential(self, *args)
+
+    monkeypatch.setattr(_Assembly, "_potential", counted)
+    _tilde_search(ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default(), FAST)
+    assert calls[2] == 250
+    assert calls[FAST.quad_order] <= 90
+
+
 def _scored_tilde_search(params, kappa, nl, cfg):
     """The tent search that scores every (height, width) tent by its own
     energy and potential: (lambda~, grid height, grid width)."""
@@ -507,20 +573,26 @@ def _scored_tilde_search(params, kappa, nl, cfg):
     return min(-neg_rat, ratios[k]), h0, w0
 
 
+_TENT_WEIGHTS = {
+    "bump0.5": WeightKappa.default(0.5),
+    "bump0.3": WeightKappa.default(0.3),
+    "exp": WeightKappa(kappa=lambda r: np.exp(-np.asarray(r)), name="exp"),
+}
+# (n, a, weight, mesh); at M = 16 and n = 10 the cell that wins on the
+# 2-point rule is not the full-order winner (lambda~ 315727, 379822 and
+# 394514 against 315107, 365374 and 377331), so these cases need the rescoring
+_TENT_CASES = [(n, a, w, FAST) for n in (2, 3, 10) for a in (0.0, 0.5, 0.99) for w in _TENT_WEIGHTS]
+_TENT_CASES += [(10, a, "bump0.5", SolverConfig(M=16)) for a in (0.5, 0.9, 0.99)]
+
+
 @pytest.mark.parametrize(
-    "kappa",
-    [
-        WeightKappa.default(0.5),
-        WeightKappa.default(0.3),
-        WeightKappa(kappa=lambda r: np.exp(-np.asarray(r)), name="exp"),
-    ],
-    ids=["bump0.5", "bump0.3", "exp"],
+    "n, a, weight, cfg",
+    _TENT_CASES,
+    ids=[f"{n}-{a}-{w}" + ("" if cfg is FAST else f"-M{cfg.M}") for n, a, w, cfg in _TENT_CASES],
 )
-@pytest.mark.parametrize("a", [0.0, 0.5, 0.99])
-@pytest.mark.parametrize("n", [2, 3, 10])
-def test_tilde_search_matches_per_tent_scoring(monkeypatch, n, a, kappa):
-    params, nl = ModelParams(n=n, a=a), Nonlinearity.default()
-    ref, h_ref, w_ref = _scored_tilde_search(params, kappa, nl, FAST)
+def test_tilde_search_matches_per_tent_scoring(monkeypatch, n, a, weight, cfg):
+    params, kappa, nl = ModelParams(n=n, a=a), _TENT_WEIGHTS[weight], Nonlinearity.default()
+    ref, h_ref, w_ref = _scored_tilde_search(params, kappa, nl, cfg)
     brackets = []
     golden = es._golden_max
 
@@ -529,7 +601,7 @@ def test_tilde_search_matches_per_tent_scoring(monkeypatch, n, a, kappa):
         return golden(fn, lo, hi, **kwargs)
 
     monkeypatch.setattr(es, "_golden_max", recording)
-    lam_tilde, trial, asm = _tilde_search(params, kappa, nl, FAST)
+    lam_tilde, trial, asm = _tilde_search(params, kappa, nl, cfg)
     # the bracket is centred on the grid height in log scale
     (lo, hi), = brackets
     np.testing.assert_allclose(math.exp(0.5 * (lo + hi)), h_ref, rtol=1e-12)
@@ -537,6 +609,22 @@ def test_tilde_search_matches_per_tent_scoring(monkeypatch, n, a, kappa):
     shape = tent_values(asm.nodes, 1.0, w_ref)
     np.testing.assert_allclose(trial / trial[0], shape / shape[0], rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(lam_tilde, ref, rtol=1e-12)
+
+
+def test_tilde_search_rescores_every_height_the_rough_rule_cannot_see():
+    # a weight on the middle of one element, between the 2-point rule's
+    # points: no width has a finite rough ratio, so each is rescored in full
+    nodes = solver_nodes(FAST)
+    lo, hi = nodes[40] + 0.3 * (nodes[41] - nodes[40]), nodes[40] + 0.7 * (nodes[41] - nodes[40])
+
+    def band(r):
+        r = np.asarray(r, dtype=float)
+        return ((lo < r) & (r < hi)).astype(float)
+
+    params, nl = ModelParams(n=3, a=0.5), Nonlinearity.default()
+    kappa = WeightKappa(kappa=band, name="band")
+    ref, _, _ = _scored_tilde_search(params, kappa, nl, FAST)
+    assert _tilde_search(params, kappa, nl, FAST)[0] == pytest.approx(ref, rel=1e-12)
 
 
 def test_tilde_estimate_signals_incompatible_weight():

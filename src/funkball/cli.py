@@ -16,7 +16,8 @@ nonlinearity with the bump weight of radius ``problem.kappa_radius``.
 Every subcommand validates every key, each by the class that owns it; the
 CLI checks only what no class owns (key names and numbers).
 ``scan`` runs its schedule sequentially through ``lambda_scan``.
-Exit codes: 0 success, 1 certification failure, 2 validation failure.
+Exit codes: 0 success, 1 certification failure (a failed start or an
+uncertified solution, at any lambda of a scan), 2 validation failure.
 All CSV numbers use 17 significant digits so doubles round-trip exactly.
 """
 
@@ -319,6 +320,12 @@ def _write_profiles(outdir, report, tag=""):
         )
 
 
+def _certified(report):
+    """A solve report is certified when no start failed and every solution
+    is ``ok``; an ``error`` report carries its error as a failure."""
+    return not report.failures and all(s["ok"] for s in report.solutions)
+
+
 def cmd_solve(args):
     run = resolve_config(args)
     if run.params.a >= 1.0:
@@ -345,7 +352,7 @@ def cmd_solve(args):
         _write_csv(os.path.join(outdir, "report.csv"), es.CSV_SCAN_HEADER, report.csv_rows())
         _write_profiles(outdir, report)
         _dump_resolved(run.cfg, outdir)
-    if report.failures or any(not s["ok"] for s in report.solutions):
+    if not _certified(report):
         raise CliCertificationError("solution certification failed")
     return EXIT_OK
 
@@ -380,8 +387,7 @@ def cmd_scan(args):
         for k, rep in enumerate(report.reports):
             _write_profiles(outdir, rep, f"{k}_")
         _dump_resolved(run.cfg, outdir)
-    bad = [r for r in report.reports if r.classification == "error"]
-    if bad or any(not s["ok"] for r in report.reports for s in r.solutions):
+    if not all(_certified(r) for r in report.reports):
         raise CliCertificationError("scan encountered per-lambda failures")
     return EXIT_OK
 

@@ -21,15 +21,14 @@ analytic gradient to roundoff.  Residuals are measured in the dual norm
 induced by the discrete H^1_2 Gram matrix.
 
 The map du -> F_a*^2 has a continuous first derivative in du even at du = 0
-(only the second derivative jumps there), so one line-search Newton descent
-followed by one Newton polish is enough.  Descent steps go along
--(H + mu K)^{-1} g, the exact tridiagonal Hessian H shifted by a small
-multiple mu = HESSIAN_SHIFT of the Gram matrix K: K carries a Klein mass
-term that the energy lacks, so the Riesz direction -K^{-1} g alone
-contracts only 0.3 to 0.8 per step.  Where H + mu K is not positive
-definite the step falls back to that Riesz direction.  Line searches use
-the fixed sqrt(du^2 + SMOOTHING_EPS^2) smoothing, and every reported energy
-and residual uses the unsmoothed form.
+(only the second derivative jumps there), so line searches and reports use
+the same discrete J, and one line-search Newton descent followed by one
+Newton polish is enough.  Descent steps go along -(H + mu K)^{-1} g, the
+exact tridiagonal Hessian H shifted by a small multiple mu = HESSIAN_SHIFT
+of the Gram matrix K: K carries a Klein mass term that the energy lacks,
+so the Riesz direction -K^{-1} g alone contracts only 0.3 to 0.8 per step.
+Where H + mu K is not positive definite the step falls back to that Riesz
+direction.
 """
 
 import math
@@ -392,14 +391,12 @@ class Nonlinearity:
 class WeightKappa:
     """Non-negative radial weight with cached sup norm.
 
-    ``measure`` is a tag naming the volume the weight is meant against,
-    copied into reports as ``kappa_measure``; the variational functionals
-    always integrate kappa * G(u) against the canonical (finsler_a) volume.
+    The variational functionals integrate kappa * G(u) against the
+    canonical (finsler_a) volume.
     """
 
     kappa: Callable
     sup_norm: Optional[float] = None
-    measure: str = "finsler_a"
     name: str = "custom"
 
     def __post_init__(self):
@@ -440,8 +437,8 @@ class WeightKappa:
 
 #: Damped Newton steps per refinement.
 NEWTON_ITERS = 80
-#: Slope smoothing sqrt(du^2 + eps^2) used by line searches only.
-SMOOTHING_EPS = 1e-10
+#: Path-relaxation sweeps per mountain-pass search.
+MAX_SWEEPS = 4000
 #: Multiple mu of the H^1_2 Gram matrix K added to the Hessian H in the
 #: descent direction -(H + mu K)^{-1} g.
 HESSIAN_SHIFT = 1e-6
@@ -451,9 +448,9 @@ HESSIAN_SHIFT = 1e-6
 class SolverConfig:
     """Mesh, quadrature and iteration knobs for the variational solver.
 
-    The Newton step cap, the line-search smoothing and the descent
+    The Newton step cap, the mountain pass's sweep budget and the descent
     direction's Hessian shift are the module constants
-    :data:`NEWTON_ITERS`, :data:`SMOOTHING_EPS` and :data:`HESSIAN_SHIFT`.
+    :data:`NEWTON_ITERS`, :data:`MAX_SWEEPS` and :data:`HESSIAN_SHIFT`.
     """
 
     M: int = 400
@@ -462,7 +459,6 @@ class SolverConfig:
     tol: float = 1e-8
     max_iter: int = 400
     path_nodes: int = 32
-    max_sweeps: int = 4000
     seed: int = 0
 
     def __post_init__(self):
@@ -476,8 +472,8 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if self.path_nodes < 4:
             raise ValueError("need at least 4 interior path nodes")
-        if self.max_iter < 1 or self.max_sweeps < 1:
-            raise ValueError("max_iter and max_sweeps must be at least 1")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -510,18 +506,16 @@ class _Assembly:
     assembled from per-element moment tables built once: with
     c = (1 - r^2)/(1 - a^2 r^2) and the Finsler weights w,
 
-        A+- = sum_p w c^2 (1 -+ a r)^2,   A0 = sum_p w c^2,
-        B+- = sum_p w c^2 (1 -+ a r).
+        A+- = sum_p w c^2 (1 -+ a r)^2,   A0 = sum_p w c^2.
 
     The energy is sum_e A_sigma(e) du_e^2 with sigma the sign of du_e, the
     gradient's flux A_sigma du_e / h_e and the Hessian's stiffness
     A_sigma / h_e^2, with A0 where du = 0 (sign(0) = 0; the one-sided
-    values A+ and A- differ there).  The smoothed energy writes
-    sqrt(du^2 + eps^2) = |du| + delta and adds A0 delta^2 + 2 B_sigma delta |du|.
-    The moments are split by sign rather than expanded into powers of a r:
-    m0 - 2 m1 + m2 with m_k = sum_p w c^2 (a r)^k cancels as a r -> 1, with
-    a relative error of about machine epsilon / (1 - a r)^2, while every
-    table above is a sum of positive terms.  The Gram matrix's stiffness is
+    values A+ and A- differ there).  The moments are split by sign rather
+    than expanded into powers of a r: m0 - 2 m1 + m2 with
+    m_k = sum_p w c^2 (a r)^k cancels as a r -> 1, with a relative error of
+    about machine epsilon / (1 - a r)^2, while every table is a sum of
+    positive terms.  The Gram matrix's stiffness is
     likewise a per-element moment of the Klein weights.
 
     Only the source terms (``g_int``, the ``g`` part of ``grad``, the ``dg``
@@ -581,7 +575,6 @@ class _Assembly:
         # slope moment tables; F* prefactor c(r) = (1-r^2)/(1-a^2 r^2)
         wc2 = self.w_fins * (one_m / one_m_a) ** 2
         self.A0 = wc2.sum(axis=1)
-        self.B_pos, self.B_neg = _row_dot(wc2, down), _row_dot(wc2, up)
         self.A_pos, self.A_neg = _row_dot(wc2 * down, down), _row_dot(wc2 * up, up)
 
         self._kappa = self._kappa_w = None
@@ -629,15 +622,9 @@ class _Assembly:
 
     # -- energies -----------------------------------------------------------
 
-    def energy(self, u, eps=0.0):
+    def energy(self, u):
         du = self.slopes(u)
-        E = self._slope_moment(du) @ (du * du)
-        if eps > 0.0:
-            adu = np.abs(du)
-            delta = eps * eps / (np.sqrt(du * du + eps * eps) + adu)
-            B = np.where(du > 0.0, self.B_pos, self.B_neg)
-            E += self.A0 @ (delta * delta) + 2.0 * (B @ (delta * adu))
-        return float(E)
+        return float(self._slope_moment(du) @ (du * du))
 
     def _live_points(self, u, kappa):
         """Values of u at the points of the rows ``[:nk]`` of ``kappa``."""
@@ -651,8 +638,8 @@ class _Assembly:
     def g_int(self, u, kappa, nl):
         return self._potential(self._live_points(u, kappa), kappa, nl)
 
-    def j_lambda(self, u, lam, kappa, nl, eps=0.0):
-        return 0.5 * self.energy(u, eps=eps) - lam * self.g_int(u, kappa, nl)
+    def j_lambda(self, u, lam, kappa, nl):
+        return 0.5 * self.energy(u) - lam * self.g_int(u, kappa, nl)
 
     # -- first and second derivatives --------------------------------------
 
@@ -967,9 +954,9 @@ def tilde_lambda_estimate(params, kappa, nl, trials=None, cfg=None):
 
 def _newton_refine(asm, u, lam, kappa, nl, cfg, g, res):
     """Damped Newton iteration on the gradient system from ``u`` with its
-    gradient ``g`` and residual ``res``; returns the refined vector, its
-    residual, the iteration count and its gradient."""
-    u = u.copy()
+    gradient ``g`` and residual ``res``; returns the refined vector (``u``
+    itself when no step is accepted), its residual and the iteration
+    count."""
     mu = 0.0
     iters = 0
     for _ in range(NEWTON_ITERS):
@@ -998,7 +985,7 @@ def _newton_refine(asm, u, lam, kappa, nl, cfg, g, res):
         iters += 1
         if not accepted:
             break
-    return u, res, iters, g
+    return u, res, iters
 
 
 def _minimize_vec(asm, lam, kappa, nl, cfg, init_vec):
@@ -1011,11 +998,12 @@ def _minimize_vec(asm, lam, kappa, nl, cfg, init_vec):
     its residual.  The Armijo search halves the step only while its target
     J + 1e-4 t slope is still a decrease that J can resolve in floating
     point; when it finds no step, the descent ends.  If the residual is
-    then still at or above tol, the damped Newton polish runs once.
+    then still at or above tol, the damped Newton polish runs once, and J
+    is evaluated again only if the polish moved ``u``.
     """
     u = np.asarray(init_vec, dtype=float).copy()
     u[-1] = 0.0
-    J = asm.j_lambda(u, lam, kappa, nl, eps=SMOOTHING_EPS)
+    J = asm.j_lambda(u, lam, kappa, nl)
     g = asm.grad(u, lam, kappa, nl)
     res, Kg = asm._residual(g)
     iters = 0
@@ -1031,7 +1019,7 @@ def _minimize_vec(asm, lam, kappa, nl, cfg, init_vec):
         # halve t only while the Armijo target is a decrease J can resolve
         while J + 1e-4 * t * slope < J:
             trial = u + t * d
-            Jt = asm.j_lambda(trial, lam, kappa, nl, eps=SMOOTHING_EPS)
+            Jt = asm.j_lambda(trial, lam, kappa, nl)
             if Jt <= J + 1e-4 * t * slope:
                 break
             t *= 0.5
@@ -1042,9 +1030,10 @@ def _minimize_vec(asm, lam, kappa, nl, cfg, init_vec):
         g = asm.grad(u, lam, kappa, nl)
         res, Kg = asm._residual(g)
     if res >= cfg.tol:
-        u, res, extra, g = _newton_refine(asm, u, lam, kappa, nl, cfg, g, res)
+        polished, res, extra = _newton_refine(asm, u, lam, kappa, nl, cfg, g, res)
         iters += extra
-    J = asm.j_lambda(u, lam, kappa, nl, eps=0.0)
+        if polished is not u:
+            u, J = polished, asm.j_lambda(polished, lam, kappa, nl)
     return u, J, res, iters + 1
 
 
@@ -1055,11 +1044,10 @@ def minimize(lam, params, kappa, nl, cfg=None, init=None):
     H^1_2 Gram matrix K, direction -(H + mu K)^{-1} g (the Riesz direction
     -K^{-1} g where H + mu K is not positive definite), with Armijo
     backtracking until it can resolve no decrease of J, then one damped
-    Newton polish if the residual is still at or above tol.  Line searches
-    use the slope-smoothed energy; the reported residual is always
-    unsmoothed.  Returns the profile, its energy J_lambda, and the terminal
-    residual; non-convergence returns the best iterate with its (too large)
-    residual rather than raising.
+    Newton polish if the residual is still at or above tol.  Returns the
+    profile, its energy J_lambda, and the terminal residual; non-convergence
+    returns the best iterate with its (too large) residual rather than
+    raising.
     """
     _check_lambda(lam)
     params.require_a_below_one("the variational solver")
@@ -1135,21 +1123,18 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None):
     target_K = asm.h12_norm(target)
     step_hint = max(0.05 * t_peak * target_K, 1e-12)
 
-    def J_of(v):
-        return asm.j_lambda(v, lam, kappa, nl, eps=SMOOTHING_EPS)
-
     def polished(node, g, res):
         """Newton-polished saddle from ``node`` with its gradient ``g`` and
         residual ``res``, or None if not certified."""
-        refined, res_r, _, _ = _newton_refine(asm, node, lam, kappa, nl, cfg, g, res)
+        refined, res_r, _ = _newton_refine(asm, node, lam, kappa, nl, cfg, g, res)
         J_r = asm.j_lambda(refined, lam, kappa, nl)
         if res_r < cfg.tol and J_r > 0.0:
             profile = RadialFunction.from_values(asm.nodes, refined, label="mountain-pass")
             return profile, J_r, res_r
         return None
 
-    energies = np.array([J_of(v) for v in path])
-    for sweep in range(cfg.max_sweeps):
+    energies = np.array([asm.j_lambda(v, lam, kappa, nl) for v in path])
+    for sweep in range(MAX_SWEEPS):
         if not float(np.max(energies[1:-1])) > max(energies[0], energies[-1]):
             raise PathCollapseError(
                 "mountain-pass path collapsed: the maximum sits at an endpoint",
@@ -1176,7 +1161,7 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None):
         moved = False
         for _ in range(60):
             trial = node - t * d
-            J_trial = J_of(trial)
+            J_trial = asm.j_lambda(trial, lam, kappa, nl)
             if J_trial < energies[k]:
                 path[k], energies[k] = trial, J_trial
                 step_hint = 2.0 * t
@@ -1189,7 +1174,7 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None):
             step_hint = 1.0
     raise SolverError(
         "mountain-pass search did not stabilize within the sweep budget",
-        diagnostics={"lambda": lam, "sweeps": cfg.max_sweeps},
+        diagnostics={"lambda": lam, "sweeps": MAX_SWEEPS},
     )
 
 
@@ -1209,7 +1194,6 @@ class SolveReport:
     failures: tuple = ()
     mesh_size: int = 0
     r_max: float = 0.0
-    kappa_measure: str = "finsler_a"
 
     def to_json_dict(self):
         return {
@@ -1219,7 +1203,7 @@ class SolveReport:
             "lambda_tilde_est": self.lambda_tilde_est,
             "mesh_size": self.mesh_size,
             "r_max": self.r_max,
-            "kappa_measure": self.kappa_measure,
+            "kappa_measure": "finsler_a",  # the volume every functional uses
             "failures": list(self.failures),
             "solutions": [
                 {k: v for k, v in sol.items() if k != "profile"} for sol in self.solutions
@@ -1391,7 +1375,6 @@ def _solve_at(lam, params, kappa, nl, cfg, lam_star, lam_tilde, trial, asm):
         failures=tuple(failures),
         mesh_size=cfg.M,
         r_max=cfg.r_max,
-        kappa_measure=kappa.measure,
     )
 
 
@@ -1436,7 +1419,6 @@ def lambda_scan(lambdas, params, kappa=None, nl=None, cfg=None):
                 failures=(str(exc),),
                 mesh_size=cfg.M,
                 r_max=cfg.r_max,
-                kappa_measure=kappa.measure,
             )
         reports.append(rep)
     return LambdaScanReport(

@@ -156,6 +156,49 @@ def test_scan_explicit_schedule_and_determinism(capsys, tmp_path):
     assert lines[0].startswith("lambda,classification")
 
 
+def test_failed_starts_exit_1_in_solve_and_scan(capsys, tmp_path, monkeypatch):
+    from funkball import elliptic_solver as es
+
+    def failing(asm, lam, kappa, nl, cfg, init_vec):
+        return init_vec, 0.0, 10.0 * cfg.tol, 1
+
+    monkeypatch.setattr(es, "_minimize_vec", failing)
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(FAST_CFG)
+    code, out, _ = run(capsys, "solve", "--config", str(cfg), "--lambda", "1")
+    assert code == 1
+    assert value_of(out, "classification") == "only-zero"
+    notes = [line for line in out.splitlines() if line.startswith("  note: ")]
+    assert notes == ["  note: minimize residual 1.000e-07 above tol from one start"] * 8
+    # every start failed, so the scan's only-zero is not certified either
+    code, out, _ = run(capsys, "scan", "--config", str(cfg), "--lambdas", "1")
+    assert code == 1
+    assert "lambda = 1: only-zero" in out
+
+
+def test_mountain_pass_out_of_sweeps_is_a_failure(capsys, tmp_path, monkeypatch):
+    from funkball import elliptic_solver as es
+    from funkball.finsler_core import ModelParams
+
+    monkeypatch.setattr(es, "MAX_SWEEPS", 1)
+    params, kappa = ModelParams(n=3, a=0.5), es.WeightKappa.default()
+    nl = es.Nonlinearity.default()
+    fast = es.SolverConfig(M=120, path_nodes=16)
+    lam = 10.0 * es.tilde_lambda_estimate(params, kappa, nl, cfg=fast)
+    message = (
+        "mountain pass failed: mountain-pass search did not stabilize within the sweep budget"
+    )
+    report = es.solve(lam, params, kappa, nl, fast)
+    assert report.classification == "one"
+    assert report.failures == (message,)
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(FAST_CFG)
+    code, out, _ = run(capsys, "solve", "--config", str(cfg), "--lambda", repr(lam))
+    assert code == 1
+    assert value_of(out, "classification") == "one"
+    assert f"  note: {message}" in out.splitlines()
+
+
 def test_scan_two_runs_write_identical_output(capsys, tmp_path):
     cfg = tmp_path / "fast.cfg"
     cfg.write_text(FAST_CFG)
@@ -281,7 +324,6 @@ quad.r_max = 0.99999899999999997
 run.verify = 0
 solver.m = 400
 solver.max_iter = 400
-solver.max_sweeps = 4000
 solver.path_nodes = 32
 solver.quad_order = 8
 solver.r_max = 0.99999899999999997
@@ -308,8 +350,8 @@ def test_resolved_cfg_of_default_run(capsys, tmp_path):
         ("problem.g = cubic", "unknown key 'problem.g'"),
         ("problem.kappa = bump", "unknown key 'problem.kappa'"),
         ("solver.seed = -1", "seed must be non-negative"),
-        ("solver.max_iter = 0", "max_iter and max_sweeps must be at least 1"),
-        ("solver.max_sweeps = 0", "max_iter and max_sweeps must be at least 1"),
+        ("solver.max_iter = 0", "max_iter must be at least 1"),
+        ("solver.max_sweeps = 0", "unknown key 'solver.max_sweeps'"),
     ],
 )
 def test_every_subcommand_validates_the_whole_config(capsys, tmp_path, line, message):

@@ -433,8 +433,7 @@ def test_weight_kappa_validation():
     "field, value, message",
     [
         ("seed", -1, "seed must be non-negative"),
-        ("max_iter", 0, "max_iter and max_sweeps must be at least 1"),
-        ("max_sweeps", 0, "max_iter and max_sweeps must be at least 1"),
+        ("max_iter", 0, "max_iter must be at least 1"),
     ],
 )
 def test_solver_config_rejects_bad_iteration_knobs(field, value, message):
@@ -1123,11 +1122,10 @@ def _pointwise_slope_data(asm, params, u):
     return c, np.where(du > 0.0, down, np.where(du < 0.0, up, 1.0)), du
 
 
-def _pointwise_energy(asm, params, u, eps):
-    # F* = c (|du|_eps - a r du) = c (|du| (1 - a r sign(du)) + |du|_eps - |du|)
+def _pointwise_energy(asm, params, u):
+    # F* = c (|du| - a r du) = c |du| (1 - a r sign(du))
     c, side, du = _pointwise_slope_data(asm, params, u)
-    absdu = np.sqrt(du * du + eps * eps) if eps > 0.0 else np.abs(du)
-    return float(np.vdot(asm.w_fins, (c * (np.abs(du) * side + (absdu - np.abs(du)))) ** 2))
+    return float(np.vdot(asm.w_fins, (c * (np.abs(du) * side)) ** 2))
 
 
 def _pointwise_flux(asm, params, u):
@@ -1161,7 +1159,6 @@ def _oracle_profiles(nodes, rng):
     mixed = rng.standard_normal(nodes.size)
     tent = tent_values(nodes, height=3.0, width=0.6)
     steps = np.repeat(rng.standard_normal(nodes.size // 4 + 1), 4)[: nodes.size]
-    # 1e-12 * mixed has slopes near SMOOTHING_EPS, where the smoothing shows
     for u in (mixed, 1e-12 * mixed, tent, -tent, steps, np.abs(steps), -np.abs(steps)):
         u = u.copy()
         u[-1] = 0.0
@@ -1178,10 +1175,7 @@ def test_slope_moments_match_pointwise_kernels(rng, n, a):
     flat_seen = False
     for u in _oracle_profiles(asm.nodes, rng):
         flat_seen |= bool(np.any(asm.slopes(u)[1:] == 0.0))
-        for eps in (0.0, es.SMOOTHING_EPS):
-            np.testing.assert_allclose(
-                asm.energy(u, eps=eps), _pointwise_energy(asm, params, u, eps), rtol=1e-13
-            )
+        np.testing.assert_allclose(asm.energy(u), _pointwise_energy(asm, params, u), rtol=1e-13)
         # a gradient entry is the difference of two element fluxes, so its
         # rounding error scales with the fluxes, not with the entry
         flux_scale = np.max(np.abs(_pointwise_flux(asm, params, u)))

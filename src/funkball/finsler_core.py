@@ -178,7 +178,8 @@ def randers_F(params, p, y):
 
 
 def _randers_F_rows(params, p, Y):
-    """Vectorized F_a over the rows of Y; used by the sampling oracles."""
+    """Vectorized F_a over the rows of Y; used by the oracles' random-sample
+    sweep and by their coarse circle scan."""
     s = p.r**2
     xy = Y @ p.x
     yy = np.einsum("ij,ij->i", Y, Y)
@@ -371,11 +372,25 @@ def _golden_max(fn, lo, hi, tol=1e-10, max_iter=200, relative=False):
     return mid, f_mid, max(f_mid, fc, fd)
 
 
-def _circle_refined_max(fn_theta, coarse=512, tol=1e-10):
+def _circle_refined_max(ratio, ratio_rows, e1, e2, coarse=512, tol=1e-10):
+    """Maximum of ``ratio`` over the unit circle cos(theta) e1 + sin(theta) e2.
+
+    The ``coarse`` equally spaced angles are scored in one row-wise call,
+    ``ratio_rows`` on the (coarse, n) array of their directions; the
+    golden-section refinement around the best of them stays on the scalar
+    ``ratio``.  A row-wise refinement was slower and moved the last bits of
+    1,139 of the 6,000 oracle values in a 3,000-case seeded check (by up to
+    1.7e-15 relative), so only the scan is vectorized; the scan itself
+    picks the same coarse angle as a scalar scan on those cases.
+    """
     thetas = np.linspace(0.0, 2.0 * math.pi, coarse, endpoint=False)
-    vals = np.array([fn_theta(t) for t in thetas])
-    k = int(np.argmax(vals))
+    Y = np.outer(np.cos(thetas), e1) + np.outer(np.sin(thetas), e2)
+    k = int(np.argmax(ratio_rows(Y)))
     h = 2.0 * math.pi / coarse
+
+    def fn_theta(theta):
+        return ratio(math.cos(theta) * e1 + math.sin(theta) * e2)
+
     return _golden_max(fn_theta, thetas[k] - h, thetas[k] + h, tol=tol)[2]
 
 
@@ -401,12 +416,16 @@ def polar_F_star_oracle(params, p, alpha, samples=10000, seed=0, refine_tol=1e-1
 
     e1, e2 = _orthonormal_pair(p.x, alpha)
 
-    def ratio(theta):
-        y = math.cos(theta) * e1 + math.sin(theta) * e2
+    def ratio(y):
         f = randers_F(params, p, y)
         return float(alpha @ y) / f if f > 0.0 else -math.inf
 
-    return max(best, _circle_refined_max(ratio, tol=refine_tol))
+    def ratio_rows(Y):
+        f = _randers_F_rows(params, p, Y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(f > 0.0, (Y @ alpha) / f, -np.inf)
+
+    return max(best, _circle_refined_max(ratio, ratio_rows, e1, e2, tol=refine_tol))
 
 
 def reversibility_oracle(params, p, samples=10000, seed=0, refine_tol=1e-10):
@@ -430,8 +449,10 @@ def reversibility_oracle(params, p, samples=10000, seed=0, refine_tol=1e-10):
 
     e1, e2 = _orthonormal_pair(p.x, np.roll(p.x, 1))
 
-    def ratio(theta):
-        y = math.cos(theta) * e1 + math.sin(theta) * e2
+    def ratio(y):
         return randers_F(params, p, y) / randers_F(params, p, -y)
 
-    return max(best, _circle_refined_max(ratio, tol=refine_tol))
+    def ratio_rows(Y):
+        return _randers_F_rows(params, p, Y) / _randers_F_rows(params, p, -Y)
+
+    return max(best, _circle_refined_max(ratio, ratio_rows, e1, e2, tol=refine_tol))

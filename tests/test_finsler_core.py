@@ -186,6 +186,38 @@ def test_polar_oracle_trivial_cases():
     assert got <= 1.0 + 1e-12 and got > 1.0 - 1e-6
 
 
+@pytest.mark.parametrize(
+    "a, r, kind, polar_hex, rev_hex",
+    [
+        (0.0, 0.0, "parallel", "0x1.8000000000000p+0", "0x1.0000000000000p+0"),
+        (0.0, 0.0, "perpendicular", "0x1.8000000000000p-1", "0x1.0000000000000p+0"),
+        (0.0, 0.999999, "parallel", "0x1.92a729dfa0001p-19", "0x1.0000000000000p+0"),
+        (0.0, 0.999999, "perpendicular", "0x1.160bae71d905bp-10", "0x1.0000000000000p+0"),
+        (0.9999, 0.0, "parallel", "0x1.8000000000000p+0", "0x1.0000000000000p+0"),
+        (0.9999, 0.0, "perpendicular", "0x1.8000000000000p-1", "0x1.0000000000000p+0"),
+        (0.9999, 0.999999, "parallel", "0x1.92ac5e8c04692p-20", "0x1.3563ffcc9c7afp+14"),
+        (0.9999, 0.999999, "perpendicular", "0x1.31aee765966e8p-4", "0x1.3563ffcc9c7afp+14"),
+        (1.0, 0.0, "parallel", "0x1.8000000000000p+0", "0x1.0000000000000p+0"),
+        (1.0, 0.0, "perpendicular", "0x1.8000000000000p-1", "0x1.0000000000000p+0"),
+        (1.0, 0.999999, "parallel", "0x1.92a7371153210p-20", "0x1.e847efffc3b1ep+20"),
+        (1.0, 0.999999, "perpendicular", "0x1.80000000369f3p-1", "0x1.e847efffc3b1ep+20"),
+    ],
+)
+def test_oracles_bit_identical(a, r, kind, polar_hex, rev_hex):
+    # Pins the oracles' exact bits, so a change to the circle scan or the
+    # refinement that moves a last bit is caught, not only one that breaks
+    # the 1e-4 tolerances above.  Point and covector lie on coordinate axes,
+    # so the directions the refinement scores have two nonzero coordinates
+    # and the literals do not hinge on a BLAS's summation order over n terms.
+    n = 10
+    e = np.eye(n)
+    params = ModelParams(n=n, a=a)
+    p = BallPoint(r * e[3])
+    alpha = 1.5 * e[3] if kind == "parallel" else -0.75 * e[7]
+    assert polar_F_star_oracle(params, p, alpha) == float.fromhex(polar_hex)
+    assert reversibility_oracle(params, p) == float.fromhex(rev_hex)
+
+
 def test_polar_oracle_sample_floor():
     params = ModelParams(n=2, a=0.0)
     with pytest.raises(ValueError):

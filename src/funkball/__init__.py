@@ -41,7 +41,6 @@ from .quadrature import (
 from .elliptic_solver import (
     LambdaScanReport,
     Nonlinearity,
-    PathCollapseError,
     RadialFunction,
     SolveReport,
     SolverConfig,

@@ -23,6 +23,7 @@ All CSV numbers use 17 significant digits so doubles round-trip exactly.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -257,7 +258,6 @@ def cmd_norms(args):
             lambda r, h=h, w=w: h * np.maximum(1.0 - np.asarray(r) / w, 0.0),
             lambda r, h=h, w=w: np.where(np.asarray(r) < w, -h / w, 0.0),
             r_max=1.0,
-            label="tent",
         )
     else:
         raise CliValidationError(f"unknown profile {args.profile!r}")
@@ -370,8 +370,8 @@ def cmd_scan(args):
             schedule = [float(v) for v in args.lambdas.split(",")]
         except ValueError:
             raise CliValidationError("--lambdas expects comma-separated numbers")
-        if any(l < 0.0 for l in schedule):
-            raise CliValidationError("lambda values must be non-negative")
+        if not all(0.0 <= l < math.inf for l in schedule):
+            raise CliValidationError("lambda values must be finite and non-negative")
     try:
         report = es.lambda_scan(schedule, run.params, run.kappa, run.nl, run.solver)
     except es.SolverError:  # raised only for the default schedule

@@ -38,12 +38,11 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 
-from .finsler_core import GeometryError, _golden_max
+from .finsler_core import GeometryError, _golden_max, _one_minus_ar
 from .quadrature import QuadratureConfig, _sample_radial, radial_integral, sphere_area
 
 __all__ = [
     "Nonlinearity",
-    "PathCollapseError",
     "RadialFunction",
     "SolveReport",
     "LambdaScanReport",
@@ -75,20 +74,9 @@ class SolverError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-class PathCollapseError(SolverError):
-    """The mountain-pass path lost its interior maximum (no barrier found)."""
-
-
 # ---------------------------------------------------------------------------
 # Radial dual norm
 # ---------------------------------------------------------------------------
-
-def _one_minus_ar(a, r):
-    """(1 - a r, 1 + a r) for a, r in [0, 1].  1 - a r is formed as
-    (1 - r) + (1 - a) r, exact in 1 - r for r >= 1/2: subtracting the rounded
-    a*r from 1 would lose eps / (1 - a r) of relative accuracy."""
-    return (1.0 - r) + (1.0 - a) * r, 1.0 + a * r
-
 
 def radial_fstar(params, r, du):
     """Dual norm of the radial covector du * x/|x| at radius r.
@@ -124,7 +112,7 @@ class RadialFunction:
     profiles register both u and u'.
     """
 
-    __slots__ = ("nodes", "values", "r_max", "label", "_fu", "_fdu", "_slopes")
+    __slots__ = ("nodes", "values", "r_max", "_fu", "_fdu", "_slopes")
 
     def __init__(self):
         raise TypeError("use RadialFunction.from_values or from_callables")
@@ -134,7 +122,7 @@ class RadialFunction:
         return object.__new__(cls)
 
     @classmethod
-    def from_values(cls, nodes, values, label=""):
+    def from_values(cls, nodes, values):
         """Grid-backed profile; ``values[-1]`` must be exactly 0."""
         self = cls._blank()
         nodes = np.array(nodes, dtype=float).reshape(-1)
@@ -154,7 +142,6 @@ class RadialFunction:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "r_max", float(nodes[-1]))
-        object.__setattr__(self, "label", label)
         object.__setattr__(self, "_fu", None)
         object.__setattr__(self, "_fdu", None)
         slopes = np.diff(values) / np.diff(nodes)
@@ -164,7 +151,7 @@ class RadialFunction:
         return self
 
     @classmethod
-    def from_callables(cls, u, du, r_max=1.0, label=""):
+    def from_callables(cls, u, du, r_max=1.0):
         """Closed-form profile on [0, r_max] with value ``u`` and radial
         derivative ``du``."""
         self = cls._blank()
@@ -173,7 +160,6 @@ class RadialFunction:
         object.__setattr__(self, "nodes", None)
         object.__setattr__(self, "values", None)
         object.__setattr__(self, "r_max", float(r_max))
-        object.__setattr__(self, "label", label)
         object.__setattr__(self, "_fu", u)
         object.__setattr__(self, "_fdu", du)
         object.__setattr__(self, "_slopes", None)
@@ -212,13 +198,12 @@ class RadialFunction:
         """The profile t * u."""
         t = float(t)
         if self.is_grid:
-            return RadialFunction.from_values(self.nodes, t * self.values, label=self.label)
+            return RadialFunction.from_values(self.nodes, t * self.values)
         fu, fdu = self._fu, self._fdu
         return RadialFunction.from_callables(
             lambda r: t * np.asarray(fu(r), dtype=float),
             lambda r: t * np.asarray(fdu(r), dtype=float),
             r_max=self.r_max,
-            label=self.label,
         )
 
     def __neg__(self):
@@ -319,7 +304,6 @@ class Nonlinearity:
     G: Optional[Callable] = None
     dg: Optional[Callable] = None
     c_g: Optional[float] = None
-    name: str = "custom"
 
     def __post_init__(self):
         object.__setattr__(self, "g", _as_scalar_fn(self.g))
@@ -384,7 +368,7 @@ class Nonlinearity:
             num /= root
             return num
 
-        return cls(g=g, G=G, dg=dg, c_g=2.0 ** (2.0 / 3.0) / 3.0, name="default")
+        return cls(g=g, G=G, dg=dg, c_g=2.0 ** (2.0 / 3.0) / 3.0)
 
 
 @dataclass(frozen=True)
@@ -397,7 +381,6 @@ class WeightKappa:
 
     kappa: Callable
     sup_norm: Optional[float] = None
-    name: str = "custom"
 
     def __post_init__(self):
         object.__setattr__(self, "kappa", _as_scalar_fn(self.kappa))
@@ -428,7 +411,7 @@ class WeightKappa:
                 vals = np.where(inside, np.exp(-1.0 / np.maximum(R2 - r * r, 1e-300)), 0.0)
             return vals
 
-        return cls(kappa=kappa, sup_norm=math.exp(-1.0 / R2), name="bump")
+        return cls(kappa=kappa, sup_norm=math.exp(-1.0 / R2))
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +422,8 @@ class WeightKappa:
 NEWTON_ITERS = 80
 #: Path-relaxation sweeps per mountain-pass search.
 MAX_SWEEPS = 4000
+#: Interior nodes of the mountain-pass path.
+PATH_NODES = 32
 #: Multiple mu of the H^1_2 Gram matrix K added to the Hessian H in the
 #: descent direction -(H + mu K)^{-1} g.
 HESSIAN_SHIFT = 1e-6
@@ -448,9 +433,10 @@ HESSIAN_SHIFT = 1e-6
 class SolverConfig:
     """Mesh, quadrature and iteration knobs for the variational solver.
 
-    The Newton step cap, the mountain pass's sweep budget and the descent
-    direction's Hessian shift are the module constants
-    :data:`NEWTON_ITERS`, :data:`MAX_SWEEPS` and :data:`HESSIAN_SHIFT`.
+    The Newton step cap, the mountain pass's sweep budget and path size,
+    and the descent direction's Hessian shift are the module constants
+    :data:`NEWTON_ITERS`, :data:`MAX_SWEEPS`, :data:`PATH_NODES` and
+    :data:`HESSIAN_SHIFT`.
     """
 
     M: int = 400
@@ -458,7 +444,6 @@ class SolverConfig:
     quad_order: int = 8
     tol: float = 1e-8
     max_iter: int = 400
-    path_nodes: int = 32
     seed: int = 0
 
     def __post_init__(self):
@@ -470,8 +455,6 @@ class SolverConfig:
             raise ValueError("quadrature order must be at least 2")
         if self.tol <= 0.0:
             raise ValueError("tolerances must be positive")
-        if self.path_nodes < 4:
-            raise ValueError("need at least 4 interior path nodes")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.seed < 0:
@@ -759,8 +742,8 @@ def _mesh_vector(u, asm, what):
 
 
 def _check_lambda(lam):
-    if lam < 0.0:
-        raise ValueError("lambda must be non-negative")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError("lambda must be finite and non-negative")
 
 
 def _quad_cfg(r_max):
@@ -1055,7 +1038,7 @@ def minimize(lam, params, kappa, nl, cfg=None, init=None):
     asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
     init_vec = np.zeros(asm.M) if init is None else _mesh_vector(init, asm, "init")
     u, J, res, _ = _minimize_vec(asm, lam, kappa, nl, cfg, init_vec)
-    return RadialFunction.from_values(asm.nodes, u, label="minimizer"), J, res
+    return RadialFunction.from_values(asm.nodes, u), J, res
 
 
 # ---------------------------------------------------------------------------
@@ -1094,8 +1077,9 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None):
     move, since a sweep moves at most one node.  Returns (profile,
     J_lambda, residual).
 
-    Raises :class:`PathCollapseError` when the running maximum sits at an
-    endpoint (the barrier vanished), with sweep diagnostics attached.
+    Raises :class:`SolverError` when the ray has no positive barrier or the
+    running maximum sits at an endpoint (the barrier vanished), with sweep
+    diagnostics attached.
     """
     _check_lambda(lam)
     params.require_a_below_one("the mountain-pass search")
@@ -1110,13 +1094,12 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None):
 
     t_peak, J_peak = _ray_barrier(asm, target, lam, kappa, nl)
     if not J_peak > 0.0:
-        raise PathCollapseError(
+        raise SolverError(
             "no positive barrier along the ray to the target",
             diagnostics={"lambda": lam, "t_peak": t_peak, "J_peak": J_peak},
         )
-    P = cfg.path_nodes
-    below = np.geomspace(t_peak * 1e-2, t_peak, P // 2 + 1)[:-1]
-    above = np.geomspace(t_peak, 1.0, P - P // 2 + 1)
+    below = np.geomspace(t_peak * 1e-2, t_peak, PATH_NODES // 2 + 1)[:-1]
+    above = np.geomspace(t_peak, 1.0, PATH_NODES - PATH_NODES // 2 + 1)
     ts = np.concatenate(([0.0], below, above))
     path = ts[:, None] * target[None, :]
     # descent directions are K-normalized, so scale steps to the barrier size
@@ -1129,14 +1112,14 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None):
         refined, res_r, _ = _newton_refine(asm, node, lam, kappa, nl, cfg, g, res)
         J_r = asm.j_lambda(refined, lam, kappa, nl)
         if res_r < cfg.tol and J_r > 0.0:
-            profile = RadialFunction.from_values(asm.nodes, refined, label="mountain-pass")
+            profile = RadialFunction.from_values(asm.nodes, refined)
             return profile, J_r, res_r
         return None
 
     energies = np.array([asm.j_lambda(v, lam, kappa, nl) for v in path])
     for sweep in range(MAX_SWEEPS):
         if not float(np.max(energies[1:-1])) > max(energies[0], energies[-1]):
-            raise PathCollapseError(
+            raise SolverError(
                 "mountain-pass path collapsed: the maximum sits at an endpoint",
                 diagnostics={
                     "sweep": sweep,
@@ -1319,7 +1302,7 @@ def _solve_at(lam, params, kappa, nl, cfg, lam_star, lam_tilde, trial, asm):
         u, J, res = best
         cert, nonzero = _certify(asm, u, res, cfg)
         if nonzero and cert["ok"]:
-            profile = RadialFunction.from_values(asm.nodes, u, label="minimizer")
+            profile = RadialFunction.from_values(asm.nodes, u)
             solutions.append(
                 {
                     "which": "minimizer",
@@ -1433,7 +1416,8 @@ def subquadraticity_diagnostic(u_dir, params, kappa=None, nl=None, t_schedule=No
     """Table of G(t u) / ||t u||_{H^1_2}^2 over a logarithmic t schedule.
 
     The ratio tends to 0 at both ends for a sublinear nonlinearity; the
-    returned array has columns (t, ratio).
+    returned array has columns (t, ratio).  Every t must be positive and
+    finite.
     """
     params.require_a_below_one("the subquadraticity diagnostic")
     kappa = kappa or WeightKappa.default()
@@ -1442,6 +1426,8 @@ def subquadraticity_diagnostic(u_dir, params, kappa=None, nl=None, t_schedule=No
     if t_schedule is None:
         t_schedule = np.geomspace(1e-3, 1e3, 25)
     t_schedule = np.asarray(t_schedule, dtype=float)
+    if not np.all((t_schedule > 0.0) & (t_schedule < math.inf)):
+        raise ValueError("t_schedule must hold positive finite values")
     asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
     v = _mesh_vector(u_dir, asm, "the direction profile")
     base = asm.h12_norm_sq(v)

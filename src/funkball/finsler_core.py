@@ -46,6 +46,12 @@ __all__ = [
 # Constructors reject points this close to the boundary: every closed form
 # divides by (1 - |x|^2), which is catastrophically ill-conditioned there.
 BOUNDARY_GUARD = 1e-14
+#: The oracles' circle scan: equally spaced angles, then a golden-section
+#: refinement of the best one to this bracket width.
+CIRCLE_ANGLES = 512
+CIRCLE_TOL = 1e-10
+#: Step of the central differences in :func:`legendre_gradient_fd`.
+FD_STEP = 1e-6
 
 #: Tangent vectors and covectors are plain coordinate arrays.
 TanVec = np.ndarray
@@ -187,20 +193,52 @@ def _randers_F_rows(params, p, Y):
     return np.maximum((root + params.a * xy) / (1.0 - s), 0.0)
 
 
+def _one_minus_ar(a, r):
+    """(1 - a r, 1 + a r) for a, r in [0, 1].  1 - a r is formed as
+    (1 - r) + (1 - a) r, exact in 1 - r for r >= 1/2: subtracting the rounded
+    a*r from 1 would lose eps / (1 - a r) of relative accuracy."""
+    return (1.0 - r) + (1.0 - a) * r, 1.0 + a * r
+
+
+def _dual_parts(params, p, alpha):
+    """Pieces of the dual norm at x, formed without cancellation: 1 - s and
+    1 - a^2 s with s = |x|^2 (through 1 - |x| and 1 - a|x|), the split
+    alpha = perp + c x/|x| and the radicand
+
+        q = (1-s)(1-a^2 s)|alpha|^2 - (1-a^2)(1-s) <x, alpha>^2
+          = (1-s)((1-a^2 s)|perp|^2 + (1-s) c^2),
+
+    from its second expression, whose terms are all non-negative.
+    """
+    r = p.r
+    down, up = _one_minus_ar(params.a, r)
+    one_s = (1.0 - r) * (1.0 + r)
+    c, perp = 0.0, alpha
+    if r > 0.0:
+        c = float(p.x @ alpha) / r
+        perp = alpha - (c / r) * p.x
+    return one_s, down * up, c, perp, one_s * (down * up * float(perp @ perp) + one_s * c * c)
+
+
 def polar_F_star(params, p, alpha):
     """Dual norm of a covector.
 
-    Closed form, with s = |x|^2 and t = <x, alpha>:
+    Closed form, with s = |x|^2, t = <x, alpha> and the radicand q of
+    :func:`_dual_parts`:
 
-        ( sqrt((1-s)(1-a^2 s)|alpha|^2 - (1-a^2)(1-s) t^2) - a (1-s) t )
-        / (1 - a^2 s).
+        ( sqrt(q) - a (1-s) t ) / (1 - a^2 s).
+
+    For t > 0 the numerator cancels by a factor of about 1/(1 - a|x|); there
+    the same value is formed as (1-s)(|alpha|^2 - t^2) / (sqrt(q) + a (1-s) t),
+    with |alpha|^2 - t^2 = |perp|^2 + (1-s) c^2.
     """
     p = _point(p)
     alpha = _vec(alpha, p.n, "covector")
-    a, s = params.a, p.r**2
-    t = float(p.x @ alpha)
-    arg = (1.0 - s) * (1.0 - a * a * s) * float(alpha @ alpha) - (1.0 - a * a) * (1.0 - s) * t * t
-    return max((math.sqrt(max(arg, 0.0)) - a * (1.0 - s) * t) / (1.0 - a * a * s), 0.0)
+    one_s, one_a2s, c, perp, q = _dual_parts(params, p, alpha)
+    at = params.a * one_s * p.r * c  # a (1-s) t
+    if c > 0.0:
+        return one_s * (float(perp @ perp) + one_s * c * c) / (math.sqrt(q) + at)
+    return (math.sqrt(q) - at) / one_a2s
 
 
 def beta_norm(params, p):
@@ -269,27 +307,31 @@ def legendre_gradient(params, p, alpha):
     alpha = _vec(alpha, p.n, "covector")
     if not np.any(alpha):
         return np.zeros(p.n)
-    a, s = params.a, p.r**2
-    denom = 1.0 - a * a * s
-    c1 = (1.0 - s) * denom
-    c2 = (1.0 - a * a) * (1.0 - s)
-    t = float(p.x @ alpha)
-    q = c1 * float(alpha @ alpha) - c2 * t * t
-    fstar = polar_F_star(params, p, alpha)
-    return (fstar / denom) * ((c1 * alpha - c2 * t * p.x) / math.sqrt(q) - a * (1.0 - s) * p.x)
+    a, r = params.a, p.r
+    one_s, one_a2s, c, perp, q = _dual_parts(params, p, alpha)
+    root = math.sqrt(q)
+    # J* = F* (1-s)/sqrt(q) (perp + k x/|x|), k = ((1-s) c - a r sqrt(q)) / (1 - a^2 s);
+    # for c > 0 the numerator of k cancels, and k is formed from its conjugate
+    if c > 0.0:
+        k = one_s * (one_s * c * c - (a * r) ** 2 * float(perp @ perp)) / (one_s * c + a * r * root)
+    else:
+        k = (one_s * c - a * r * root) / one_a2s
+    along = p.x * (k / r) if r > 0.0 else 0.0
+    return (polar_F_star(params, p, alpha) * one_s / root) * (perp + along)
 
 
-def legendre_gradient_fd(params, p, alpha, step=1e-6):
-    """Central finite differences of (1/2) F_a*^2; cross-check for the exact map."""
+def legendre_gradient_fd(params, p, alpha):
+    """Central finite differences of (1/2) F_a*^2 with step :data:`FD_STEP`;
+    cross-check for the exact map."""
     p = _point(p)
     alpha = _vec(alpha, p.n, "covector")
     grad = np.zeros(p.n)
     for i in range(p.n):
         e = np.zeros(p.n)
-        e[i] = step
+        e[i] = FD_STEP
         fp = polar_F_star(params, p, alpha + e) ** 2
         fm = polar_F_star(params, p, alpha - e) ** 2
-        grad[i] = (fp - fm) / (4.0 * step)
+        grad[i] = (fp - fm) / (4.0 * FD_STEP)
     return grad
 
 
@@ -372,29 +414,29 @@ def _golden_max(fn, lo, hi, tol=1e-10, max_iter=200, relative=False):
     return mid, f_mid, max(f_mid, fc, fd)
 
 
-def _circle_refined_max(ratio, ratio_rows, e1, e2, coarse=512, tol=1e-10):
+def _circle_refined_max(ratio, ratio_rows, e1, e2):
     """Maximum of ``ratio`` over the unit circle cos(theta) e1 + sin(theta) e2.
 
-    The ``coarse`` equally spaced angles are scored in one row-wise call,
-    ``ratio_rows`` on the (coarse, n) array of their directions; the
+    The :data:`CIRCLE_ANGLES` equally spaced angles are scored in one
+    row-wise call, ``ratio_rows`` on the array of their directions; the
     golden-section refinement around the best of them stays on the scalar
     ``ratio``.  A row-wise refinement was slower and moved the last bits of
     1,139 of the 6,000 oracle values in a 3,000-case seeded check (by up to
     1.7e-15 relative), so only the scan is vectorized; the scan itself
     picks the same coarse angle as a scalar scan on those cases.
     """
-    thetas = np.linspace(0.0, 2.0 * math.pi, coarse, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * math.pi, CIRCLE_ANGLES, endpoint=False)
     Y = np.outer(np.cos(thetas), e1) + np.outer(np.sin(thetas), e2)
     k = int(np.argmax(ratio_rows(Y)))
-    h = 2.0 * math.pi / coarse
+    h = 2.0 * math.pi / CIRCLE_ANGLES
 
     def fn_theta(theta):
         return ratio(math.cos(theta) * e1 + math.sin(theta) * e2)
 
-    return _golden_max(fn_theta, thetas[k] - h, thetas[k] + h, tol=tol)[2]
+    return _golden_max(fn_theta, thetas[k] - h, thetas[k] + h, tol=CIRCLE_TOL)[2]
 
 
-def polar_F_star_oracle(params, p, alpha, samples=10000, seed=0, refine_tol=1e-10):
+def polar_F_star_oracle(params, p, alpha, samples=10000, seed=0):
     """Dual norm by brute force: sup over directions of alpha(y)/F(x, y).
 
     Coarse uniform sampling of the unit sphere followed by golden-section
@@ -425,10 +467,10 @@ def polar_F_star_oracle(params, p, alpha, samples=10000, seed=0, refine_tol=1e-1
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(f > 0.0, (Y @ alpha) / f, -np.inf)
 
-    return max(best, _circle_refined_max(ratio, ratio_rows, e1, e2, tol=refine_tol))
+    return max(best, _circle_refined_max(ratio, ratio_rows, e1, e2))
 
 
-def reversibility_oracle(params, p, samples=10000, seed=0, refine_tol=1e-10):
+def reversibility_oracle(params, p, samples=10000, seed=0):
     """Pointwise reversibility by brute force: sup of F(x,y)/F(x,-y).
 
     Approaches (1 + a|x|)/(1 - a|x|) at the given point; the global
@@ -455,4 +497,4 @@ def reversibility_oracle(params, p, samples=10000, seed=0, refine_tol=1e-10):
     def ratio_rows(Y):
         return _randers_F_rows(params, p, Y) / _randers_F_rows(params, p, -Y)
 
-    return max(best, _circle_refined_max(ratio, ratio_rows, e1, e2, tol=refine_tol))
+    return max(best, _circle_refined_max(ratio, ratio_rows, e1, e2))

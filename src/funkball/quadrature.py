@@ -33,21 +33,13 @@ __all__ = [
 
 #: Recognized measure tags: plain Lebesgue measure, the Klein (hyperbolic)
 #: volume, and the canonical volume of the interpolating metric at the `a`
-#: stored in the model parameters ("finsler" is accepted as a shorthand).
+#: stored in the model parameters.
 MEASURES = ("lebesgue", "klein", "finsler_a")
 
 #: Distinct configs whose rules :func:`radial_grid` keeps.  A geometry case
 #: (norm sandwich, Federer-Fleming, divergence trend) uses 9 distinct configs
 #: in 24 calls; the solver never calls :func:`radial_grid`.
 GRID_CACHE_SIZE = 32
-
-
-def _canonical_measure(measure):
-    if measure == "finsler":
-        return "finsler_a"
-    if measure in MEASURES:
-        return measure
-    raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
 
 
 def _gamma_half(twice_x):
@@ -177,7 +169,8 @@ def measure_density(params, r, measure):
     ``"finsler_a"`` is ((1 - a^2 r^2)/(1 - r^2))^((n+1)/2) for the `a` held
     in ``params``.
     """
-    measure = _canonical_measure(measure)
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
     r = np.asarray(r, dtype=float)
     if measure == "lebesgue":
         return np.ones_like(r)
@@ -208,7 +201,7 @@ def radial_integral(f, params, measure, cfg=None):
     f : callable
         Radial profile ``f(r)``; may accept arrays or scalars.
     params : ModelParams
-        Supplies the dimension (and `a` for the ``"finsler"`` measure).
+        Supplies the dimension (and `a` for the ``"finsler_a"`` measure).
     measure : str
         One of :data:`MEASURES`.
     cfg : QuadratureConfig, optional

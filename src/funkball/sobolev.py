@@ -121,7 +121,7 @@ def counterexample_profile():
     def du(r):
         return 0.5 / np.sqrt(np.maximum(1.0 - np.asarray(r, dtype=float), 1e-300))
 
-    return RadialFunction.from_callables(u, du, r_max=1.0, label="boundary root profile")
+    return RadialFunction.from_callables(u, du, r_max=1.0)
 
 
 def c1_c2_integrals(r_max, n, cfg=None):
@@ -147,19 +147,16 @@ def c1_c2_integrals(r_max, n, cfg=None):
     return c1, c2
 
 
-def federer_fleming_check(u, params, cfg=None, want_ratio=True):
+def federer_fleming_check(u, params, cfg=None):
     """Check int u^2 dV_K <= (4/(n-1)^2) int h_K*(Du) dV_K.
 
-    Returns (lhs, rhs, ratio); the inequality holds when ratio <= 1.  The
-    zero profile has lhs = rhs = 0 and no ratio; requesting one for it
-    raises.
+    Returns (lhs, rhs, ratio); the inequality holds when ratio <= 1.  A
+    profile with zero gradient (the zero profile) has no ratio and raises.
     """
     lhs, grad = _klein_parts(u, params, _norm_cfg(u, cfg))
     rhs = 4.0 / (params.n - 1) ** 2 * grad
     if rhs <= 0.0:
-        if want_ratio:
-            raise ValueError("ratio undefined for a profile with zero gradient")
-        return lhs, rhs, None
+        raise ValueError("ratio undefined for a profile with zero gradient")
     return lhs, rhs, lhs / rhs
 
 

@@ -10,7 +10,6 @@ from funkball.cli import main
 FAST_CFG = """
 # small solver for test runs
 solver.m = 120
-solver.path_nodes = 16
 params.n = 3
 params.a = 0.5
 """
@@ -111,6 +110,19 @@ def test_solve_requires_lambda(capsys):
     assert code == 2
 
 
+def test_scan_rejects_non_finite_lambdas(capsys, monkeypatch):
+    from funkball import elliptic_solver as es
+
+    def no_search(*args):
+        raise AssertionError("the tent search ran")
+
+    monkeypatch.setattr(es, "_tilde_search", no_search)
+    for lams in ("nan", "1,inf", "1,-inf"):
+        code, out, err = run(capsys, "scan", "--lambdas", lams)
+        assert (code, out) == (2, "")
+        assert err == "error: lambda values must be finite and non-negative\n"
+
+
 def test_solve_writes_reports(capsys, tmp_path):
     cfg = tmp_path / "fast.cfg"
     cfg.write_text(FAST_CFG)
@@ -183,7 +195,7 @@ def test_mountain_pass_out_of_sweeps_is_a_failure(capsys, tmp_path, monkeypatch)
     monkeypatch.setattr(es, "MAX_SWEEPS", 1)
     params, kappa = ModelParams(n=3, a=0.5), es.WeightKappa.default()
     nl = es.Nonlinearity.default()
-    fast = es.SolverConfig(M=120, path_nodes=16)
+    fast = es.SolverConfig(M=120)
     lam = 10.0 * es.tilde_lambda_estimate(params, kappa, nl, cfg=fast)
     message = (
         "mountain pass failed: mountain-pass search did not stabilize within the sweep budget"
@@ -324,7 +336,6 @@ quad.r_max = 0.99999899999999997
 run.verify = 0
 solver.m = 400
 solver.max_iter = 400
-solver.path_nodes = 32
 solver.quad_order = 8
 solver.r_max = 0.99999899999999997
 solver.seed = 0
@@ -343,7 +354,7 @@ def test_resolved_cfg_of_default_run(capsys, tmp_path):
     "line, message",
     [
         ("solver.m = 8", "need at least 16 radial elements"),
-        ("solver.path_nodes = 2", "need at least 4 interior path nodes"),
+        ("solver.path_nodes = 2", "unknown key 'solver.path_nodes'"),
         ("quad.m = 4", "need at least 8 points per panel, got 4"),
         ("quad.scheme = spiral", "unknown key 'quad.scheme'"),
         ("problem.kappa_radius = 1.5", "the weight radius must lie in (0, 1)"),
@@ -374,9 +385,11 @@ def test_every_subcommand_validates_the_whole_config(capsys, tmp_path, line, mes
         (("norms", "--r-max", "1"), "", "r_max must lie in (0, 1), got 1.0"),
         (("counterexample", "--r-schedule", "0.9"), "", "need at least two truncation radii"),
         (("counterexample", "--r-schedule", "0.5,1.2"), "", "truncation radii must lie in (0, 1)"),
-        (("solve", "--lambda", "-1"), "", "lambda must be non-negative"),
+        (("solve", "--lambda", "-1"), "", "lambda must be finite and non-negative"),
         (("metric", "--x", "1.5,0,0", "--y", "1,0,0"), "", "not strictly inside the unit ball"),
         (("metric", "--a", "1", "--x", "0,0,0", "--x2", "2,0,0"), "", "not strictly inside"),
+        (("solve", "--lambda", "nan"), "", "lambda must be finite and non-negative"),
+        (("solve", "--lambda", "inf"), "", "lambda must be finite and non-negative"),
     ],
 )
 def test_checks_left_to_the_owning_class_exit_2(capsys, tmp_path, argv, cfg_line, message):

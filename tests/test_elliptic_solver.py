@@ -38,7 +38,7 @@ from funkball import elliptic_solver as es
 from funkball.elliptic_solver import _Assembly, _tilde_search
 from conftest import random_profile
 
-FAST = SolverConfig(M=120, path_nodes=16)
+FAST = SolverConfig(M=120)
 
 
 def tent_values(nodes, height=1.0, width=0.4):
@@ -498,7 +498,7 @@ def test_tilde_estimate_halves_when_kappa_doubles():
     params = ModelParams(n=3, a=0.5)
     nl = Nonlinearity.default()
     base_kappa = WeightKappa.default()
-    twice = WeightKappa(kappa=lambda r: 2.0 * base_kappa.kappa(r), name="doubled")
+    twice = WeightKappa(kappa=lambda r: 2.0 * base_kappa.kappa(r))
     a = tilde_lambda_estimate(params, base_kappa, nl, cfg=FAST)
     b = tilde_lambda_estimate(params, twice, nl, cfg=FAST)
     np.testing.assert_allclose(b, 0.5 * a, rtol=1e-9)
@@ -575,7 +575,7 @@ def _scored_tilde_search(params, kappa, nl, cfg):
 _TENT_WEIGHTS = {
     "bump0.5": WeightKappa.default(0.5),
     "bump0.3": WeightKappa.default(0.3),
-    "exp": WeightKappa(kappa=lambda r: np.exp(-np.asarray(r)), name="exp"),
+    "exp": WeightKappa(kappa=lambda r: np.exp(-np.asarray(r))),
 }
 # (n, a, weight, mesh); at M = 16 and n = 10 the cell that wins on the
 # 2-point rule is not the full-order winner (lambda~ 315727, 379822 and
@@ -621,7 +621,7 @@ def test_tilde_search_rescores_every_height_the_rough_rule_cannot_see():
         return ((lo < r) & (r < hi)).astype(float)
 
     params, nl = ModelParams(n=3, a=0.5), Nonlinearity.default()
-    kappa = WeightKappa(kappa=band, name="band")
+    kappa = WeightKappa(kappa=band)
     ref, _, _ = _scored_tilde_search(params, kappa, nl, FAST)
     assert _tilde_search(params, kappa, nl, FAST)[0] == pytest.approx(ref, rel=1e-12)
 
@@ -723,9 +723,10 @@ def test_mountain_pass_saddle_above_zero():
 
 def test_mountain_pass_energy_calls_capped(monkeypatch):
     # the path energies are kept between sweeps, and the ray barrier takes
-    # one energy call: this run makes 167; with the path's periodic
-    # re-equidistribution it made 203, and re-evaluating every path node on
-    # every sweep takes 597 on this setup
+    # one energy call: this run makes 172 with a 16-node path (182 with the
+    # default 32); with the path's periodic re-equidistribution it made 203,
+    # and re-evaluating every path node on every sweep takes 597 on this setup
+    monkeypatch.setattr(es, "PATH_NODES", 16)
     params = ModelParams(n=3, a=0.5)
     kappa = WeightKappa.default()
     nl = Nonlinearity.default()
@@ -815,7 +816,7 @@ def test_solve_certifies_every_start_at_25_lambda_tilde_without_repeating_a_grad
     # here into a failed polish, and repeating that polish from the same
     # iterate until max_iter evaluated one vector 399 times
     params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
-    cfg = SolverConfig(M=160, path_nodes=16)
+    cfg = SolverConfig(M=160)
     lam = 25.0 * tilde_lambda_estimate(params, kappa, nl, cfg=cfg)
     seen = _keyed_grads(monkeypatch)
     report = solve(lam, params, kappa, nl, cfg)
@@ -986,10 +987,22 @@ def test_lambda_scan_reports_match_solve():
 
 
 def test_lambda_scan_isolates_negative_lambda():
-    report = lambda_scan([1.0, -1.0, 2.0], ModelParams(n=3, a=0.5), cfg=FAST)
-    assert report.classifications() == ("only-zero", "error", "only-zero")
-    assert report.reports[1].failures == ("lambda must be non-negative",)
-    assert report.reports[0].failures == report.reports[2].failures == ()
+    lams = [1.0, -1.0, math.nan, math.inf, 2.0]
+    report = lambda_scan(lams, ModelParams(n=3, a=0.5), cfg=FAST)
+    assert report.classifications() == ("only-zero", "error", "error", "error", "only-zero")
+    for rep in report.reports[1:4]:
+        assert rep.failures == ("lambda must be finite and non-negative",)
+    assert report.reports[0].failures == report.reports[4].failures == ()
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_solve_rejects_non_finite_lambda(monkeypatch, lam):
+    def no_search(*args):
+        raise AssertionError("the tent search ran")
+
+    monkeypatch.setattr(es, "_tilde_search", no_search)
+    with pytest.raises(ValueError, match="lambda must be finite and non-negative"):
+        solve(lam, ModelParams(n=3, a=0.5), cfg=FAST)
 
 
 def test_lambda_scan_search_failure_reports_every_lambda():
@@ -1052,6 +1065,14 @@ def test_subquadraticity_rejects_zero_direction():
     nodes = solver_nodes(FAST)
     with pytest.raises(ValueError):
         subquadraticity_diagnostic(np.zeros(nodes.size), params, cfg=FAST)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+def test_subquadraticity_rejects_non_positive_or_non_finite_t(t):
+    params = ModelParams(n=3, a=0.5)
+    direction = np.maximum(1.0 - solver_nodes(FAST) / 0.4, 0.0)
+    with pytest.raises(ValueError, match="t_schedule must hold positive finite values"):
+        subquadraticity_diagnostic(direction, params, t_schedule=[1e-3, t, 1e3], cfg=FAST)
 
 
 @pytest.mark.parametrize("extra", [2, -2])
@@ -1247,8 +1268,8 @@ def _narrow_bump(r, R=0.005):
         return np.where(r < R, np.exp(1.0 / R**2 - 1.0 / np.maximum(R**2 - r * r, 1e-300)), 0.0)
 
 
-EXP_WEIGHT = WeightKappa(kappa=lambda r: np.exp(-np.asarray(r, dtype=float)), name="exp")
-NARROW_BUMP = WeightKappa(kappa=_narrow_bump, name="narrow bump")
+EXP_WEIGHT = WeightKappa(kappa=lambda r: np.exp(-np.asarray(r, dtype=float)))
+NARROW_BUMP = WeightKappa(kappa=_narrow_bump)
 
 
 def _assert_source_kernels_match_full_arrays(asm, kappa, rng):

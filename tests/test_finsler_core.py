@@ -163,6 +163,24 @@ def test_polar_matches_oracle(rng):
         assert approx <= closed * (1.0 + 1e-9)  # sup oracle from below
 
 
+def test_polar_near_the_boundary_at_a_close_to_one():
+    # t = <x, alpha> > 0, where sqrt(q) - a (1-s) t cancels by a factor of
+    # about 1/(1 - a|x|) = 1e4: evaluated as written it gives
+    # 1.5000749033953306e-06 (relative error -6.7e-8), below the sampling
+    # oracle, and the Legendre map built on it misses alpha(J*) = F*^2 by
+    # 1.7e-10.  The literal is the closed form in 50-digit arithmetic.
+    e = np.eye(10)
+    params = ModelParams(n=10, a=0.9999)
+    p = BallPoint(0.999999 * e[3])
+    alpha = 1.5 * e[3]
+    closed = polar_F_star(params, p, alpha)
+    assert closed == pytest.approx(1.50007500375582e-06, rel=1e-15, abs=0.0)
+    assert polar_F_star_oracle(params, p, alpha) <= closed * (1.0 + 1e-9)
+    grad = legendre_gradient(params, p, alpha)
+    assert float(alpha @ grad) == pytest.approx(closed * closed, rel=1e-12, abs=0.0)
+    assert randers_F(params, p, grad) == pytest.approx(closed, rel=1e-9, abs=0.0)
+
+
 def test_polar_matches_general_randers_formula(rng):
     # re-derivation through the generic dual of sqrt(h) + beta
     for _ in range(100):

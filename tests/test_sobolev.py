@@ -186,10 +186,8 @@ def test_federer_fleming_zero_profile():
         lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         lambda r: np.zeros_like(np.asarray(r, dtype=float)),
     )
-    lhs, rhs, ratio = federer_fleming_check(u, ModelParams(n=3, a=0.0), want_ratio=False)
-    assert lhs == 0.0 and rhs == 0.0 and ratio is None
-    with pytest.raises(ValueError):
-        federer_fleming_check(u, ModelParams(n=3, a=0.0), want_ratio=True)
+    with pytest.raises(ValueError, match="ratio undefined for a profile with zero gradient"):
+        federer_fleming_check(u, ModelParams(n=3, a=0.0))
 
 
 def test_klein_riemannian_equivalence(rng):

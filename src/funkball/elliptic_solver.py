@@ -31,6 +31,7 @@ Where H + mu K is not positive definite the step falls back to that Riesz
 direction.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -437,6 +438,10 @@ class SolverConfig:
     and the descent direction's Hessian shift are the module constants
     :data:`NEWTON_ITERS`, :data:`MAX_SWEEPS`, :data:`PATH_NODES` and
     :data:`HESSIAN_SHIFT`.
+
+    ``max_iter`` caps each start's descent steps.  A start cut off by it
+    keeps its residual, which is at or above ``tol``, so it counts as a
+    failed start.
     """
 
     M: int = 400
@@ -848,9 +853,10 @@ def _best_trial(ratios):
     return best, arg
 
 
+@functools.lru_cache(maxsize=1)
 def _tilde_search(params, kappa, nl, cfg):
     """Best tent-profile bound on the onset ratio E/(2G); also returns the
-    minimizing trial vector and its assembly.
+    minimizing trial vector (read-only) and its assembly.
 
     A tent of height h scores h^2 E_b / (2 G(h P)) from its width's unit
     tent's energy E_b and point values P.  Two rules score the potential.
@@ -863,6 +869,14 @@ def _tilde_search(params, kappa, nl, cfg):
     wins, and the golden refinement of its height runs at full order.  E_b
     always comes from the full-order assembly: through its moment tables
     it costs O(M).
+
+    Nothing here depends on lambda, so the last problem's result is kept,
+    with the assembly's weight values and Gram factor: ``solve``,
+    ``lambda_scan`` and ``tilde_lambda_estimate`` share one search per
+    ``(params, kappa, nl, cfg)``.  The four are frozen, and a weight or
+    nonlinearity compares its functions by identity, so a new one misses;
+    problem data are treated as immutable.  The kept assembly holds about
+    3 MB at M = 6400.
     """
     asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
     rough = _Assembly(params, asm.nodes, quad_order=2)
@@ -903,7 +917,9 @@ def _tilde_search(params, kappa, nl, cfg):
     log_h, neg_rat, _ = _golden_max(
         neg_ratio, math.log(h0 / 3.0), math.log(h0 * 3.0), tol=1e-10, max_iter=60
     )
-    return min(-neg_rat, best), _tent_vector(asm.nodes, math.exp(log_h), w0), asm
+    trial = _tent_vector(asm.nodes, math.exp(log_h), w0)
+    trial.flags.writeable = False
+    return min(-neg_rat, best), trial, asm
 
 
 def tilde_lambda_estimate(params, kappa, nl, trials=None, cfg=None):
@@ -982,7 +998,10 @@ def _minimize_vec(asm, lam, kappa, nl, cfg, init_vec):
     J + 1e-4 t slope is still a decrease that J can resolve in floating
     point; when it finds no step, the descent ends.  If the residual is
     then still at or above tol, the damped Newton polish runs once, and J
-    is evaluated again only if the polish moved ``u``.
+    is evaluated again only if the polish moved ``u``.  A descent cut off
+    after ``cfg.max_iter`` steps is not polished: it keeps its residual, so
+    the caller sees a failed start rather than a polish that may walk a
+    far-off iterate into the zero critical point.
     """
     u = np.asarray(init_vec, dtype=float).copy()
     u[-1] = 0.0
@@ -990,6 +1009,7 @@ def _minimize_vec(asm, lam, kappa, nl, cfg, init_vec):
     g = asm.grad(u, lam, kappa, nl)
     res, Kg = asm._residual(g)
     iters = 0
+    stalled = False
     for _ in range(cfg.max_iter):
         if res < cfg.tol:
             break
@@ -1007,12 +1027,13 @@ def _minimize_vec(asm, lam, kappa, nl, cfg, init_vec):
                 break
             t *= 0.5
         else:
+            stalled = True
             break
         u, J = trial, Jt
         iters += 1
         g = asm.grad(u, lam, kappa, nl)
         res, Kg = asm._residual(g)
-    if res >= cfg.tol:
+    if stalled:
         polished, res, extra = _newton_refine(asm, u, lam, kappa, nl, cfg, g, res)
         iters += extra
         if polished is not u:
@@ -1027,7 +1048,8 @@ def minimize(lam, params, kappa, nl, cfg=None, init=None):
     H^1_2 Gram matrix K, direction -(H + mu K)^{-1} g (the Riesz direction
     -K^{-1} g where H + mu K is not positive definite), with Armijo
     backtracking until it can resolve no decrease of J, then one damped
-    Newton polish if the residual is still at or above tol.  Returns the
+    Newton polish if the residual is still at or above tol; a descent cut
+    off by ``cfg.max_iter`` is not polished.  Returns the
     profile, its energy J_lambda, and the terminal residual; non-convergence
     returns the best iterate with its (too large) residual rather than
     raising.
@@ -1262,6 +1284,10 @@ def solve(lam, params, kappa=None, nl=None, cfg=None):
     positive-energy saddle are both certified.  Initial guesses are scaled
     copies of the best tent trial plus seeded random perturbations, so runs
     are deterministic for a fixed config.
+
+    The lambda-independent tent search, its assembly and Gram factor are
+    kept for the last problem (see ``_tilde_search``), so repeated solves
+    of one problem set it up once; problem data are treated as immutable.
     """
     _check_lambda(lam)
     params.require_a_below_one("the variational solver")

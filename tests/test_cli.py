@@ -188,6 +188,16 @@ def test_failed_starts_exit_1_in_solve_and_scan(capsys, tmp_path, monkeypatch):
     assert "lambda = 1: only-zero" in out
 
 
+def test_starts_cut_off_by_max_iter_exit_1(capsys, tmp_path):
+    # about 11 lambda~ of the M = 120 problem, where the paper has two solutions
+    cfg = tmp_path / "starved.cfg"
+    cfg.write_text(FAST_CFG + "solver.max_iter = 1\n")
+    code, out, _ = run(capsys, "solve", "--config", str(cfg), "--lambda", "200000")
+    assert code == 1
+    assert value_of(out, "classification") != "two"
+    assert "  note: minimize residual " in out
+
+
 def test_mountain_pass_out_of_sweeps_is_a_failure(capsys, tmp_path, monkeypatch):
     from funkball import elliptic_solver as es
     from funkball.finsler_core import ModelParams

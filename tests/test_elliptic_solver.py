@@ -986,6 +986,98 @@ def test_lambda_scan_reports_match_solve():
         assert rep.to_json_dict() == solve(lam, params, kappa, nl, FAST).to_json_dict()
 
 
+def _counted_builds(monkeypatch):
+    """Count the _Assembly builds by quadrature order, and the Gram bands."""
+    builds = {"gram": 0}
+    init, gram = _Assembly.__init__, _Assembly.gram_banded
+
+    def counted_init(self, params, nodes, quad_order=8):
+        builds[quad_order] = builds.get(quad_order, 0) + 1
+        init(self, params, nodes, quad_order)
+
+    def counted_gram(self):
+        builds["gram"] += 1
+        return gram(self)
+
+    monkeypatch.setattr(_Assembly, "__init__", counted_init)
+    monkeypatch.setattr(_Assembly, "gram_banded", counted_gram)
+    return builds
+
+
+def test_solves_of_one_problem_share_one_tent_search(monkeypatch):
+    # the search's two assemblies and the Gram factor are built once for
+    # lambda~ and two solves below lambda*, where no mountain pass runs
+    _tilde_search.cache_clear()
+    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
+    builds = _counted_builds(monkeypatch)
+    tilde_lambda_estimate(params, kappa, nl, cfg=FAST)
+    lam_star = nonexistence_threshold(params, nl, kappa)
+    for lam in (0.25 * lam_star, 0.5 * lam_star):
+        assert solve(lam, params, kappa, nl, FAST).classification == "only-zero"
+    assert builds == {2: 1, FAST.quad_order: 1, "gram": 1}
+
+
+@pytest.mark.parametrize("where", ["below", "above"])
+def test_repeated_solve_matches_a_cold_one(where):
+    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
+    if where == "below":
+        lam = 0.5 * nonexistence_threshold(params, nl, kappa)
+    else:
+        lam = 10.0 * tilde_lambda_estimate(params, kappa, nl, cfg=FAST)
+    warm = [solve(lam, params, kappa, nl, FAST).to_json_dict() for _ in range(2)]
+    _tilde_search.cache_clear()
+    cold = solve(lam, params, kappa, nl, FAST).to_json_dict()
+    assert warm[0] == warm[1] == cold
+    assert cold["classification"] == ("only-zero" if where == "below" else "two")
+
+
+def test_a_new_problem_misses_the_tent_search_cache():
+    _tilde_search.cache_clear()
+    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
+    first = _tilde_search(params, kappa, nl, FAST)
+    # equal frozen data hit, even when built anew
+    assert _tilde_search(ModelParams(n=3, a=0.5), kappa, nl, SolverConfig(M=120)) is first
+    assert _tilde_search.cache_info()[:2] == (1, 1)  # hits, misses
+    others = [
+        (params, WeightKappa.default(), nl, FAST),
+        (params, kappa, Nonlinearity.default(), FAST),
+        (params, kappa, nl, SolverConfig(M=64)),
+        (ModelParams(n=3, a=0.6), kappa, nl, FAST),
+    ]
+    for k, args in enumerate(others, start=2):
+        assert _tilde_search(*args) is not first
+        assert _tilde_search.cache_info()[:2] == (1, k)
+
+
+def test_cached_tent_trial_is_read_only():
+    _, trial, _ = _tilde_search(
+        ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default(), FAST
+    )
+    with pytest.raises(ValueError):
+        trial[0] = 1.0
+
+
+@pytest.mark.parametrize("multiple", [10.0, 100.0])
+def test_a_start_cut_off_by_max_iter_is_a_failed_start(monkeypatch, multiple):
+    # the Newton polish walked starts cut off after one descent step into
+    # zero, and solve answered only-zero with no failures
+    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
+    cfg = SolverConfig(M=120, max_iter=1)
+    lam = multiple * tilde_lambda_estimate(params, kappa, nl, cfg=cfg)
+    polishes = []
+    newton_refine = es._newton_refine
+
+    def recorded(*args):
+        polishes.append(None)
+        return newton_refine(*args)
+
+    monkeypatch.setattr(es, "_newton_refine", recorded)
+    report = solve(lam, params, kappa, nl, cfg)
+    assert report.failures
+    assert report.classification != "two"
+    assert not polishes
+
+
 def test_lambda_scan_isolates_negative_lambda():
     lams = [1.0, -1.0, math.nan, math.inf, 2.0]
     report = lambda_scan(lams, ModelParams(n=3, a=0.5), cfg=FAST)

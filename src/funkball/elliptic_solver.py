@@ -479,6 +479,11 @@ def _row_dot(x, y):
     return np.einsum("ij,ij->i", x, y)
 
 
+def _read_only(x):
+    x.flags.writeable = False
+    return x
+
+
 class _Assembly:
     """Element-aligned quadrature and exact derivatives of the discrete
     functionals on a fixed radial mesh.
@@ -514,6 +519,16 @@ class _Assembly:
     ``_potential(_live_points(u))``; since the point values are linear in u,
     a family t v (tent heights, the ray barrier, the subquadraticity table)
     takes ``P = _live_points(v)`` once and scores each t as ``_potential(t P)``.
+
+    The assembly keeps the state of the last vector it evaluated: its
+    slopes du, their moments A_sigma and its point values P on the rows
+    ``[:nk]``.  ``energy``, ``g_int``, ``grad`` and ``hessian_banded`` read
+    it, so a descent iterate is evaluated once for the line search's J, its
+    gradient and its Hessian.  The state is keyed on the bits of the vector
+    (a stored ``tobytes()`` copy, so -0.0 and 0.0 differ and a vector
+    changed in place misses) and P also on the identity of the weight.  Its
+    arrays are read-only, so a g that writes into its argument is sampled
+    per entry and cannot corrupt them.  At M = 6400 it holds about 0.36 MB.
     ``_residual(g)`` returns the dual norm of a gradient with the Riesz
     vector K^{-1} g behind it, so an iterate's residual takes one banded
     solve with the cached Cholesky factor of K.  The Gram band is kept
@@ -568,6 +583,7 @@ class _Assembly:
         self._kappa = self._kappa_w = None
         self.nk = M
         self._chol = None
+        self._kept = [None, None, None, None]  # bits of u, (du, A_sigma), weight, P
 
     # -- nodal evaluation ---------------------------------------------------
 
@@ -588,6 +604,22 @@ class _Assembly:
         """A_sigma of each element: A+ where du > 0, A- where du < 0, A0 where
         du = 0."""
         return np.where(du > 0.0, self.A_pos, np.where(du < 0.0, self.A_neg, self.A0))
+
+    def _state(self, u):
+        """The kept state slot of ``u``, emptied first when it holds the state
+        of a vector with other bits."""
+        key = np.asarray(u, dtype=float).tobytes()
+        if self._kept[0] != key:
+            self._kept = [key, None, None, None]
+        return self._kept
+
+    def _slope_state(self, u):
+        """The slopes du of ``u`` and their moments A_sigma, read-only."""
+        kept = self._state(u)
+        if kept[1] is None:
+            du = self.slopes(u)
+            kept[1] = _read_only(du), _read_only(self._slope_moment(du))
+        return kept[1]
 
     def _source_weights(self, kappa):
         """Finsler weights times the weight at the points of rows ``[:nk]``;
@@ -611,13 +643,17 @@ class _Assembly:
     # -- energies -----------------------------------------------------------
 
     def energy(self, u):
-        du = self.slopes(u)
-        return float(self._slope_moment(du) @ (du * du))
+        du, A = self._slope_state(u)
+        return float(A @ (du * du))
 
     def _live_points(self, u, kappa):
-        """Values of u at the points of the rows ``[:nk]`` of ``kappa``."""
+        """Values of u at the points of the rows ``[:nk]`` of ``kappa``,
+        read-only."""
         self._source_weights(kappa)
-        return self.at_points(u, self.nk)
+        kept = self._state(u)
+        if kept[2] is not kappa:
+            kept[2], kept[3] = kappa, _read_only(self.at_points(u, self.nk))
+        return kept[3]
 
     def _potential(self, points, kappa, nl):
         """Weighted potential of values at the points of the rows ``[:nk]``."""
@@ -637,8 +673,8 @@ class _Assembly:
         At du = 0 the map du -> (c(|du| - a r du))^2 is differentiable with
         derivative 0, which is also the subgradient selection used here.
         """
-        du = self.slopes(u)
-        flux = self._slope_moment(du) * du * self.inv_h
+        du, A = self._slope_state(u)
+        flux = A * du * self.inv_h
         right, left = flux, -flux
         src = self._source_weights(kappa) * nl.g(self._live_points(u, kappa))
         k = self.nk
@@ -671,7 +707,7 @@ class _Assembly:
 
     def hessian_banded(self, u, lam, kappa, nl):
         """Tridiagonal Hessian on the free DOFs, in solve_banded layout."""
-        stiff = self._slope_moment(self.slopes(u)) * self.inv_h**2
+        stiff = self._slope_state(u)[1] * self.inv_h**2
         mass = self._source_weights(kappa) * nl.dg(self._live_points(u, kappa))
         mass *= -lam
         return self._tridiag(stiff, mass)
@@ -692,7 +728,10 @@ class _Assembly:
         return self._chol
 
     def h12_norm_sq(self, u):
-        return self.inner_K(u, u)
+        """``inner_K(u, u)``, with the slopes and point values of ``u``
+        evaluated once."""
+        du, P = self.slopes(u), self.at_points(u)
+        return float(np.vdot(self.w_klein, self.klein_dual * (du * du)[:, None] + P * P))
 
     def h12_norm(self, u):
         return math.sqrt(max(self.h12_norm_sq(u), 0.0))
@@ -876,7 +915,7 @@ def _tilde_search(params, kappa, nl, cfg):
     ``(params, kappa, nl, cfg)``.  The four are frozen, and a weight or
     nonlinearity compares its functions by identity, so a new one misses;
     problem data are treated as immutable.  The kept assembly holds about
-    3 MB at M = 6400.
+    3.4 MB at M = 6400, with the state of the last vector it evaluated.
     """
     asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
     rough = _Assembly(params, asm.nodes, quad_order=2)
@@ -1085,7 +1124,7 @@ def _ray_barrier(asm, target, lam, kappa, nl):
     return float(ts[k]), float(Js[k])
 
 
-def mountain_pass(lam, params, kappa, nl, u_target, cfg=None):
+def mountain_pass(lam, params, kappa, nl, u_target, cfg=None, *, asm=None):
     """Saddle between 0 and a negative-energy profile by path deformation.
 
     A polyline from 0 to ``u_target`` (fixed endpoints) with P interior
@@ -1099,6 +1138,10 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None):
     move, since a sweep moves at most one node.  Returns (profile,
     J_lambda, residual).
 
+    ``asm`` is an ``_Assembly`` on the mesh of ``cfg`` to work on, such as
+    the one the tent search keeps; without it one is built, with its own
+    weight values and Gram factor.
+
     Raises :class:`SolverError` when the ray has no positive barrier or the
     running maximum sits at an endpoint (the barrier vanished), with sweep
     diagnostics attached.
@@ -1106,7 +1149,8 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None):
     _check_lambda(lam)
     params.require_a_below_one("the mountain-pass search")
     cfg = cfg or SolverConfig()
-    asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
+    if asm is None:
+        asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
     target = _mesh_vector(u_target, asm, "u_target")
     J_target = asm.j_lambda(target, lam, kappa, nl)
     if not J_target < 0.0:
@@ -1341,7 +1385,7 @@ def _solve_at(lam, params, kappa, nl, cfg, lam_star, lam_tilde, trial, asm):
             classification = "one"
             if J < 0.0:
                 try:
-                    u2, J2, res2 = mountain_pass(lam, params, kappa, nl, profile, cfg)
+                    u2, J2, res2 = mountain_pass(lam, params, kappa, nl, profile, cfg, asm=asm)
                     cert2, nonzero2 = _certify(asm, u2.values, res2, cfg)
                     sep = asm.h12_norm(u2.values - u)
                     distinct = sep > 1e-4 * (cert["h12_norm"] + cert2["h12_norm"] + 1.0)

@@ -825,6 +825,26 @@ def test_solve_certifies_every_start_at_25_lambda_tilde_without_repeating_a_grad
     assert seen and max(seen.values()) == 1
 
 
+def test_solve_below_threshold_interpolates_each_iterate_once(monkeypatch):
+    # the line search's J, then the gradient and the Hessian of an accepted
+    # iterate read one kept set of slopes and point values; when each kernel
+    # interpolated its own, this solve made 70 interpolations of 26 vectors
+    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
+    lam = 0.5 * nonexistence_threshold(params, nl, kappa)
+    _tilde_search(params, kappa, nl, FAST)  # the tent bases are not iterates
+    seen = {}
+    at_points = _Assembly.at_points
+
+    def keyed(self, u, rows=None):
+        if rows is not None:  # the live rows of the source terms
+            seen[u.tobytes()] = seen.get(u.tobytes(), 0) + 1
+        return at_points(self, u, rows)
+
+    monkeypatch.setattr(_Assembly, "at_points", keyed)
+    assert solve(lam, params, kappa, nl, FAST).classification == "only-zero"
+    assert seen and max(seen.values()) == 1
+
+
 @pytest.mark.parametrize("where, expected", [("below", "only-zero"), ("above", "two")])
 def test_solve_falls_back_to_the_riesz_direction(monkeypatch, where, expected):
     # a shifted Hessian that is never positive definite leaves the Riesz
@@ -1015,6 +1035,18 @@ def test_solves_of_one_problem_share_one_tent_search(monkeypatch):
     for lam in (0.25 * lam_star, 0.5 * lam_star):
         assert solve(lam, params, kappa, nl, FAST).classification == "only-zero"
     assert builds == {2: 1, FAST.quad_order: 1, "gram": 1}
+
+
+def test_the_mountain_pass_of_a_solve_builds_no_assembly(monkeypatch):
+    # the mountain pass works on the tent search's kept assembly, with its
+    # weight values and its Gram factor, which the first start builds
+    _tilde_search.cache_clear()
+    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
+    lam = 10.0 * tilde_lambda_estimate(params, kappa, nl, cfg=FAST)
+    builds = _counted_builds(monkeypatch)
+    # "two" certifies the mountain pass's saddle
+    assert solve(lam, params, kappa, nl, FAST).classification == "two"
+    assert builds == {"gram": 1}
 
 
 @pytest.mark.parametrize("where", ["below", "above"])
@@ -1405,6 +1437,79 @@ def test_switching_weights_recomputes_the_live_rows(rng):
         _assert_source_kernels_match_full_arrays(asm, kappa, rng)
         seen.append(asm.nk)
     assert seen[0] == seen[3] == asm.M and seen[1] < seen[2] < asm.M
+
+
+def _kernel_bits(asm, u, kappa, nl, lam=2e5):
+    """The bits of every kernel's output on ``u``."""
+    return [
+        np.float64(asm.energy(u)).tobytes(),
+        np.float64(asm.g_int(u, kappa, nl)).tobytes(),
+        asm.grad(u, lam, kappa, nl).tobytes(),
+        asm.hessian_banded(u, lam, kappa, nl).tobytes(),
+    ]
+
+
+def _scale_one_entry(u, kappa):
+    u[3] *= 1.5
+    return kappa
+
+
+def _negate_zeros(u, kappa):
+    # -0.0 == 0.0, so a state kept by value would serve the slopes of +0.0
+    u[np.flatnonzero(u == 0.0)[::2]] = -0.0
+    return kappa
+
+
+def _switch_weight(u, kappa):
+    return EXP_WEIGHT
+
+
+@pytest.mark.parametrize(
+    "change", [_scale_one_entry, _negate_zeros, _switch_weight],
+    ids=["in-place", "signed-zero", "weight"],
+)
+def test_kept_state_follows_the_vector_bits_and_the_weight(change):
+    # each kernel reads the slopes, slope moments and point values kept for
+    # the last vector; after the vector changes in place, a zero changes
+    # sign or the weight changes, they must be those of a fresh assembly
+    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
+    asm = _Assembly(params, solver_nodes(FAST), quad_order=FAST.quad_order)
+    u = tent_values(asm.nodes, height=5.0, width=0.4)
+    before = _kernel_bits(asm, u, kappa, nl)
+    kappa = change(u, kappa)
+    after = _kernel_bits(asm, u, kappa, nl)
+    assert after != before  # the change shows in the output bits
+    fresh = _Assembly(params, asm.nodes, quad_order=FAST.quad_order)
+    assert after == _kernel_bits(fresh, u, kappa, nl)
+
+
+def test_kept_state_is_read_only():
+    params, kappa, ref = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
+    asm = _Assembly(params, solver_nodes(FAST), quad_order=FAST.quad_order)
+    u = tent_values(asm.nodes, height=5.0, width=0.8)
+    for kept in (*asm._slope_state(u), asm._live_points(u, kappa)):
+        with pytest.raises(ValueError):
+            kept[0] = 1.0
+
+    # a nonlinearity that writes into its argument fails on the kept point
+    # values and is sampled per entry, so it cannot corrupt them
+    def clobbering_g(s):
+        out = ref.g(s)
+        np.asarray(s)[...] = 1e3
+        return out
+
+    nl = Nonlinearity(g=clobbering_g, G=ref.G, dg=ref.dg, c_g=ref.c_g)
+    got = _kernel_bits(asm, u, kappa, nl)
+    fresh = _Assembly(params, asm.nodes, quad_order=FAST.quad_order)
+    assert got == _kernel_bits(fresh, u, kappa, ref)
+
+
+def test_h12_norm_sq_is_inner_K_bit_for_bit(rng):
+    asm = _Assembly(ModelParams(n=3, a=0.5), solver_nodes(FAST), quad_order=FAST.quad_order)
+    for scale in (1e-3, 1.0, 1e4):
+        u = scale * rng.standard_normal(asm.M)
+        u[-1] = 0.0
+        assert asm.h12_norm_sq(u) == asm.inner_K(u, u)
 
 
 def test_scalar_valued_weight_is_sampled_per_point():

@@ -15,6 +15,7 @@ errors in either path are caught by the tests.
 All functions are pure; inputs are never mutated.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -137,6 +138,21 @@ def _vec(v, n, name):
     return arr
 
 
+def _one_minus_s(p):
+    """1 - s with s = |x|^2, formed as (1 - |x|)(1 + |x|), exact in 1 - |x|
+    for |x| >= 1/2: subtracting the rounded square from 1 would lose
+    eps / (1 - s) of relative accuracy near the boundary."""
+    return (1.0 - p.r) * (1.0 + p.r)
+
+
+def _split(p, alpha):
+    """(c, perp) with alpha = perp + c x/|x| and perp orthogonal to x."""
+    if p.r == 0.0:
+        return 0.0, alpha
+    c = float(p.x @ alpha) / p.r
+    return c, alpha - (c / p.r) * p.x
+
+
 # ---------------------------------------------------------------------------
 # Klein metric and co-metric
 # ---------------------------------------------------------------------------
@@ -144,29 +160,39 @@ def _vec(v, n, name):
 def klein_metric_matrix(p):
     """Matrix of the Klein metric: delta_ij/(1-s) + x_i x_j/(1-s)^2."""
     p = _point(p)
-    s = p.r**2
-    return np.eye(p.n) / (1.0 - s) + np.outer(p.x, p.x) / (1.0 - s) ** 2
+    one_s = _one_minus_s(p)
+    return np.eye(p.n) / one_s + np.outer(p.x, p.x) / one_s**2
 
 
 def klein_cometric_matrix(p):
-    """Inverse Klein matrix: (1-s) (delta_ij - x_i x_j)."""
+    """Inverse Klein matrix: (1-s) (delta_ij - x_i x_j), with each diagonal
+    1 - x_i^2 formed as (1 - x_i)(1 + x_i)."""
     p = _point(p)
-    return (1.0 - p.r**2) * (np.eye(p.n) - np.outer(p.x, p.x))
+    m = -np.outer(p.x, p.x)
+    np.fill_diagonal(m, (1.0 - p.x) * (1.0 + p.x))
+    return _one_minus_s(p) * m
 
 
 def klein_metric(p, y):
     """Klein quadratic form h_K(y, y) = (|y|^2 (1-s) + <x,y>^2) / (1-s)^2."""
     p = _point(p)
     y = _vec(y, p.n, "tangent vector")
-    s = p.r**2
-    return (float(y @ y) * (1.0 - s) + float(p.x @ y) ** 2) / (1.0 - s) ** 2
+    one_s = _one_minus_s(p)
+    return (float(y @ y) * one_s + float(p.x @ y) ** 2) / one_s**2
 
 
 def klein_cometric(p, alpha):
-    """Dual Klein form h_K*(alpha, alpha) = (1-s)(|alpha|^2 - <x,alpha>^2)."""
+    """Dual Klein form h_K*(alpha, alpha) = (1-s)(|alpha|^2 - <x,alpha>^2).
+
+    Formed as (1-s)(|perp|^2 + (1-s) c^2) from the split of :func:`_split`,
+    whose terms are non-negative: the difference cancels for alpha near
+    the direction of x.
+    """
     p = _point(p)
     alpha = _vec(alpha, p.n, "covector")
-    return (1.0 - p.r**2) * (float(alpha @ alpha) - float(p.x @ alpha) ** 2)
+    one_s = _one_minus_s(p)
+    c, perp = _split(p, alpha)
+    return one_s * (float(perp @ perp) + one_s * c * c)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +202,13 @@ def klein_cometric(p, alpha):
 def randers_F(params, p, y):
     """Norm F_a(x, y) of a tangent vector."""
     p = _point(p)
-    y = _vec(y, p.n, "tangent vector")
+    return _randers_F(params, p, _vec(y, p.n, "tangent vector"))
+
+
+def _randers_F(params, p, y):
+    """:func:`randers_F` on a :class:`BallPoint` and a finite float array of
+    its dimension, unchecked; the oracles' refinement calls it on the
+    directions it builds itself."""
     s = p.r**2
     xy = float(p.x @ y)
     root = math.sqrt(max(float(y @ y) * (1.0 - s) + xy * xy, 0.0))
@@ -184,13 +216,20 @@ def randers_F(params, p, y):
 
 
 def _randers_F_rows(params, p, Y):
-    """Vectorized F_a over the rows of Y; used by the oracles' random-sample
-    sweep and by their coarse circle scan."""
+    """F_a over the rows of Y and over the rows of -Y, as two arrays; used
+    by the oracles' random-sample sweep and by their coarse circle scan.
+
+    Both come from one Y @ x and one |y|^2: negation is exact, so
+    root - a xy is bit for bit the root + a ((-Y) @ x) of a separate call
+    on -Y, which therefore need not be formed.
+    """
     s = p.r**2
     xy = Y @ p.x
     yy = np.einsum("ij,ij->i", Y, Y)
     root = np.sqrt(np.maximum(yy * (1.0 - s) + xy * xy, 0.0))
-    return np.maximum((root + params.a * xy) / (1.0 - s), 0.0)
+    axy = params.a * xy
+    return (np.maximum((root + axy) / (1.0 - s), 0.0),
+            np.maximum((root - axy) / (1.0 - s), 0.0))
 
 
 def _one_minus_ar(a, r):
@@ -210,13 +249,9 @@ def _dual_parts(params, p, alpha):
 
     from its second expression, whose terms are all non-negative.
     """
-    r = p.r
-    down, up = _one_minus_ar(params.a, r)
-    one_s = (1.0 - r) * (1.0 + r)
-    c, perp = 0.0, alpha
-    if r > 0.0:
-        c = float(p.x @ alpha) / r
-        perp = alpha - (c / r) * p.x
+    down, up = _one_minus_ar(params.a, p.r)
+    one_s = _one_minus_s(p)
+    c, perp = _split(p, alpha)
     return one_s, down * up, c, perp, one_s * (down * up * float(perp @ perp) + one_s * c * c)
 
 
@@ -285,10 +320,12 @@ def volume_density(params, p):
     """Density of the canonical volume against Lebesgue measure.
 
     ((1 - a^2 |x|^2) / (1 - |x|^2))^((n+1)/2); identically 1 at a = 1.
+    Both differences are formed without cancellation, through
+    :func:`_one_minus_ar` and :func:`_one_minus_s`.
     """
     p = _point(p)
-    s = p.r**2
-    return float(((1.0 - params.a**2 * s) / (1.0 - s)) ** (0.5 * (params.n + 1)))
+    down, up = _one_minus_ar(params.a, p.r)
+    return float((down * up / _one_minus_s(p)) ** (0.5 * (params.n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +473,22 @@ def _circle_refined_max(ratio, ratio_rows, e1, e2):
     return _golden_max(fn_theta, thetas[k] - h, thetas[k] + h, tol=CIRCLE_TOL)[2]
 
 
+@functools.lru_cache(maxsize=1)
+def _sphere_sample(n, samples, seed):
+    """``samples`` directions drawn uniformly from the unit sphere of R^n:
+    standard normal rows from ``np.random.default_rng(seed)``, normalized.
+
+    Both sampling oracles read it, so the two oracles at one point draw one
+    sample.  The last ``(n, samples, seed)`` sample is kept, read-only:
+    ``samples * n * 8`` bytes, 0.8 MB at 10,000 x 10 and 1.6 MB at the
+    CLI's 20,000 x 10.  ``seed`` is an integer.
+    """
+    Y = np.random.default_rng(seed).standard_normal((samples, n))
+    Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+    Y.flags.writeable = False
+    return Y
+
+
 def polar_F_star_oracle(params, p, alpha, samples=10000, seed=0):
     """Dual norm by brute force: sup over directions of alpha(y)/F(x, y).
 
@@ -443,7 +496,8 @@ def polar_F_star_oracle(params, p, alpha, samples=10000, seed=0):
     refinement of the angle in the plane spanned by x and alpha (the norm
     depends on y only through |y| and <x, y>, so the maximizer lies in that
     plane).  Always a lower bound on the true dual norm, converging to it
-    as the sampling is refined.
+    as the sampling is refined.  The sample is :func:`_sphere_sample`'s,
+    which keeps the last one read-only (0.8 MB at 10,000 x 10).
     """
     if samples < 100:
         raise GeometryError(f"need at least 100 samples, got {samples}")
@@ -451,19 +505,17 @@ def polar_F_star_oracle(params, p, alpha, samples=10000, seed=0):
     alpha = _vec(alpha, p.n, "covector")
     if not np.any(alpha):
         return 0.0
-    rng = np.random.default_rng(seed)
-    Y = rng.standard_normal((samples, p.n))
-    Y /= np.linalg.norm(Y, axis=1, keepdims=True)
-    best = float(np.max((Y @ alpha) / _randers_F_rows(params, p, Y)))
+    Y = _sphere_sample(p.n, samples, seed)
+    best = float(np.max((Y @ alpha) / _randers_F_rows(params, p, Y)[0]))
 
     e1, e2 = _orthonormal_pair(p.x, alpha)
 
     def ratio(y):
-        f = randers_F(params, p, y)
+        f = _randers_F(params, p, y)
         return float(alpha @ y) / f if f > 0.0 else -math.inf
 
     def ratio_rows(Y):
-        f = _randers_F_rows(params, p, Y)
+        f = _randers_F_rows(params, p, Y)[0]
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(f > 0.0, (Y @ alpha) / f, -np.inf)
 
@@ -475,26 +527,23 @@ def reversibility_oracle(params, p, samples=10000, seed=0):
 
     Approaches (1 + a|x|)/(1 - a|x|) at the given point; the global
     constant of :func:`reversibility` is the supremum of this over the
-    ball.
+    ball.  The sample is :func:`_sphere_sample`'s, which keeps the last
+    one read-only (0.8 MB at 10,000 x 10).
     """
     if samples < 100:
         raise GeometryError(f"need at least 100 samples, got {samples}")
     p = _point(p)
     if p.r == 0.0:
         return 1.0
-    rng = np.random.default_rng(seed)
-    Y = rng.standard_normal((samples, p.n))
-    Y /= np.linalg.norm(Y, axis=1, keepdims=True)
-    fwd = _randers_F_rows(params, p, Y)
-    bwd = _randers_F_rows(params, p, -Y)
+    fwd, bwd = _randers_F_rows(params, p, _sphere_sample(p.n, samples, seed))
     best = float(np.max(fwd / bwd))
 
     e1, e2 = _orthonormal_pair(p.x, np.roll(p.x, 1))
 
     def ratio(y):
-        return randers_F(params, p, y) / randers_F(params, p, -y)
+        return _randers_F(params, p, y) / _randers_F(params, p, -y)
 
     def ratio_rows(Y):
-        return _randers_F_rows(params, p, Y) / _randers_F_rows(params, p, -Y)
+        return np.divide(*_randers_F_rows(params, p, Y))
 
     return max(best, _circle_refined_max(ratio, ratio_rows, e1, e2))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from funkball import (
     uniformity_lF,
     volume_density,
 )
+from funkball.finsler_core import _randers_F, _randers_F_rows, _sphere_sample
 from conftest import random_ball_point
 
 
@@ -236,6 +238,67 @@ def test_oracles_bit_identical(a, r, kind, polar_hex, rev_hex):
     assert reversibility_oracle(params, p) == float.fromhex(rev_hex)
 
 
+def _both_oracles(n, samples, seed):
+    e = np.eye(n)
+    params = ModelParams(n=n, a=0.9)
+    p = BallPoint(0.6 * e[0] - 0.3 * e[1])
+    return (
+        polar_F_star_oracle(params, p, 1.5 * e[1] - 0.4 * e[0], samples=samples, seed=seed),
+        reversibility_oracle(params, p, samples=samples, seed=seed),
+    )
+
+
+def test_sphere_sample_is_shared_and_read_only():
+    # the two oracles at one point draw one sample, and a kept sample gives
+    # the bits of a fresh one
+    _sphere_sample.cache_clear()
+    misses = _sphere_sample.cache_info().misses
+    warm = _both_oracles(4, 2000, 3)
+    assert _sphere_sample.cache_info().misses == misses + 1
+    assert _both_oracles(4, 2000, 3) == warm
+    _sphere_sample.cache_clear()
+    assert _both_oracles(4, 2000, 3) == warm
+    Y = _sphere_sample(4, 2000, 3)
+    assert not Y.flags.writeable
+    with pytest.raises(ValueError):
+        Y[0, 0] = 1.0
+
+
+def test_sphere_sample_interleaved_keys():
+    # a new (n, samples, seed) evicts the kept sample and is never served it
+    keys = [(3, 500, 0), (5, 500, 0), (3, 500, 0), (3, 800, 0), (3, 500, 1), (3, 500, 0)]
+    fresh = {}
+    for key in set(keys):
+        _sphere_sample.cache_clear()
+        fresh[key] = _both_oracles(*key)
+    for key in keys:
+        assert _both_oracles(*key) == fresh[key]
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 0.9999, 1.0])
+def test_unchecked_randers_kernels(rng, a):
+    params = ModelParams(n=6, a=a)
+    for _ in range(20):
+        p = BallPoint(random_ball_point(rng, 6, r_cap=0.999))
+        y = rng.standard_normal(6)
+        assert _randers_F(params, p, y) == randers_F(params, p, y)
+    Y = rng.standard_normal((50, 6))
+    fwd, bwd = _randers_F_rows(params, p, Y)
+    neg_fwd, neg_bwd = _randers_F_rows(params, p, -Y)
+    assert np.array_equal(neg_fwd, bwd) and np.array_equal(neg_bwd, fwd)
+    np.testing.assert_allclose(fwd, [randers_F(params, p, y) for y in Y], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(bwd, [randers_F(params, p, -y) for y in Y], rtol=1e-13, atol=0.0)
+
+
+def test_randers_F_still_validates():
+    params = ModelParams(n=3, a=0.5)
+    p = BallPoint([0.1, 0.2, 0.3])
+    with pytest.raises(GeometryError):
+        randers_F(params, p, [1.0, math.nan, 0.0])
+    with pytest.raises(GeometryError):
+        randers_F(params, p, [1.0, 0.0])
+
+
 def test_polar_oracle_sample_floor():
     params = ModelParams(n=2, a=0.0)
     with pytest.raises(ValueError):
@@ -313,6 +376,38 @@ def test_volume_density_examples():
     assert volume_density(ModelParams(n=3, a=0.3), BallPoint(np.zeros(3))) == 1.0
     got = volume_density(ModelParams(n=2, a=0.0), BallPoint([0.5, 0.0]))
     np.testing.assert_allclose(got, 0.75 ** (-1.5), rtol=1e-14)
+
+
+@pytest.mark.parametrize("k, sign", [(0, 1.0), (3, 1.0), (3, -1.0), (9, 1.0)])
+def test_klein_forms_and_density_near_the_boundary(rng, k, sign):
+    # 1 - |x|^2 = 2e-6 and 1 - a^2|x|^2 = 2e-4: subtracting the rounded
+    # squares from 1 misses these references by 4e-11 to 2.3e-10.  The point
+    # lies on an axis, so |x| is exact and the references are exact in
+    # the point's coordinates up to the final rounding.
+    n, a = 10, 0.9999
+    x = sign * 0.999999 * np.eye(n)[k]
+    p = BallPoint(x)
+    X = [Fraction(v) for v in x]
+    one_s = 1 - sum(v * v for v in X)
+    A = Fraction(a)
+
+    def dot(u, v):
+        return sum(Fraction(ui) * Fraction(vi) for ui, vi in zip(u, v))
+
+    def close(got, want):
+        np.testing.assert_allclose(got, np.vectorize(float)(want), rtol=1e-13, atol=0.0)
+
+    ratio = (1 - A * A * (1 - one_s)) / one_s
+    close(volume_density(ModelParams(n=n, a=a), p), float(ratio) ** (0.5 * (n + 1)))
+    eye = np.eye(n, dtype=object)
+    close(klein_metric_matrix(p), [[eye[i, j] / one_s + X[i] * X[j] / one_s**2
+                                    for j in range(n)] for i in range(n)])
+    close(klein_cometric_matrix(p), [[one_s * (eye[i, j] - X[i] * X[j])
+                                      for j in range(n)] for i in range(n)])
+    for alpha in (rng.standard_normal(n), 1.5 * x, x + 1e-3 * rng.standard_normal(n)):
+        y = rng.standard_normal(n)
+        close(klein_metric(p, y), (dot(y, y) * one_s + dot(x, y) ** 2) / one_s**2)
+        close(klein_cometric(p, alpha), one_s * (dot(alpha, alpha) - dot(x, alpha) ** 2))
 
 
 # --- Legendre transform ----------------------------------------------------

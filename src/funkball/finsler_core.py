@@ -232,6 +232,17 @@ def _randers_F_rows(params, p, Y):
             np.maximum((root - axy) / (1.0 - s), 0.0))
 
 
+def _randers_F_pair(params, p, y):
+    """F_a(x, y) and F_a(x, -y) from one x.y and one |y|^2, unchecked: the
+    scalar twin of :func:`_randers_F_rows`, bit for bit the two
+    :func:`_randers_F` calls on y and -y."""
+    s = p.r**2
+    xy = float(p.x @ y)
+    root = math.sqrt(max(float(y @ y) * (1.0 - s) + xy * xy, 0.0))
+    axy = params.a * xy
+    return max((root + axy) / (1.0 - s), 0.0), max((root - axy) / (1.0 - s), 0.0)
+
+
 def _one_minus_ar(a, r):
     """(1 - a r, 1 + a r) for a, r in [0, 1].  1 - a r is formed as
     (1 - r) + (1 - a) r, exact in 1 - r for r >= 1/2: subtracting the rounded
@@ -473,18 +484,46 @@ def _circle_refined_max(ratio, ratio_rows, e1, e2):
     return _golden_max(fn_theta, thetas[k] - h, thetas[k] + h, tol=CIRCLE_TOL)[2]
 
 
+# seed -> the read-only standard-normal stream that _normal_stream keeps
+# (at most one entry)
+_NORMALS = {}
+
+
+def _normal_stream(count, seed):
+    """The first ``count`` values of ``np.random.default_rng(seed)``'s
+    standard-normal stream, read-only.
+
+    ``default_rng(seed).standard_normal((samples, n))`` is the first
+    ``samples * n`` values of that stream in row-major order, so one kept
+    stream serves every dimension.  It is redrawn, to exactly ``count``
+    values, only for another seed or a longer prefix, and replaces the kept
+    one, so it holds the longest prefix asked for since the seed changed.
+    """
+    stream = _NORMALS.get(seed)
+    if stream is None or stream.size < count:
+        stream = np.random.default_rng(seed).standard_normal(count)
+        stream.flags.writeable = False
+        _NORMALS.clear()
+        _NORMALS[seed] = stream
+    return stream[:count]
+
+
 @functools.lru_cache(maxsize=1)
 def _sphere_sample(n, samples, seed):
     """``samples`` directions drawn uniformly from the unit sphere of R^n:
-    standard normal rows from ``np.random.default_rng(seed)``, normalized.
+    the standard normal rows of ``np.random.default_rng(seed)``, normalized.
 
-    Both sampling oracles read it, so the two oracles at one point draw one
-    sample.  The last ``(n, samples, seed)`` sample is kept, read-only:
-    ``samples * n * 8`` bytes, 0.8 MB at 10,000 x 10 and 1.6 MB at the
+    The rows are the prefix of :func:`_normal_stream`, reshaped, so a new
+    ``n`` or ``samples`` with the same seed draws nothing unless it needs a
+    longer stream.  Both sampling oracles read the sample, so the two
+    oracles at one point normalize one sample.  The last
+    ``(n, samples, seed)`` sample is kept, read-only, beside the stream:
+    ``samples * n * 8`` bytes, and the stream ``samples * n_max * 8`` for
+    the largest n seen, so 1.6 MB in all at 10,000 x 10 and 3.2 MB at the
     CLI's 20,000 x 10.  ``seed`` is an integer.
     """
-    Y = np.random.default_rng(seed).standard_normal((samples, n))
-    Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+    Y = _normal_stream(samples * n, seed).reshape(samples, n)
+    Y = Y / np.linalg.norm(Y, axis=1, keepdims=True)
     Y.flags.writeable = False
     return Y
 
@@ -497,7 +536,9 @@ def polar_F_star_oracle(params, p, alpha, samples=10000, seed=0):
     depends on y only through |y| and <x, y>, so the maximizer lies in that
     plane).  Always a lower bound on the true dual norm, converging to it
     as the sampling is refined.  The sample is :func:`_sphere_sample`'s,
-    which keeps the last one read-only (0.8 MB at 10,000 x 10).
+    a prefix of one kept standard-normal stream that serves every n, and
+    the last normalized sample is kept beside it (1.6 MB in all at
+    10,000 x 10).
     """
     if samples < 100:
         raise GeometryError(f"need at least 100 samples, got {samples}")
@@ -527,8 +568,10 @@ def reversibility_oracle(params, p, samples=10000, seed=0):
 
     Approaches (1 + a|x|)/(1 - a|x|) at the given point; the global
     constant of :func:`reversibility` is the supremum of this over the
-    ball.  The sample is :func:`_sphere_sample`'s, which keeps the last
-    one read-only (0.8 MB at 10,000 x 10).
+    ball.  The sample is :func:`_sphere_sample`'s, shared with
+    :func:`polar_F_star_oracle` (1.6 MB in all at 10,000 x 10).  The
+    golden-section refinement scores F(x, y) and F(x, -y) from one x.y and
+    one |y|^2 through :func:`_randers_F_pair`.
     """
     if samples < 100:
         raise GeometryError(f"need at least 100 samples, got {samples}")
@@ -541,7 +584,8 @@ def reversibility_oracle(params, p, samples=10000, seed=0):
     e1, e2 = _orthonormal_pair(p.x, np.roll(p.x, 1))
 
     def ratio(y):
-        return _randers_F(params, p, y) / _randers_F(params, p, -y)
+        fwd, bwd = _randers_F_pair(params, p, y)
+        return fwd / bwd
 
     def ratio_rows(Y):
         return np.divide(*_randers_F_rows(params, p, Y))

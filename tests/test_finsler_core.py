@@ -24,7 +24,13 @@ from funkball import (
     uniformity_lF,
     volume_density,
 )
-from funkball.finsler_core import _randers_F, _randers_F_rows, _sphere_sample
+from funkball.finsler_core import (
+    _NORMALS,
+    _randers_F,
+    _randers_F_pair,
+    _randers_F_rows,
+    _sphere_sample,
+)
 from conftest import random_ball_point
 
 
@@ -275,6 +281,30 @@ def test_sphere_sample_interleaved_keys():
         assert _both_oracles(*key) == fresh[key]
 
 
+def test_sphere_sample_is_a_prefix_of_one_kept_stream():
+    # default_rng(seed).standard_normal((samples, n)) must be the first
+    # samples * n values of one stream, which the kept stream serves to every
+    # n; a NumPy that breaks this fails here instead of moving oracle bits
+    _sphere_sample.cache_clear()
+    _NORMALS.clear()
+    order = (6, 2, 10, 3, 9, 4, 8, 5, 7)  # larger n before smaller ones
+    for samples in (100, 10000, 20000):
+        for seed in (0, 1, 2):
+            for n in order:
+                kept = _NORMALS.get(seed)
+                Y = _sphere_sample(n, samples, seed)
+                fresh = np.random.default_rng(seed).standard_normal((samples, n))
+                fresh /= np.linalg.norm(fresh, axis=1, keepdims=True)
+                assert np.array_equal(Y, fresh)
+                (stream,) = _NORMALS.values()
+                if kept is not None and kept.size >= samples * n:
+                    assert stream is kept  # not redrawn
+                for array in (Y, stream):
+                    assert not array.flags.writeable
+                    with pytest.raises(ValueError):
+                        array[0] = 1.0
+
+
 @pytest.mark.parametrize("a", [0.0, 0.5, 0.9999, 1.0])
 def test_unchecked_randers_kernels(rng, a):
     params = ModelParams(n=6, a=a)
@@ -288,6 +318,21 @@ def test_unchecked_randers_kernels(rng, a):
     assert np.array_equal(neg_fwd, bwd) and np.array_equal(neg_bwd, fwd)
     np.testing.assert_allclose(fwd, [randers_F(params, p, y) for y in Y], rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(bwd, [randers_F(params, p, -y) for y in Y], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 0.9999, 1.0])
+def test_randers_F_pair_is_two_unchecked_calls(rng, a):
+    # the reversibility refinement's kernel, one x.y for F(y) and F(-y), so
+    # its ratio is _randers_F(y) / _randers_F(-y) bit for bit
+    params = ModelParams(n=6, a=a)
+    for r_cap in (0.999999, 0.999, 0.5):
+        for _ in range(50):
+            p = BallPoint(random_ball_point(rng, 6, r_cap=r_cap))
+            y = rng.standard_normal(6)
+            assert _randers_F_pair(params, p, y) == (_randers_F(params, p, y), _randers_F(params, p, -y))
+    p = BallPoint(0.999999 * np.eye(6)[2])
+    y = rng.standard_normal(6)
+    assert _randers_F_pair(params, p, y) == (_randers_F(params, p, y), _randers_F(params, p, -y))
 
 
 def test_randers_F_still_validates():

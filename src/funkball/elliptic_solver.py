@@ -37,7 +37,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
+from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .finsler_core import GeometryError, _golden_max, _one_minus_ar
 from .quadrature import QuadratureConfig, _sample_radial, radial_integral, sphere_area
@@ -484,6 +485,35 @@ def _read_only(x):
     return x
 
 
+def _finite(x):
+    if not np.isfinite(x).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return x
+
+
+def _band_factor(ab):
+    """Upper Cholesky factor of the upper-form band ``ab``, as
+    ``scipy.linalg.cholesky_banded(ab)`` gives it, from LAPACK's dpbtrf
+    without the wrapper's overhead: ValueError on a non-finite band,
+    LinAlgError when the matrix is not positive definite."""
+    c, info = dpbtrf(_finite(ab))
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal pbtrf")
+    return c
+
+
+def _band_solve(c, b):
+    """Solution of A x = b from the upper Cholesky factor ``c`` of A, as
+    ``scipy.linalg.cho_solve_banded((c, False), b)`` gives it, from LAPACK's
+    dpbtrs; ValueError on a non-finite right-hand side."""
+    x, info = dpbtrs(c, _finite(b))
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal pbtrs")
+    return x
+
+
 class _Assembly:
     """Element-aligned quadrature and exact derivatives of the discrete
     functionals on a fixed radial mesh.
@@ -529,6 +559,20 @@ class _Assembly:
     changed in place misses) and P also on the identity of the weight.  Its
     arrays are read-only, so a g that writes into its argument is sampled
     per entry and cannot corrupt them.  At M = 6400 it holds about 0.36 MB.
+
+    ``keep_starts`` keeps a problem's descent starts by their bits.  The
+    potential and the two source row sums that ``grad`` scales by lambda do
+    not depend on lambda, so for a kept start they are kept too, filled by
+    the first ``g_int`` and ``grad`` that reach it and keyed on the
+    identities of the weight and the nonlinearity: then J is ``E/2 - lambda
+    kept`` and the gradient ``flux - lambda kept``, the same operations in
+    the same order.  A vector is matched to a start by comparing bytes when
+    the state slot changes.  The Hessian's source mass is scaled by -lambda
+    before its row sums, so it is not kept; the start's slopes and point
+    values are the state slot's, as for any vector.  Eight starts hold about
+    0.82 MB at M = 6400.  The Klein weights, the Klein dual factor and the
+    slope moment tables are built on first use.
+
     ``_residual(g)`` returns the dual norm of a gradient with the Riesz
     vector K^{-1} g behind it, so an iterate's residual takes one banded
     solve with the cached Cholesky factor of K.  The Gram band is kept
@@ -546,14 +590,8 @@ class _Assembly:
         if self.nodes[-1] >= 1.0:
             raise ValueError("mesh must end strictly inside the unit interval")
         self.M = M
-        n, a = params.n, params.a
-
-        gx, gw = np.polynomial.legendre.leggauss(quad_order)
-        lows = np.concatenate(([0.0], self.nodes[:-1]))[:, None]
-        highs = self.nodes[:, None]
-        half = 0.5 * (highs - lows)
-        R = lows + half * (gx + 1.0)
-        W = half * gw
+        self._n, self._a = params.n, params.a
+        lows, highs, R, W = self._element_rule(quad_order)
 
         # hat-function data: element 0 is the flat center piece
         h = highs - lows
@@ -564,26 +602,52 @@ class _Assembly:
         self.inv_h = 1.0 / h[:, 0]
         self.inv_h[0] = 0.0
         self.R = R
-
-        area = sphere_area(n)
-        base = W * area * R ** (n - 1)
-        p = 0.5 * (n + 1)
-        one_m = (1.0 - R) * (1.0 + R)
-        down, up = _one_minus_ar(a, R)
-        one_m_a = down * up  # 1 - a^2 r^2
-        self.w_fins = base * (one_m_a / one_m) ** p
-        self.w_klein = base * one_m ** (-p)
-        self.klein_dual = one_m**2
-
-        # slope moment tables; F* prefactor c(r) = (1-r^2)/(1-a^2 r^2)
-        wc2 = self.w_fins * (one_m / one_m_a) ** 2
-        self.A0 = wc2.sum(axis=1)
-        self.A_pos, self.A_neg = _row_dot(wc2 * down, down), _row_dot(wc2 * up, up)
+        one_m, down, up = self._factors()
+        self.w_fins = self._base(W) * (down * up / one_m) ** (0.5 * (self._n + 1))
 
         self._kappa = self._kappa_w = None
         self.nk = M
         self._chol = None
-        self._kept = [None, None, None, None]  # bits of u, (du, A_sigma), weight, P
+        self._starts = ()
+        self._kept = [None, None, None, None, None]  # bits of u, (du, A_sigma), weight, P, start
+
+    def _element_rule(self, quad_order):
+        """Element ends (as columns), Gauss points R and weights W, one row
+        per element."""
+        gx, gw = np.polynomial.legendre.leggauss(quad_order)
+        lows = np.concatenate(([0.0], self.nodes[:-1]))[:, None]
+        highs = self.nodes[:, None]
+        half = 0.5 * (highs - lows)
+        return lows, highs, lows + half * (gx + 1.0), half * gw
+
+    def _base(self, W):
+        """Euclidean volume weights of the points for the Gauss weights W."""
+        return W * sphere_area(self._n) * self.R ** (self._n - 1)
+
+    def _factors(self):
+        """1 - r^2, 1 - a r and 1 + a r at the points."""
+        R = self.R
+        return ((1.0 - R) * (1.0 + R), *_one_minus_ar(self._a, R))
+
+    # The Klein weights, the Klein dual factor and the slope moment tables are
+    # built on first use: the tent search's 2-point rule reads only the
+    # Finsler weights and the hat functions.
+
+    @functools.cached_property
+    def w_klein(self):
+        W = self._element_rule(self.R.shape[1])[3]
+        return self._base(W) * self._factors()[0] ** (-0.5 * (self._n + 1))
+
+    @functools.cached_property
+    def klein_dual(self):
+        return self._factors()[0] ** 2
+
+    @functools.cached_property
+    def _slope_tables(self):
+        """A+, A- and A0 of each element; F* prefactor c(r) = (1-r^2)/(1-a^2 r^2)."""
+        one_m, down, up = self._factors()
+        wc2 = self.w_fins * (one_m / (down * up)) ** 2
+        return _row_dot(wc2 * down, down), _row_dot(wc2 * up, up), wc2.sum(axis=1)
 
     # -- nodal evaluation ---------------------------------------------------
 
@@ -603,15 +667,42 @@ class _Assembly:
     def _slope_moment(self, du):
         """A_sigma of each element: A+ where du > 0, A- where du < 0, A0 where
         du = 0."""
-        return np.where(du > 0.0, self.A_pos, np.where(du < 0.0, self.A_neg, self.A0))
+        A_pos, A_neg, A0 = self._slope_tables
+        return np.where(du > 0.0, A_pos, np.where(du < 0.0, A_neg, A0))
 
     def _state(self, u):
         """The kept state slot of ``u``, emptied first when it holds the state
-        of a vector with other bits."""
+        of a vector with other bits; its last entry is the kept start with
+        the bits of ``u``, if there is one."""
         key = np.asarray(u, dtype=float).tobytes()
         if self._kept[0] != key:
-            self._kept = [key, None, None, None]
+            start = next((s for s in self._starts if s[0] == key), None)
+            self._kept = [key, None, None, None, start]
         return self._kept
+
+    def keep_starts(self, starts):
+        """Keep the vectors ``starts`` (by their bits) with room for the
+        lambda-free source terms of each, which the first kernel call that
+        reaches it fills."""
+        self._starts = tuple([v.tobytes(), None] for v in starts)
+
+    def starts(self):
+        """The kept starts, as read-only vectors."""
+        return [np.frombuffer(s[0]) for s in self._starts]
+
+    def _per_start(self, u, kappa, nl, name, build):
+        """``build()``, kept under ``name`` with the start ``u`` when ``u`` is
+        a kept start; the kept terms are dropped when the weight or the
+        nonlinearity is another object."""
+        start = self._state(u)[4]
+        if start is None:
+            return build()
+        terms = start[1]
+        if terms is None or terms["kappa"] is not kappa or terms["nl"] is not nl:
+            terms = start[1] = {"kappa": kappa, "nl": nl}
+        if name not in terms:
+            terms[name] = build()
+        return terms[name]
 
     def _slope_state(self, u):
         """The slopes du of ``u`` and their moments A_sigma, read-only."""
@@ -660,7 +751,10 @@ class _Assembly:
         return float(np.vdot(self._source_weights(kappa), nl.G(points)))
 
     def g_int(self, u, kappa, nl):
-        return self._potential(self._live_points(u, kappa), kappa, nl)
+        return self._per_start(
+            u, kappa, nl, "potential",
+            lambda: self._potential(self._live_points(u, kappa), kappa, nl),
+        )
 
     def j_lambda(self, u, lam, kappa, nl):
         return 0.5 * self.energy(u) - lam * self.g_int(u, kappa, nl)
@@ -676,13 +770,22 @@ class _Assembly:
         du, A = self._slope_state(u)
         flux = A * du * self.inv_h
         right, left = flux, -flux
-        src = self._source_weights(kappa) * nl.g(self._live_points(u, kappa))
-        k = self.nk
-        right[:k] -= lam * _row_dot(src, self.NR[:k])
-        left[:k] -= lam * _row_dot(src, self.NL[:k])
+        src_r, src_l = self._per_start(
+            u, kappa, nl, "source", lambda: self._source_sums(u, kappa, nl)
+        )
+        k = src_r.size
+        right[:k] -= lam * src_r
+        left[:k] -= lam * src_l
         out = self._to_nodes(right, left)
         out[-1] = 0.0
         return out
+
+    def _source_sums(self, u, kappa, nl):
+        """Row sums of the source w kappa g(u) against the right and the left
+        hat function on the rows ``[:nk]``, read-only."""
+        src = self._source_weights(kappa) * nl.g(self._live_points(u, kappa))
+        k = self.nk
+        return _read_only(_row_dot(src, self.NR[:k])), _read_only(_row_dot(src, self.NL[:k]))
 
     def _tridiag(self, stiff, mass):
         """Free-DOF matrix of sum_e stiff_e s_i s_j plus sum(mass * N_i N_j)
@@ -724,7 +827,7 @@ class _Assembly:
         """The Gram band and its upper Cholesky factor, built on first use."""
         if self._chol is None:
             gram = self.gram_banded()
-            self._chol = gram, cholesky_banded(gram, lower=False)
+            self._chol = gram, _band_factor(gram)
         return self._chol
 
     def h12_norm_sq(self, u):
@@ -738,7 +841,7 @@ class _Assembly:
 
     def riesz(self, g):
         """K^{-1} g on the free DOFs, zero-padded back to full length."""
-        sol = cho_solve_banded((self._cholesky()[1], False), g[:-1])
+        sol = _band_solve(self._cholesky()[1], g[:-1])
         return np.concatenate((sol, [0.0]))
 
     def shifted_solve(self, ab, g):
@@ -746,7 +849,7 @@ class _Assembly:
         Hessian ``ab``, zero-padded back to full length; raises LinAlgError
         when H + HESSIAN_SHIFT K is not positive definite."""
         shifted = ab[:2] + HESSIAN_SHIFT * self._cholesky()[0]
-        sol = cho_solve_banded((cholesky_banded(shifted, lower=False), False), g[:-1])
+        sol = _band_solve(_band_factor(shifted), g[:-1])
         return np.concatenate((sol, [0.0]))
 
     def _residual(self, g):
@@ -914,8 +1017,11 @@ def _tilde_search(params, kappa, nl, cfg):
     ``lambda_scan`` and ``tilde_lambda_estimate`` share one search per
     ``(params, kappa, nl, cfg)``.  The four are frozen, and a weight or
     nonlinearity compares its functions by identity, so a new one misses;
-    problem data are treated as immutable.  The kept assembly holds about
-    3.4 MB at M = 6400, with the state of the last vector it evaluated.
+    problem data are treated as immutable.  The kept assembly also keeps
+    the descent starts of every solve of the problem (``_descent_starts``)
+    and, once a solve has reached them, their lambda-free source terms.  It
+    holds about 4.3 MB at M = 6400: 3.1 MB of quadrature data and weights,
+    0.36 MB of state of the last vector it evaluated and 0.82 MB of starts.
     """
     asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
     rough = _Assembly(params, asm.nodes, quad_order=2)
@@ -956,9 +1062,22 @@ def _tilde_search(params, kappa, nl, cfg):
     log_h, neg_rat, _ = _golden_max(
         neg_ratio, math.log(h0 / 3.0), math.log(h0 * 3.0), tol=1e-10, max_iter=60
     )
-    trial = _tent_vector(asm.nodes, math.exp(log_h), w0)
-    trial.flags.writeable = False
+    trial = _read_only(_tent_vector(asm.nodes, math.exp(log_h), w0))
+    asm.keep_starts(_descent_starts(trial, cfg.seed))
     return min(-neg_rat, best), trial, asm
+
+
+def _descent_starts(trial, seed):
+    """The starts of every descent of a problem: t * trial for t in (0.25,
+    0.5, 1, 2, 4), then three seeded random perturbations of trial."""
+    starts = [t * trial for t in (0.25, 0.5, 1.0, 2.0, 4.0)]
+    for k in range(3):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
+        bump = 1.0 + 0.3 * rng.standard_normal(trial.size)
+        pert = trial * bump
+        pert[-1] = 0.0
+        starts.append(pert)
+    return starts
 
 
 def tilde_lambda_estimate(params, kappa, nl, trials=None, cfg=None):
@@ -1329,9 +1448,10 @@ def solve(lam, params, kappa=None, nl=None, cfg=None):
     copies of the best tent trial plus seeded random perturbations, so runs
     are deterministic for a fixed config.
 
-    The lambda-independent tent search, its assembly and Gram factor are
-    kept for the last problem (see ``_tilde_search``), so repeated solves
-    of one problem set it up once; problem data are treated as immutable.
+    The lambda-independent tent search, its assembly and Gram factor, the
+    starts and their source terms are kept for the last problem (see
+    ``_tilde_search``), so repeated solves of one problem set them up once;
+    problem data are treated as immutable.
     """
     _check_lambda(lam)
     params.require_a_below_one("the variational solver")
@@ -1339,25 +1459,18 @@ def solve(lam, params, kappa=None, nl=None, cfg=None):
     nl = nl or Nonlinearity.default()
     cfg = cfg or SolverConfig()
     lam_star = nonexistence_threshold(params, nl, kappa)
-    search = _tilde_search(params, kappa, nl, cfg)
-    return _solve_at(lam, params, kappa, nl, cfg, lam_star, *search)
+    lam_tilde, _, asm = _tilde_search(params, kappa, nl, cfg)
+    return _solve_at(lam, params, kappa, nl, cfg, lam_star, lam_tilde, asm)
 
 
-def _solve_at(lam, params, kappa, nl, cfg, lam_star, lam_tilde, trial, asm):
-    """The per-lambda part of :func:`solve`, given the tent search's
-    (lam_tilde, trial, asm)."""
-    inits = [t * trial for t in (0.25, 0.5, 1.0, 2.0, 4.0)]
-    for k in range(3):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, k]))
-        bump = 1.0 + 0.3 * rng.standard_normal(asm.M)
-        pert = trial * bump
-        pert[-1] = 0.0
-        inits.append(pert)
-
+def _solve_at(lam, params, kappa, nl, cfg, lam_star, lam_tilde, asm):
+    """The per-lambda part of :func:`solve`, given the tent search's lam_tilde
+    and its assembly: one descent from each start the assembly keeps, whose
+    potential and source row sums the first solve of the problem fills."""
     failures = []
     best = None
     iters_of_best = 0
-    for init_vec in inits:
+    for init_vec in asm.starts():
         u, J, res, iters = _minimize_vec(asm, lam, kappa, nl, cfg, init_vec)
         if res >= cfg.tol:
             failures.append(f"minimize residual {res:.3e} above tol from one start")
@@ -1462,7 +1575,7 @@ def lambda_scan(lambdas, params, kappa=None, nl=None, cfg=None):
             _check_lambda(lam)
             if isinstance(search, SolverError):
                 raise search
-            rep = _solve_at(lam, params, kappa, nl, cfg, lam_star, *search)
+            rep = _solve_at(lam, params, kappa, nl, cfg, lam_star, lam_tilde, search[2])
         except Exception as exc:  # per-lambda isolation is the contract
             rep = SolveReport(
                 lam=lam,

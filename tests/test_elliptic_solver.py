@@ -1,3 +1,4 @@
+import copy
 import math
 import types
 from fractions import Fraction
@@ -995,6 +996,57 @@ def test_lambda_scan_runs_tilde_search_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_lambda_scan_matches_cold_solves_across_the_onset():
+    # the scan reuses each start's kept source terms from one lambda to the
+    # next; every report must equal that of a solve on a fresh tent search
+    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
+    lam_star = nonexistence_threshold(params, nl, kappa)
+    lam_tilde = tilde_lambda_estimate(params, kappa, nl, cfg=FAST)
+    lams = [0.5 * lam_star] + [m * lam_tilde for m in (2.0, 10.0, 100.0)]
+    scan = lambda_scan(lams, params, kappa, nl, FAST)
+    assert "two" in scan.classifications()
+    for lam, rep in zip(lams, scan.reports):
+        _tilde_search.cache_clear()
+        assert rep.to_json_dict() == solve(lam, params, kappa, nl, FAST).to_json_dict()
+
+
+def _counted_nonlinearity():
+    """The default nonlinearity with its G and g calls counted."""
+    ref = Nonlinearity.default()
+    calls = {"G": 0, "g": 0}
+
+    def counted(name, f):
+        def wrapped(s):
+            calls[name] += 1
+            return f(s)
+
+        return wrapped
+
+    nl = Nonlinearity(g=counted("g", ref.g), G=counted("G", ref.G), dg=ref.dg, c_g=ref.c_g)
+    return nl, calls
+
+
+def test_a_second_solve_reuses_the_source_terms_of_the_eight_starts():
+    # the potential and the source row sums of each start do not depend on
+    # lambda: a solve after another one of the same problem evaluates G and
+    # g once less per start than the same solve on a fresh tent search
+    params, kappa = ModelParams(n=3, a=0.5), WeightKappa.default()
+    nl, calls = _counted_nonlinearity()
+    lam_star = nonexistence_threshold(params, nl, kappa)
+    counts = []
+    for warm in (False, True):
+        _tilde_search.cache_clear()
+        _tilde_search(params, kappa, nl, FAST)
+        if warm:
+            solve(0.25 * lam_star, params, kappa, nl, FAST)
+        calls.update(G=0, g=0)
+        assert solve(0.5 * lam_star, params, kappa, nl, FAST).classification == "only-zero"
+        counts.append(dict(calls))
+    cold, second = counts
+    assert len(es._tilde_search(params, kappa, nl, FAST)[2].starts()) == 8
+    assert second == {"G": cold["G"] - 8, "g": cold["g"] - 8}
+
+
 def test_lambda_scan_reports_match_solve():
     params = ModelParams(n=3, a=0.5)
     kappa, nl = WeightKappa.default(), Nonlinearity.default()
@@ -1502,6 +1554,146 @@ def test_kept_state_is_read_only():
     got = _kernel_bits(asm, u, kappa, nl)
     fresh = _Assembly(params, asm.nodes, quad_order=FAST.quad_order)
     assert got == _kernel_bits(fresh, u, kappa, ref)
+
+
+def test_kept_starts_and_their_terms_are_read_only():
+    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
+    _, trial, asm = _tilde_search(params, kappa, nl, FAST)
+    starts = asm.starts()
+    assert np.array_equal(starts[2], trial)
+    for v in starts:
+        asm.g_int(v, kappa, nl)
+        asm.grad(v, 1.0, kappa, nl)
+    for _, terms in asm._starts:
+        assert terms["kappa"] is kappa and terms["nl"] is nl
+        for kept in (*terms["source"], *starts):
+            with pytest.raises(ValueError):
+                kept[0] = 1.0
+
+
+@pytest.mark.parametrize("other", ["equal-weight", "other-weight", "equal-nonlinearity"])
+def test_kept_start_terms_follow_the_weight_and_nonlinearity(other):
+    # an equal copy of the weight or nonlinearity hits the tent search's memo,
+    # and another weight can reach the same assembly; neither may read the
+    # terms or the live row count kept for the first weight
+    _tilde_search.cache_clear()
+    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
+    asm = _tilde_search(params, kappa, nl, FAST)[2]
+    fresh = _Assembly(params, asm.nodes, quad_order=FAST.quad_order)
+    for v in asm.starts():
+        _kernel_bits(asm, v, kappa, nl)
+    if other == "equal-weight":
+        kappa = copy.copy(kappa)
+        assert _tilde_search(params, kappa, nl, FAST)[2] is asm
+    elif other == "equal-nonlinearity":
+        nl = copy.copy(nl)
+        assert _tilde_search(params, kappa, nl, FAST)[2] is asm
+    else:
+        # another vector under the other weight moves the live row count,
+        # which the first weight's kept terms must not read
+        _kernel_bits(asm, tent_values(asm.nodes), EXP_WEIGHT, nl)
+        for v in asm.starts():
+            assert _kernel_bits(asm, v, kappa, nl) == _kernel_bits(fresh, v, kappa, nl)
+        kappa = EXP_WEIGHT
+    for v in asm.starts():
+        assert _kernel_bits(asm, v, kappa, nl) == _kernel_bits(fresh, v, kappa, nl)
+    assert all(t["kappa"] is kappa and t["nl"] is nl for _, t in asm._starts)
+    # and a solve on the kept assembly equals one on a fresh tent search
+    lam = 0.5 * nonexistence_threshold(params, nl, kappa)
+    warm = solve(lam, params, kappa, nl, FAST).to_json_dict()
+    _tilde_search.cache_clear()
+    assert warm == solve(lam, params, kappa, nl, FAST).to_json_dict()
+
+
+def test_lazy_tables_match_the_eager_formulas():
+    # the Klein weights, the Klein dual factor and the slope moment tables
+    # are built on first use, with the bits of the formulas built eagerly
+    for n, a, q in ((3, 0.5, 8), (5, 0.9, 2), (2, 0.0, 4)):
+        asm = _Assembly(ModelParams(n=n, a=a), solver_nodes(FAST), quad_order=q)
+        assert not {"w_klein", "klein_dual", "_slope_tables"} & set(vars(asm))
+        gx, gw = np.polynomial.legendre.leggauss(q)
+        lows = np.concatenate(([0.0], asm.nodes[:-1]))[:, None]
+        half = 0.5 * (asm.nodes[:, None] - lows)
+        R = lows + half * (gx + 1.0)
+        base = half * gw * sphere_area(n) * R ** (n - 1)
+        p = 0.5 * (n + 1)
+        one_m = (1.0 - R) * (1.0 + R)
+        down, up = es._one_minus_ar(a, R)
+        one_m_a = down * up
+        wc2 = asm.w_fins * (one_m / one_m_a) ** 2
+        assert np.array_equal(asm.R, R)
+        assert np.array_equal(asm.w_fins, base * (one_m_a / one_m) ** p)
+        assert np.array_equal(asm.w_klein, base * one_m ** (-p))
+        assert np.array_equal(asm.klein_dual, one_m**2)
+        eager = (es._row_dot(wc2 * down, down), es._row_dot(wc2 * up, up), wc2.sum(axis=1))
+        for lazy, ref in zip(asm._slope_tables, eager):
+            assert np.array_equal(lazy, ref)
+
+
+def test_the_rough_rule_builds_no_klein_or_slope_tables(monkeypatch):
+    rough = []
+    init = _Assembly.__init__
+
+    def recorded(self, params, nodes, quad_order=8):
+        init(self, params, nodes, quad_order)
+        if quad_order == 2:
+            rough.append(self)
+
+    monkeypatch.setattr(_Assembly, "__init__", recorded)
+    _tilde_search.cache_clear()
+    _tilde_search(ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default(), FAST)
+    assert len(rough) == 1
+    assert not {"w_klein", "klein_dual", "_slope_tables"} & set(vars(rough[0]))
+
+
+def _seeded_band(rng, m, shift):
+    """Upper-form tridiagonal band with diagonal 2 + shift and off-diagonal
+    entries in (-1, 1)."""
+    ab = np.zeros((2, m))
+    ab[0, 1:] = rng.uniform(-1.0, 1.0, m - 1)
+    ab[1] = 2.0 + shift + 0.1 * rng.random(m)
+    return ab
+
+
+def test_banded_solves_match_the_scipy_wrappers_bit_for_bit(rng):
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
+    asm = _Assembly(ModelParams(n=3, a=0.5), solver_nodes(FAST), quad_order=FAST.quad_order)
+    gram = asm.gram_banded()
+    factor = cholesky_banded(gram, lower=False)
+    assert np.array_equal(asm._cholesky()[1], factor)
+    for _ in range(5):
+        g = rng.standard_normal(asm.M)
+        g[-1] = 0.0
+        ref = cho_solve_banded((factor, False), g[:-1])
+        assert np.array_equal(asm.riesz(g)[:-1], ref)
+        ab = np.zeros((3, asm.M - 1))
+        ab[:2] = _seeded_band(rng, asm.M - 1, 0.0)
+        shifted = ab[:2] + es.HESSIAN_SHIFT * gram
+        ref = cho_solve_banded((cholesky_banded(shifted, lower=False), False), g[:-1])
+        got = asm.shifted_solve(ab, g)
+        assert np.array_equal(got[:-1], ref) and got[-1] == 0.0
+
+
+def test_shifted_solve_raises_like_the_scipy_wrappers(rng):
+    asm = _Assembly(ModelParams(n=3, a=0.5), solver_nodes(FAST), quad_order=FAST.quad_order)
+    g = rng.standard_normal(asm.M)
+    ab = np.zeros((3, asm.M - 1))
+    ab[:2] = _seeded_band(rng, asm.M - 1, 0.0)
+    indefinite = ab.copy()
+    indefinite[1, 40] = -5.0
+    with pytest.raises(np.linalg.LinAlgError):
+        asm.shifted_solve(indefinite, g)
+    for bad_band in (True, False):
+        band, rhs = ab.copy(), g.copy()
+        if bad_band:
+            band[0, 7] = np.nan
+        else:
+            rhs[7] = np.nan
+        with pytest.raises(ValueError):
+            asm.shifted_solve(band, rhs)
+    with pytest.raises(ValueError):
+        asm.riesz(np.full(asm.M, np.inf))
 
 
 def test_h12_norm_sq_is_inner_K_bit_for_bit(rng):

@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .finsler_core import GeometryError, _golden_max, _one_minus_ar
 from .quadrature import QuadratureConfig, _sample_radial, radial_integral, sphere_area
@@ -492,26 +492,20 @@ def _finite(x):
 
 
 def _band_factor(ab):
-    """Upper Cholesky factor of the upper-form band ``ab``, as
-    ``scipy.linalg.cholesky_banded(ab)`` gives it, from LAPACK's dpbtrf
-    without the wrapper's overhead: ValueError on a non-finite band,
-    LinAlgError when the matrix is not positive definite."""
-    c, info = dpbtrf(_finite(ab))
+    """LDL^T factor ``(d, e)`` of the symmetric tridiagonal matrix in the
+    upper-form band ``ab`` (diagonal ``ab[1]``, off-diagonal ``ab[0, 1:]``),
+    from LAPACK's dpttrf: ValueError on a non-finite band, LinAlgError when a
+    pivot is not positive (the matrix is not positive definite)."""
+    d, e, info = dpttrf(_finite(ab)[1], ab[0, 1:])
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal pbtrf")
-    return c
+    return d, e
 
 
-def _band_solve(c, b):
-    """Solution of A x = b from the upper Cholesky factor ``c`` of A, as
-    ``scipy.linalg.cho_solve_banded((c, False), b)`` gives it, from LAPACK's
-    dpbtrs; ValueError on a non-finite right-hand side."""
-    x, info = dpbtrs(c, _finite(b))
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal pbtrs")
-    return x
+def _band_solve(factor, b):
+    """Solution of A x = b from the LDL^T factor ``(d, e)`` of A, from LAPACK's
+    dpttrs; ValueError on a non-finite right-hand side."""
+    return dpttrs(*factor, _finite(b))[0]
 
 
 class _Assembly:
@@ -574,11 +568,12 @@ class _Assembly:
     slope moment tables are built on first use.
 
     ``_residual(g)`` returns the dual norm of a gradient with the Riesz
-    vector K^{-1} g behind it, so an iterate's residual takes one banded
-    solve with the cached Cholesky factor of K.  The Gram band is kept
-    beside that factor, so ``shifted_solve`` forms H + HESSIAN_SHIFT K for a
-    descent direction without reassembling K; where that matrix is not
-    positive definite the descent falls back to the Riesz vector.
+    vector K^{-1} g behind it, so an iterate's residual takes one
+    tridiagonal solve with the cached LDL^T factor of K (dpttrf/dpttrs).
+    The Gram band is kept beside that factor, so ``shifted_solve`` forms and
+    factors H + HESSIAN_SHIFT K by LDL^T for a descent direction without
+    reassembling K; where that matrix is not positive definite the descent
+    falls back to the Riesz vector.
     """
 
     def __init__(self, params, nodes, quad_order=8):
@@ -607,7 +602,7 @@ class _Assembly:
 
         self._kappa = self._kappa_w = None
         self.nk = M
-        self._chol = None
+        self._gram = None
         self._starts = ()
         self._kept = [None, None, None, None, None]  # bits of u, (du, A_sigma), weight, P, start
 
@@ -792,7 +787,7 @@ class _Assembly:
         over the points of the first ``len(mass)`` elements, where the hat
         slopes s are +-1 per element length (so ``stiff`` carries inv_h^2),
         in solve_banded (1, 1) layout; its first two rows are the upper form
-        cholesky_banded takes."""
+        whose diagonal and off-diagonal the LDL^T factor reads."""
         k = mass.shape[0]
         NL, NR = self.NL[:k], self.NR[:k]
         mL = mass * NL
@@ -819,16 +814,16 @@ class _Assembly:
 
     def gram_banded(self):
         """Tridiagonal H^1_2 Gram matrix (Klein gradient + Klein mass), in
-        cholesky_banded upper layout."""
+        the upper layout that ``_band_factor`` factors by LDL^T."""
         stiff = _row_dot(self.w_klein, self.klein_dual) * self.inv_h**2
         return self._tridiag(stiff, self.w_klein)[:2]
 
-    def _cholesky(self):
-        """The Gram band and its upper Cholesky factor, built on first use."""
-        if self._chol is None:
+    def _gram_factor(self):
+        """The Gram band and its LDL^T factor ``(d, e)``, built on first use."""
+        if self._gram is None:
             gram = self.gram_banded()
-            self._chol = gram, _band_factor(gram)
-        return self._chol
+            self._gram = gram, _band_factor(gram)
+        return self._gram
 
     def h12_norm_sq(self, u):
         """``inner_K(u, u)``, with the slopes and point values of ``u``
@@ -841,14 +836,14 @@ class _Assembly:
 
     def riesz(self, g):
         """K^{-1} g on the free DOFs, zero-padded back to full length."""
-        sol = _band_solve(self._cholesky()[1], g[:-1])
+        sol = _band_solve(self._gram_factor()[1], g[:-1])
         return np.concatenate((sol, [0.0]))
 
     def shifted_solve(self, ab, g):
         """(H + HESSIAN_SHIFT K)^{-1} g on the free DOFs for the banded
         Hessian ``ab``, zero-padded back to full length; raises LinAlgError
         when H + HESSIAN_SHIFT K is not positive definite."""
-        shifted = ab[:2] + HESSIAN_SHIFT * self._cholesky()[0]
+        shifted = ab[:2] + HESSIAN_SHIFT * self._gram_factor()[0]
         sol = _band_solve(_band_factor(shifted), g[:-1])
         return np.concatenate((sol, [0.0]))
 

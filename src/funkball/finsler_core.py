@@ -209,10 +209,10 @@ def _randers_F(params, p, y):
     """:func:`randers_F` on a :class:`BallPoint` and a finite float array of
     its dimension, unchecked; the oracles' refinement calls it on the
     directions it builds itself."""
-    s = p.r**2
+    one_s = _one_minus_s(p)
     xy = float(p.x @ y)
-    root = math.sqrt(max(float(y @ y) * (1.0 - s) + xy * xy, 0.0))
-    return max((root + params.a * xy) / (1.0 - s), 0.0)
+    root = math.sqrt(max(float(y @ y) * one_s + xy * xy, 0.0))
+    return max((root + params.a * xy) / one_s, 0.0)
 
 
 def _randers_F_rows(params, p, Y):
@@ -223,24 +223,24 @@ def _randers_F_rows(params, p, Y):
     root - a xy is bit for bit the root + a ((-Y) @ x) of a separate call
     on -Y, which therefore need not be formed.
     """
-    s = p.r**2
+    one_s = _one_minus_s(p)
     xy = Y @ p.x
     yy = np.einsum("ij,ij->i", Y, Y)
-    root = np.sqrt(np.maximum(yy * (1.0 - s) + xy * xy, 0.0))
+    root = np.sqrt(np.maximum(yy * one_s + xy * xy, 0.0))
     axy = params.a * xy
-    return (np.maximum((root + axy) / (1.0 - s), 0.0),
-            np.maximum((root - axy) / (1.0 - s), 0.0))
+    return (np.maximum((root + axy) / one_s, 0.0),
+            np.maximum((root - axy) / one_s, 0.0))
 
 
 def _randers_F_pair(params, p, y):
     """F_a(x, y) and F_a(x, -y) from one x.y and one |y|^2, unchecked: the
     scalar twin of :func:`_randers_F_rows`, bit for bit the two
     :func:`_randers_F` calls on y and -y."""
-    s = p.r**2
+    one_s = _one_minus_s(p)
     xy = float(p.x @ y)
-    root = math.sqrt(max(float(y @ y) * (1.0 - s) + xy * xy, 0.0))
+    root = math.sqrt(max(float(y @ y) * one_s + xy * xy, 0.0))
     axy = params.a * xy
-    return max((root + axy) / (1.0 - s), 0.0), max((root - axy) / (1.0 - s), 0.0)
+    return max((root + axy) / one_s, 0.0), max((root - axy) / one_s, 0.0)
 
 
 def _one_minus_ar(a, r):
@@ -296,12 +296,12 @@ def beta_norm(params, p):
     the quadratic form, which grows near the boundary.
     """
     p = _point(p)
-    s = p.r**2
+    one_s = _one_minus_s(p)
     value = params.a * p.r
-    beta = params.a * p.x / (1.0 - s)
+    beta = params.a * p.x / one_s
     direct = math.sqrt(max(klein_cometric(p, beta), 0.0))
     # |beta|^2 - <x,beta>^2 cancels to O(eps/(1-s)) relative accuracy.
-    cond = 32.0 * np.finfo(float).eps * params.a * p.r / max(1.0 - s, 1e-300)
+    cond = 32.0 * np.finfo(float).eps * params.a * p.r / max(one_s, 1e-300)
     if abs(direct - value) > 1e-12 + cond:
         raise GeometryError(
             f"drift-norm cross-check failed: closed form {value}, quadratic form {direct}"

@@ -1656,21 +1656,22 @@ def _seeded_band(rng, m, shift):
 
 
 def test_banded_solves_match_the_scipy_wrappers_bit_for_bit(rng):
-    from scipy.linalg import cho_solve_banded, cholesky_banded
+    from scipy.linalg import solveh_banded
+    from scipy.linalg.lapack import dpttrf
 
     asm = _Assembly(ModelParams(n=3, a=0.5), solver_nodes(FAST), quad_order=FAST.quad_order)
     gram = asm.gram_banded()
-    factor = cholesky_banded(gram, lower=False)
-    assert np.array_equal(asm._cholesky()[1], factor)
+    d, e, info = dpttrf(gram[1], gram[0, 1:])
+    kept = asm._gram_factor()[1]
+    assert info == 0 and np.array_equal(kept[0], d) and np.array_equal(kept[1], e)
     for _ in range(5):
         g = rng.standard_normal(asm.M)
         g[-1] = 0.0
-        ref = cho_solve_banded((factor, False), g[:-1])
-        assert np.array_equal(asm.riesz(g)[:-1], ref)
+        # a 2-row band goes to LAPACK's ?ptsv, the same LDL^T factor and solve
+        assert np.array_equal(asm.riesz(g)[:-1], solveh_banded(gram, g[:-1]))
         ab = np.zeros((3, asm.M - 1))
         ab[:2] = _seeded_band(rng, asm.M - 1, 0.0)
-        shifted = ab[:2] + es.HESSIAN_SHIFT * gram
-        ref = cho_solve_banded((cholesky_banded(shifted, lower=False), False), g[:-1])
+        ref = solveh_banded(ab[:2] + es.HESSIAN_SHIFT * gram, g[:-1])
         got = asm.shifted_solve(ab, g)
         assert np.array_equal(got[:-1], ref) and got[-1] == 0.0
 

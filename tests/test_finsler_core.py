@@ -183,10 +183,10 @@ def test_polar_near_the_boundary_at_a_close_to_one():
     alpha = 1.5 * e[3]
     closed = polar_F_star(params, p, alpha)
     assert closed == pytest.approx(1.50007500375582e-06, rel=1e-15, abs=0.0)
-    assert polar_F_star_oracle(params, p, alpha) <= closed * (1.0 + 1e-9)
+    assert polar_F_star_oracle(params, p, alpha) <= closed * (1.0 + 1e-14)
     grad = legendre_gradient(params, p, alpha)
     assert float(alpha @ grad) == pytest.approx(closed * closed, rel=1e-12, abs=0.0)
-    assert randers_F(params, p, grad) == pytest.approx(closed, rel=1e-9, abs=0.0)
+    assert randers_F(params, p, grad) == pytest.approx(closed, rel=1e-14, abs=0.0)
 
 
 def test_polar_matches_general_randers_formula(rng):
@@ -217,16 +217,16 @@ def test_polar_oracle_trivial_cases():
     [
         (0.0, 0.0, "parallel", "0x1.8000000000000p+0", "0x1.0000000000000p+0"),
         (0.0, 0.0, "perpendicular", "0x1.8000000000000p-1", "0x1.0000000000000p+0"),
-        (0.0, 0.999999, "parallel", "0x1.92a729dfa0001p-19", "0x1.0000000000000p+0"),
-        (0.0, 0.999999, "perpendicular", "0x1.160bae71d905bp-10", "0x1.0000000000000p+0"),
+        (0.0, 0.999999, "parallel", "0x1.92a729df8cdf2p-19", "0x1.0000000000000p+0"),
+        (0.0, 0.999999, "perpendicular", "0x1.160bae71d26afp-10", "0x1.0000000000000p+0"),
         (0.9999, 0.0, "parallel", "0x1.8000000000000p+0", "0x1.0000000000000p+0"),
         (0.9999, 0.0, "perpendicular", "0x1.8000000000000p-1", "0x1.0000000000000p+0"),
-        (0.9999, 0.999999, "parallel", "0x1.92ac5e8c04692p-20", "0x1.3563ffcc9c7afp+14"),
-        (0.9999, 0.999999, "perpendicular", "0x1.31aee765966e8p-4", "0x1.3563ffcc9c7afp+14"),
+        (0.9999, 0.999999, "parallel", "0x1.92ac5e8bf147fp-20", "0x1.3563ffcc9c7afp+14"),
+        (0.9999, 0.999999, "perpendicular", "0x1.31aee7658fb1fp-4", "0x1.3563ffcc9c7afp+14"),
         (1.0, 0.0, "parallel", "0x1.8000000000000p+0", "0x1.0000000000000p+0"),
         (1.0, 0.0, "perpendicular", "0x1.8000000000000p-1", "0x1.0000000000000p+0"),
-        (1.0, 0.999999, "parallel", "0x1.92a7371153210p-20", "0x1.e847efffc3b1ep+20"),
-        (1.0, 0.999999, "perpendicular", "0x1.80000000369f3p-1", "0x1.e847efffc3b1ep+20"),
+        (1.0, 0.999999, "parallel", "0x1.92a7371140000p-20", "0x1.e847efffc3b1ep+20"),
+        (1.0, 0.999999, "perpendicular", "0x1.800000003d8e9p-1", "0x1.e847efffc3b1ep+20"),
     ],
 )
 def test_oracles_bit_identical(a, r, kind, polar_hex, rev_hex):

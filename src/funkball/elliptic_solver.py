@@ -37,8 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from .finsler_core import GeometryError, _golden_max, _one_minus_ar
 from .quadrature import QuadratureConfig, _sample_radial, radial_integral, sphere_area
@@ -491,12 +490,13 @@ def _finite(x):
     return x
 
 
-def _band_factor(ab):
-    """LDL^T factor ``(d, e)`` of the symmetric tridiagonal matrix in the
-    upper-form band ``ab`` (diagonal ``ab[1]``, off-diagonal ``ab[0, 1:]``),
-    from LAPACK's dpttrf: ValueError on a non-finite band, LinAlgError when a
-    pivot is not positive (the matrix is not positive definite)."""
-    d, e, info = dpttrf(_finite(ab)[1], ab[0, 1:])
+def _band_factor(band):
+    """LDL^T factor ``(d, e)`` of the symmetric tridiagonal matrix with the
+    pair ``band = (diagonal, off-diagonal)``, from LAPACK's dpttrf:
+    ValueError on a non-finite band, LinAlgError when a pivot is not positive
+    (the matrix is not positive definite)."""
+    diag, off = band
+    d, e, info = dpttrf(_finite(diag), _finite(off))
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
     return d, e
@@ -537,8 +537,9 @@ class _Assembly:
 
     Only the source terms (``g_int``, the ``g`` part of ``grad``, the ``dg``
     part of ``hessian_banded``) are evaluated per point, and only on the
-    rows ``[:nk]``, where ``nk`` is one past the last row with a nonzero
-    weight: beyond it every source term is an exact zero.  Each element's
+    rows ``[:nk]``, where ``nk``, the row count of the kept source weights
+    (``_source_weights``), is one past the last row with a nonzero weight:
+    beyond it every source term is an exact zero.  Each element's
     source terms are reduced by row sums onto its two nodes.  ``g_int`` is
     ``_potential(_live_points(u))``; since the point values are linear in u,
     a family t v (tent heights, the ray barrier, the subquadraticity table)
@@ -567,10 +568,13 @@ class _Assembly:
     0.82 MB at M = 6400.  The Klein weights, the Klein dual factor and the
     slope moment tables are built on first use.
 
+    A tridiagonal matrix on the free DOFs (``hessian_banded``,
+    ``gram_banded``) is the pair ``(diagonal, off-diagonal)`` of lengths
+    M-1 and M-2, the arrays LAPACK's tridiagonal routines read.
     ``_residual(g)`` returns the dual norm of a gradient with the Riesz
     vector K^{-1} g behind it, so an iterate's residual takes one
     tridiagonal solve with the cached LDL^T factor of K (dpttrf/dpttrs).
-    The Gram band is kept beside that factor, so ``shifted_solve`` forms and
+    The Gram pair is kept beside that factor, so ``shifted_solve`` forms and
     factors H + HESSIAN_SHIFT K by LDL^T for a descent direction without
     reassembling K; where that matrix is not positive definite the descent
     falls back to the Riesz vector.
@@ -601,7 +605,6 @@ class _Assembly:
         self.w_fins = self._base(W) * (down * up / one_m) ** (0.5 * (self._n + 1))
 
         self._kappa = self._kappa_w = None
-        self.nk = M
         self._gram = None
         self._starts = ()
         self._kept = [None, None, None, None, None]  # bits of u, (du, A_sigma), weight, P, start
@@ -708,14 +711,14 @@ class _Assembly:
         return kept[1]
 
     def _source_weights(self, kappa):
-        """Finsler weights times the weight at the points of rows ``[:nk]``;
-        sets ``self.nk``."""
+        """Finsler weights times the weight at the points of the rows
+        ``[:nk]``, one past the last row with a nonzero weight."""
         # keyed by identity, not id(): a freed weight's id can be reused
         if self._kappa is not kappa:
             vals = kappa.kappa(self.R)
             live = np.flatnonzero(np.any(vals != 0.0, axis=1))
-            self.nk = int(live[-1]) + 1 if live.size else 0
-            self._kappa, self._kappa_w = kappa, self.w_fins[: self.nk] * vals[: self.nk]
+            nk = int(live[-1]) + 1 if live.size else 0
+            self._kappa, self._kappa_w = kappa, self.w_fins[:nk] * vals[:nk]
         return self._kappa_w
 
     @staticmethod
@@ -735,10 +738,10 @@ class _Assembly:
     def _live_points(self, u, kappa):
         """Values of u at the points of the rows ``[:nk]`` of ``kappa``,
         read-only."""
-        self._source_weights(kappa)
+        nk = self._source_weights(kappa).shape[0]
         kept = self._state(u)
         if kept[2] is not kappa:
-            kept[2], kept[3] = kappa, _read_only(self.at_points(u, self.nk))
+            kept[2], kept[3] = kappa, _read_only(self.at_points(u, nk))
         return kept[3]
 
     def _potential(self, points, kappa, nl):
@@ -779,15 +782,14 @@ class _Assembly:
         """Row sums of the source w kappa g(u) against the right and the left
         hat function on the rows ``[:nk]``, read-only."""
         src = self._source_weights(kappa) * nl.g(self._live_points(u, kappa))
-        k = self.nk
+        k = src.shape[0]
         return _read_only(_row_dot(src, self.NR[:k])), _read_only(_row_dot(src, self.NL[:k]))
 
     def _tridiag(self, stiff, mass):
         """Free-DOF matrix of sum_e stiff_e s_i s_j plus sum(mass * N_i N_j)
         over the points of the first ``len(mass)`` elements, where the hat
         slopes s are +-1 per element length (so ``stiff`` carries inv_h^2),
-        in solve_banded (1, 1) layout; its first two rows are the upper form
-        whose diagonal and off-diagonal the LDL^T factor reads."""
+        as its ``(diagonal, off-diagonal)`` pair."""
         k = mass.shape[0]
         NL, NR = self.NL[:k], self.NR[:k]
         mL = mass * NL
@@ -795,16 +797,13 @@ class _Assembly:
         right[:k] += _row_dot(mass * NR, NR)
         left[:k] += _row_dot(mL, NL)
         coupling[:k] += _row_dot(mL, NR)
-        diag = self._to_nodes(right, left)
         nf = self.M - 1
-        ab = np.zeros((3, nf))
-        ab[0, 1:] = coupling[1:nf]  # coupling[e]: nodes (e-1, e)
-        ab[1] = diag[:nf]
-        ab[2, : nf - 1] = coupling[1:nf]
-        return ab
+        # coupling[e] joins the nodes e-1 and e
+        return self._to_nodes(right, left)[:nf], coupling[1:nf]
 
     def hessian_banded(self, u, lam, kappa, nl):
-        """Tridiagonal Hessian on the free DOFs, in solve_banded layout."""
+        """Tridiagonal Hessian on the free DOFs, as its ``(diagonal,
+        off-diagonal)`` pair."""
         stiff = self._slope_state(u)[1] * self.inv_h**2
         mass = self._source_weights(kappa) * nl.dg(self._live_points(u, kappa))
         mass *= -lam
@@ -813,37 +812,32 @@ class _Assembly:
     # -- H^1_2 Gram matrix and dual residual norm ---------------------------
 
     def gram_banded(self):
-        """Tridiagonal H^1_2 Gram matrix (Klein gradient + Klein mass), in
-        the upper layout that ``_band_factor`` factors by LDL^T."""
+        """Tridiagonal H^1_2 Gram matrix (Klein gradient + Klein mass), as
+        its ``(diagonal, off-diagonal)`` pair."""
         stiff = _row_dot(self.w_klein, self.klein_dual) * self.inv_h**2
-        return self._tridiag(stiff, self.w_klein)[:2]
+        return self._tridiag(stiff, self.w_klein)
 
     def _gram_factor(self):
-        """The Gram band and its LDL^T factor ``(d, e)``, built on first use."""
+        """The Gram pair and its LDL^T factor ``(d, e)``, built on first use."""
         if self._gram is None:
             gram = self.gram_banded()
             self._gram = gram, _band_factor(gram)
         return self._gram
 
-    def h12_norm_sq(self, u):
-        """``inner_K(u, u)``, with the slopes and point values of ``u``
-        evaluated once."""
-        du, P = self.slopes(u), self.at_points(u)
-        return float(np.vdot(self.w_klein, self.klein_dual * (du * du)[:, None] + P * P))
-
     def h12_norm(self, u):
-        return math.sqrt(max(self.h12_norm_sq(u), 0.0))
+        return math.sqrt(max(self.inner_K(u, u), 0.0))
 
     def riesz(self, g):
         """K^{-1} g on the free DOFs, zero-padded back to full length."""
         sol = _band_solve(self._gram_factor()[1], g[:-1])
         return np.concatenate((sol, [0.0]))
 
-    def shifted_solve(self, ab, g):
-        """(H + HESSIAN_SHIFT K)^{-1} g on the free DOFs for the banded
-        Hessian ``ab``, zero-padded back to full length; raises LinAlgError
-        when H + HESSIAN_SHIFT K is not positive definite."""
-        shifted = ab[:2] + HESSIAN_SHIFT * self._gram_factor()[0]
+    def shifted_solve(self, band, g):
+        """(H + HESSIAN_SHIFT K)^{-1} g on the free DOFs for the Hessian pair
+        ``band = (diagonal, off-diagonal)``, zero-padded back to full length;
+        raises LinAlgError when H + HESSIAN_SHIFT K is not positive
+        definite."""
+        shifted = [h + HESSIAN_SHIFT * k for h, k in zip(band, self._gram_factor()[0])]
         sol = _band_solve(_band_factor(shifted), g[:-1])
         return np.concatenate((sol, [0.0]))
 
@@ -852,15 +846,12 @@ class _Assembly:
         Kg = self.riesz(g)
         return math.sqrt(max(float(g[:-1] @ Kg[:-1]), 0.0)), Kg
 
-    def dual_norm(self, g):
-        """Residual norm sqrt(g^T K^{-1} g) of a gradient vector."""
-        return self._residual(g)[0]
-
     def inner_K(self, v, w):
-        """H^1_2 inner product of two nodal vectors."""
-        duvw = (self.slopes(v) * self.slopes(w))[:, None]
-        vp, wp = self.at_points(v), self.at_points(w)
-        return float(np.vdot(self.w_klein, self.klein_dual * duvw + vp * wp))
+        """H^1_2 inner product of two nodal vectors; ``inner_K(v, v)``
+        evaluates the slopes and point values of ``v`` once."""
+        dv, vp = self.slopes(v), self.at_points(v)
+        dw, wp = (dv, vp) if w is v else (self.slopes(w), self.at_points(w))
+        return float(np.vdot(self.w_klein, self.klein_dual * (dv * dw)[:, None] + vp * wp))
 
 
 def _assembly_for(u, params, cfg):
@@ -1114,20 +1105,19 @@ def _newton_refine(asm, u, lam, kappa, nl, cfg, g, res):
     for _ in range(NEWTON_ITERS):
         if res < cfg.tol:
             break
-        ab = asm.hessian_banded(u, lam, kappa, nl)
+        diag, off = map(_finite, asm.hessian_banded(u, lam, kappa, nl))
+        rhs = _finite(-g[:-1])
         accepted = False
         for _ in range(10):
-            abd = ab.copy()
-            abd[1] += mu
-            try:
-                step = solve_banded((1, 1), abd, -g[:-1])
-            except np.linalg.LinAlgError:
+            # LAPACK's LU with partial pivoting: the Hessian may be indefinite
+            *_, step, info = dgtsv(off, diag + mu, off, rhs)
+            if info > 0:  # a zero pivot: the damped Hessian is singular
                 mu = max(10.0 * mu, 1e-8)
                 continue
             trial = u.copy()
             trial[:-1] += step
             g_trial = asm.grad(trial, lam, kappa, nl)
-            new_res = asm.dual_norm(g_trial)
+            new_res = asm._residual(g_trial)[0]
             if new_res < res or new_res < cfg.tol:
                 u, res, g = trial, new_res, g_trial
                 mu /= 3.0
@@ -1445,8 +1435,10 @@ def solve(lam, params, kappa=None, nl=None, cfg=None):
 
     The lambda-independent tent search, its assembly and Gram factor, the
     starts and their source terms are kept for the last problem (see
-    ``_tilde_search``), so repeated solves of one problem set them up once;
-    problem data are treated as immutable.
+    ``_tilde_search``), so repeated solves of one problem set them up once:
+    a solve runs one descent from each start the kept assembly holds, whose
+    potential and source row sums the first solve of the problem fills.
+    Problem data are treated as immutable.
     """
     _check_lambda(lam)
     params.require_a_below_one("the variational solver")
@@ -1455,13 +1447,6 @@ def solve(lam, params, kappa=None, nl=None, cfg=None):
     cfg = cfg or SolverConfig()
     lam_star = nonexistence_threshold(params, nl, kappa)
     lam_tilde, _, asm = _tilde_search(params, kappa, nl, cfg)
-    return _solve_at(lam, params, kappa, nl, cfg, lam_star, lam_tilde, asm)
-
-
-def _solve_at(lam, params, kappa, nl, cfg, lam_star, lam_tilde, asm):
-    """The per-lambda part of :func:`solve`, given the tent search's lam_tilde
-    and its assembly: one descent from each start the assembly keeps, whose
-    potential and source row sums the first solve of the problem fills."""
     failures = []
     best = None
     iters_of_best = 0
@@ -1543,11 +1528,12 @@ def lambda_scan(lambdas, params, kappa=None, nl=None, cfg=None):
     """Run :func:`solve` over a schedule; per-lambda failures are recorded
     in the report instead of aborting the scan.
 
-    The tent search behind lambda~ does not depend on lambda, so it runs
-    once per scan; when it fails, every lambda reports its error.  With
-    ``lambdas=None`` the schedule is (lambda*/2, 10 lambda~), one point on
-    each side of the two-solution onset; then a failed search or a lambda~
-    that is not finite raises :class:`SolverError`.
+    The tent search behind lambda~ does not depend on lambda: the scan runs
+    it for lambda~ and its memo serves it to every solve.  A failed search
+    is not memoized, so each lambda runs it again and reports its error.
+    With ``lambdas=None`` the schedule is (lambda*/2, 10 lambda~), one point
+    on each side of the two-solution onset; then a failed search or a
+    lambda~ that is not finite raises :class:`SolverError`.
     """
     params.require_a_below_one("the lambda scan")
     kappa = kappa or WeightKappa.default()
@@ -1555,10 +1541,9 @@ def lambda_scan(lambdas, params, kappa=None, nl=None, cfg=None):
     cfg = cfg or SolverConfig()
     lam_star = nonexistence_threshold(params, nl, kappa)
     try:
-        search = _tilde_search(params, kappa, nl, cfg)
-        lam_tilde = search[0]
-    except SolverError as exc:
-        search, lam_tilde = exc, math.inf
+        lam_tilde = _tilde_search(params, kappa, nl, cfg)[0]
+    except SolverError:
+        lam_tilde = math.inf
     if lambdas is None:
         if not math.isfinite(lam_tilde):
             raise SolverError("no finite onset estimate for the default schedule")
@@ -1567,10 +1552,7 @@ def lambda_scan(lambdas, params, kappa=None, nl=None, cfg=None):
     reports = []
     for lam in lambdas:
         try:
-            _check_lambda(lam)
-            if isinstance(search, SolverError):
-                raise search
-            rep = _solve_at(lam, params, kappa, nl, cfg, lam_star, lam_tilde, search[2])
+            rep = solve(lam, params, kappa, nl, cfg)
         except Exception as exc:  # per-lambda isolation is the contract
             rep = SolveReport(
                 lam=lam,
@@ -1608,7 +1590,7 @@ def subquadraticity_diagnostic(u_dir, params, kappa=None, nl=None, t_schedule=No
         raise ValueError("t_schedule must hold positive finite values")
     asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
     v = _mesh_vector(u_dir, asm, "the direction profile")
-    base = asm.h12_norm_sq(v)
+    base = asm.inner_K(v, v)
     if base <= 0.0:
         raise ValueError("the direction profile must be nonzero")
     P = asm._live_points(v, kappa)

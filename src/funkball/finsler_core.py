@@ -202,17 +202,7 @@ def klein_cometric(p, alpha):
 def randers_F(params, p, y):
     """Norm F_a(x, y) of a tangent vector."""
     p = _point(p)
-    return _randers_F(params, p, _vec(y, p.n, "tangent vector"))
-
-
-def _randers_F(params, p, y):
-    """:func:`randers_F` on a :class:`BallPoint` and a finite float array of
-    its dimension, unchecked; the oracles' refinement calls it on the
-    directions it builds itself."""
-    one_s = _one_minus_s(p)
-    xy = float(p.x @ y)
-    root = math.sqrt(max(float(y @ y) * one_s + xy * xy, 0.0))
-    return max((root + params.a * xy) / one_s, 0.0)
+    return _randers_F_pair(params, p, _vec(y, p.n, "tangent vector"))[0]
 
 
 def _randers_F_rows(params, p, Y):
@@ -233,9 +223,11 @@ def _randers_F_rows(params, p, Y):
 
 
 def _randers_F_pair(params, p, y):
-    """F_a(x, y) and F_a(x, -y) from one x.y and one |y|^2, unchecked: the
-    scalar twin of :func:`_randers_F_rows`, bit for bit the two
-    :func:`_randers_F` calls on y and -y."""
+    """F_a(x, y) and F_a(x, -y) from one x.y and one |y|^2 on a
+    :class:`BallPoint` and a finite float array of its dimension, unchecked:
+    the scalar twin of :func:`_randers_F_rows`.  :func:`randers_F` and the
+    oracles' refinement, which builds its own directions, read its first
+    entry."""
     one_s = _one_minus_s(p)
     xy = float(p.x @ y)
     root = math.sqrt(max(float(y @ y) * one_s + xy * xy, 0.0))
@@ -552,7 +544,7 @@ def polar_F_star_oracle(params, p, alpha, samples=10000, seed=0):
     e1, e2 = _orthonormal_pair(p.x, alpha)
 
     def ratio(y):
-        f = _randers_F(params, p, y)
+        f = _randers_F_pair(params, p, y)[0]
         return float(alpha @ y) / f if f > 0.0 else -math.inf
 
     def ratio_rows(Y):

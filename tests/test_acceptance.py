@@ -202,7 +202,7 @@ def test_below_threshold_only_zero():
                 init *= float(rng.uniform(0.1, 5.0))
                 init[-1] = 0.0
                 u, J, res = minimize(frac * lam_star, params, kappa, nl, cfg, init)
-                norm = math.sqrt(asm.h12_norm_sq(u.values))
+                norm = asm.h12_norm(u.values)
                 worst = max(worst, norm)
                 if not (res < cfg.tol and norm < 1e-6):
                     fails += 1

@@ -303,22 +303,16 @@ def test_diag_tables(capsys, tmp_path):
     assert len(grad) == 6
 
 
-def test_scan_default_schedule_runs_one_tent_search(capsys, tmp_path, monkeypatch):
+def test_scan_default_schedule_runs_one_tent_search(capsys, tmp_path):
+    # lambda~ and every solve of the scan read the search's memo: one miss
     from funkball import elliptic_solver as es
 
-    calls = []
-    search = es._tilde_search
-
-    def counting(*args):
-        calls.append(args)
-        return search(*args)
-
-    monkeypatch.setattr(es, "_tilde_search", counting)
+    es._tilde_search.cache_clear()
     cfg = tmp_path / "fast.cfg"
     cfg.write_text(FAST_CFG)
     code, out, _ = run(capsys, "scan", "--config", str(cfg))
     assert code == 0
-    assert len(calls) == 1
+    assert es._tilde_search.cache_info().misses == 1
     lam_star = float(value_of(out, "lambda_star"))
     lam_tilde = float(value_of(out, "lambda_tilde_est"))
     lams = [

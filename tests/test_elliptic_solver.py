@@ -684,7 +684,7 @@ def test_minimize_below_threshold_collapses(rng):
         init[-1] = 0.0
         u, J, res = minimize(0.5 * lam_star, params, kappa, nl, FAST, init)
         assert res < FAST.tol
-        assert math.sqrt(asm.h12_norm_sq(u.values)) < 1e-6
+        assert asm.h12_norm(u.values) < 1e-6
 
 
 def test_minimize_negative_energy_above_onset():
@@ -719,7 +719,7 @@ def test_mountain_pass_saddle_above_zero():
     assert res2 < FAST.tol
     assert np.min(u2.values) >= -1e-10
     diff = u1.values - u2.values
-    assert math.sqrt(asm.h12_norm_sq(diff)) > 1e-4
+    assert asm.h12_norm(diff) > 1e-4
 
 
 def test_mountain_pass_energy_calls_capped(monkeypatch):
@@ -983,17 +983,12 @@ def test_lambda_scan_classifications():
     assert list(high.classifications()) == ["two", "two"]
 
 
-def test_lambda_scan_runs_tilde_search_once(monkeypatch):
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return _tilde_search(*args)
-
-    monkeypatch.setattr(es, "_tilde_search", counting)
+def test_lambda_scan_runs_tilde_search_once():
+    # lambda~ and every solve of the scan read the search's memo: one miss
+    _tilde_search.cache_clear()
     report = lambda_scan([0.0, 1.0, 2.0], ModelParams(n=3, a=0.5), cfg=FAST)
     assert len(report.reports) == 3
-    assert len(calls) == 1
+    assert _tilde_search.cache_info().misses == 1
 
 
 def test_lambda_scan_matches_cold_solves_across_the_onset():
@@ -1261,10 +1256,10 @@ def test_subquadraticity_rejects_direction_off_mesh(extra):
 
 # --- assembly kernels ------------------------------------------------------
 
-def _dense(ab):
-    """Symmetric dense matrix from solve_banded (1, 1) or upper layout."""
-    off = ab[0, 1:]
-    return np.diag(ab[1]) + np.diag(off, 1) + np.diag(off, -1)
+def _dense(band):
+    """Symmetric dense matrix of a ``(diagonal, off-diagonal)`` pair."""
+    diag, off = band
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def test_hessian_banded_matches_gradient_differences():
@@ -1275,10 +1270,10 @@ def test_hessian_banded_matches_gradient_differences():
     x = asm.nodes / asm.nodes[-1]
     u = 2.0 * (1.0 - x) ** 2 + (1.0 - x)  # strictly decreasing: no slope sign change
     lam = 1e4
-    ab = asm.hessian_banded(u, lam, kappa, nl)
-    assert np.array_equal(ab[2, :-1], ab[0, 1:])
-    H = _dense(ab)
+    diag, off = asm.hessian_banded(u, lam, kappa, nl)
     nf = asm.M - 1
+    assert diag.shape == (nf,) and off.shape == (nf - 1,)
+    H = _dense((diag, off))
     fd = np.empty((nf, nf))
     h = 1e-6
     for j in range(nf):
@@ -1300,9 +1295,9 @@ def test_gram_banded_matches_inner_product():
     nf = asm.M - 1
     basis = np.eye(asm.M)[:nf]
     K = np.array([[asm.inner_K(ei, ej) for ej in basis] for ei in basis])
-    gram = asm.gram_banded()
-    assert gram.shape == (2, nf)
-    np.testing.assert_allclose(_dense(gram), K, rtol=1e-12, atol=1e-14 * np.max(np.abs(K)))
+    diag, off = asm.gram_banded()
+    assert diag.shape == (nf,) and off.shape == (nf - 1,)
+    np.testing.assert_allclose(_dense((diag, off)), K, rtol=1e-12, atol=1e-14 * np.max(np.abs(K)))
 
 
 # pointwise oracle: the slope terms evaluated at every quadrature point, as
@@ -1411,12 +1406,18 @@ def _full_weights(asm, kappa):
     return asm.w_fins * kappa.kappa(asm.R)
 
 
+def _live_rows(asm, kappa):
+    """The live row count nk: the row count of the kept source weights."""
+    return asm._source_weights(kappa).shape[0]
+
+
 def _full_g_int(asm, u, kappa, nl):
     kw, Gv = _full_weights(asm, kappa), nl.G(_full_points(asm, u))
     # the rows the kernel skips add exact zeros; the dot product itself is
     # taken over the live rows, as BLAS may round a zero-padded one otherwise
-    assert not (kw[asm.nk :] * Gv[asm.nk :]).any()
-    return float(np.vdot(kw[: asm.nk], Gv[: asm.nk]))
+    nk = _live_rows(asm, kappa)
+    assert not (kw[nk:] * Gv[nk:]).any()
+    return float(np.vdot(kw[:nk], Gv[:nk]))
 
 
 def _full_grad(asm, u, lam, kappa, nl):
@@ -1458,9 +1459,9 @@ def _assert_source_kernels_match_full_arrays(asm, kappa, rng):
                 np.testing.assert_array_equal(
                     asm.grad(u, lam, kappa, nl), _full_grad(asm, u, lam, kappa, nl)
                 )
-                np.testing.assert_array_equal(
-                    asm.hessian_banded(u, lam, kappa, nl), _full_hessian(asm, u, lam, kappa, nl)
-                )
+                got = asm.hessian_banded(u, lam, kappa, nl)
+                for part, ref in zip(got, _full_hessian(asm, u, lam, kappa, nl)):
+                    np.testing.assert_array_equal(part, ref)
 
 
 @pytest.mark.parametrize(
@@ -1477,9 +1478,9 @@ def test_source_kernels_match_full_arrays(rng, kappa, live_rows_ok):
     # output must equal the same computation on the full arrays bit for bit
     asm = _Assembly(ModelParams(n=3, a=0.5), solver_nodes(FAST), quad_order=FAST.quad_order)
     _assert_source_kernels_match_full_arrays(asm, kappa, rng)
-    vals = kappa.kappa(asm.R)
-    assert vals[asm.nk - 1].any() and not vals[asm.nk :].any()
-    assert live_rows_ok(asm.nk, asm.M)
+    vals, nk = kappa.kappa(asm.R), _live_rows(asm, kappa)
+    assert vals[nk - 1].any() and not vals[nk:].any()
+    assert live_rows_ok(nk, asm.M)
 
 
 def test_switching_weights_recomputes_the_live_rows(rng):
@@ -1487,7 +1488,7 @@ def test_switching_weights_recomputes_the_live_rows(rng):
     seen = []
     for kappa in (EXP_WEIGHT, NARROW_BUMP, WeightKappa.default(0.5), EXP_WEIGHT):
         _assert_source_kernels_match_full_arrays(asm, kappa, rng)
-        seen.append(asm.nk)
+        seen.append(_live_rows(asm, kappa))
     assert seen[0] == seen[3] == asm.M and seen[1] < seen[2] < asm.M
 
 
@@ -1497,7 +1498,7 @@ def _kernel_bits(asm, u, kappa, nl, lam=2e5):
         np.float64(asm.energy(u)).tobytes(),
         np.float64(asm.g_int(u, kappa, nl)).tobytes(),
         asm.grad(u, lam, kappa, nl).tobytes(),
-        asm.hessian_banded(u, lam, kappa, nl).tobytes(),
+        *(part.tobytes() for part in asm.hessian_banded(u, lam, kappa, nl)),
     ]
 
 
@@ -1647,12 +1648,21 @@ def test_the_rough_rule_builds_no_klein_or_slope_tables(monkeypatch):
 
 
 def _seeded_band(rng, m, shift):
-    """Upper-form tridiagonal band with diagonal 2 + shift and off-diagonal
-    entries in (-1, 1)."""
-    ab = np.zeros((2, m))
-    ab[0, 1:] = rng.uniform(-1.0, 1.0, m - 1)
-    ab[1] = 2.0 + shift + 0.1 * rng.random(m)
-    return ab
+    """Tridiagonal ``(diagonal, off-diagonal)`` pair with diagonal 2 + shift
+    and off-diagonal entries in (-1, 1)."""
+    return 2.0 + shift + 0.1 * rng.random(m), rng.uniform(-1.0, 1.0, m - 1)
+
+
+def _upper(band):
+    """The 2-row upper form of a symmetric pair, as solveh_banded reads it."""
+    diag, off = band
+    return np.vstack((np.concatenate(([0.0], off)), diag))
+
+
+def _general(band):
+    """The 3-row (1, 1) form of a symmetric pair, as solve_banded reads it."""
+    diag, off = band
+    return np.vstack((np.concatenate(([0.0], off)), diag, np.concatenate((off, [0.0]))))
 
 
 def test_banded_solves_match_the_scipy_wrappers_bit_for_bit(rng):
@@ -1661,34 +1671,32 @@ def test_banded_solves_match_the_scipy_wrappers_bit_for_bit(rng):
 
     asm = _Assembly(ModelParams(n=3, a=0.5), solver_nodes(FAST), quad_order=FAST.quad_order)
     gram = asm.gram_banded()
-    d, e, info = dpttrf(gram[1], gram[0, 1:])
+    d, e, info = dpttrf(*gram)
     kept = asm._gram_factor()[1]
     assert info == 0 and np.array_equal(kept[0], d) and np.array_equal(kept[1], e)
     for _ in range(5):
         g = rng.standard_normal(asm.M)
         g[-1] = 0.0
         # a 2-row band goes to LAPACK's ?ptsv, the same LDL^T factor and solve
-        assert np.array_equal(asm.riesz(g)[:-1], solveh_banded(gram, g[:-1]))
-        ab = np.zeros((3, asm.M - 1))
-        ab[:2] = _seeded_band(rng, asm.M - 1, 0.0)
-        ref = solveh_banded(ab[:2] + es.HESSIAN_SHIFT * gram, g[:-1])
-        got = asm.shifted_solve(ab, g)
+        assert np.array_equal(asm.riesz(g)[:-1], solveh_banded(_upper(gram), g[:-1]))
+        band = _seeded_band(rng, asm.M - 1, 0.0)
+        ref = solveh_banded(_upper(band) + es.HESSIAN_SHIFT * _upper(gram), g[:-1])
+        got = asm.shifted_solve(band, g)
         assert np.array_equal(got[:-1], ref) and got[-1] == 0.0
 
 
 def test_shifted_solve_raises_like_the_scipy_wrappers(rng):
     asm = _Assembly(ModelParams(n=3, a=0.5), solver_nodes(FAST), quad_order=FAST.quad_order)
     g = rng.standard_normal(asm.M)
-    ab = np.zeros((3, asm.M - 1))
-    ab[:2] = _seeded_band(rng, asm.M - 1, 0.0)
-    indefinite = ab.copy()
-    indefinite[1, 40] = -5.0
+    diag, off = _seeded_band(rng, asm.M - 1, 0.0)
+    indefinite = diag.copy()
+    indefinite[40] = -5.0
     with pytest.raises(np.linalg.LinAlgError):
-        asm.shifted_solve(indefinite, g)
+        asm.shifted_solve((indefinite, off), g)
     for bad_band in (True, False):
-        band, rhs = ab.copy(), g.copy()
+        band, rhs = (diag, off.copy()), g.copy()
         if bad_band:
-            band[0, 7] = np.nan
+            band[1][7] = np.nan
         else:
             rhs[7] = np.nan
         with pytest.raises(ValueError):
@@ -1697,12 +1705,66 @@ def test_shifted_solve_raises_like_the_scipy_wrappers(rng):
         asm.riesz(np.full(asm.M, np.inf))
 
 
-def test_h12_norm_sq_is_inner_K_bit_for_bit(rng):
+class _PolishProbe:
+    """Stands in for the assembly in ``_newton_refine``: serves the Hessian
+    pair ``band``, records each trial vector and accepts the first one."""
+
+    def __init__(self, band):
+        self.band, self.trials = band, []
+
+    def hessian_banded(self, u, lam, kappa, nl):
+        return self.band
+
+    def grad(self, u, lam, kappa, nl):
+        self.trials.append(u)
+        return u
+
+    def _residual(self, g):
+        return 0.0, None
+
+
+def test_newton_polish_solves_like_solve_banded_bit_for_bit(rng):
+    # the polish's LU solve (LAPACK's dgtsv) is the one scipy's solve_banded
+    # makes for a (1, 1) band, with its input checks: the same bits, damping
+    # where solve_banded raises LinAlgError and ValueError where it does
+    from scipy.linalg import solve_banded
+
+    m = 120
+    u = np.zeros(m + 1)
+
+    def polish(band, g):
+        probe = _PolishProbe(band)
+        es._newton_refine(probe, u, 1.0, None, None, FAST, g, 1.0)
+        return probe.trials
+
+    for _ in range(20):
+        band = _seeded_band(rng, m, rng.uniform(-4.0, 0.0))  # mostly indefinite
+        g = np.append(rng.standard_normal(m), 0.0)
+        (trial,) = polish(band, g)
+        assert np.array_equal(trial[:-1], solve_banded((1, 1), _general(band), -g[:-1]))
+    # a zero first row and column: singular until the damping mu = 1e-8
+    diag, off = _seeded_band(rng, m, 0.0)
+    diag[0] = off[0] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_banded((1, 1), _general((diag, off)), -g[:-1])
+    (trial,) = polish((diag, off), g)
+    assert np.array_equal(trial[:-1], solve_banded((1, 1), _general((diag + 1e-8, off)), -g[:-1]))
+    for where in range(3):
+        band, rhs = [diag.copy(), off.copy()], g.copy()
+        (band[0], band[1], rhs)[where][5] = np.nan
+        with pytest.raises(ValueError):
+            solve_banded((1, 1), _general(band), -rhs[:-1])
+        with pytest.raises(ValueError):
+            polish(band, rhs)
+
+
+def test_inner_K_of_a_vector_with_itself_bit_for_bit(rng):
     asm = _Assembly(ModelParams(n=3, a=0.5), solver_nodes(FAST), quad_order=FAST.quad_order)
     for scale in (1e-3, 1.0, 1e4):
         u = scale * rng.standard_normal(asm.M)
         u[-1] = 0.0
-        assert asm.h12_norm_sq(u) == asm.inner_K(u, u)
+        assert asm.inner_K(u, u) == asm.inner_K(u, u.copy())
+        assert asm.h12_norm(u) == math.sqrt(asm.inner_K(u, u.copy()))
 
 
 def test_scalar_valued_weight_is_sampled_per_point():

@@ -26,12 +26,21 @@ from funkball import (
 )
 from funkball.finsler_core import (
     _NORMALS,
-    _randers_F,
+    _one_minus_s,
     _randers_F_pair,
     _randers_F_rows,
     _sphere_sample,
 )
 from conftest import random_ball_point
+
+
+def scalar_randers_F(params, p, y):
+    """F_a(x, y) on a BallPoint and a float array, the scalar formula
+    max((sqrt(|y|^2 (1-s) + (x.y)^2) + a x.y) / (1-s), 0) with s = |x|^2."""
+    one_s = _one_minus_s(p)
+    xy = float(p.x @ y)
+    root = math.sqrt(max(float(y @ y) * one_s + xy * xy, 0.0))
+    return max((root + params.a * xy) / one_s, 0.0)
 
 
 def general_randers_polar(params, p, alpha):
@@ -311,7 +320,7 @@ def test_unchecked_randers_kernels(rng, a):
     for _ in range(20):
         p = BallPoint(random_ball_point(rng, 6, r_cap=0.999))
         y = rng.standard_normal(6)
-        assert _randers_F(params, p, y) == randers_F(params, p, y)
+        assert scalar_randers_F(params, p, y) == randers_F(params, p, y)
     Y = rng.standard_normal((50, 6))
     fwd, bwd = _randers_F_rows(params, p, Y)
     neg_fwd, neg_bwd = _randers_F_rows(params, p, -Y)
@@ -322,17 +331,21 @@ def test_unchecked_randers_kernels(rng, a):
 
 @pytest.mark.parametrize("a", [0.0, 0.5, 0.9999, 1.0])
 def test_randers_F_pair_is_two_unchecked_calls(rng, a):
-    # the reversibility refinement's kernel, one x.y for F(y) and F(-y), so
-    # its ratio is _randers_F(y) / _randers_F(-y) bit for bit
+    # the kernel of randers_F and of the oracles' refinement, one x.y for
+    # F(y) and F(-y): bit for bit the scalar formula on y and on -y
     params = ModelParams(n=6, a=a)
     for r_cap in (0.999999, 0.999, 0.5):
         for _ in range(50):
             p = BallPoint(random_ball_point(rng, 6, r_cap=r_cap))
             y = rng.standard_normal(6)
-            assert _randers_F_pair(params, p, y) == (_randers_F(params, p, y), _randers_F(params, p, -y))
+            assert _randers_F_pair(params, p, y) == (
+                scalar_randers_F(params, p, y), scalar_randers_F(params, p, -y)
+            )
     p = BallPoint(0.999999 * np.eye(6)[2])
     y = rng.standard_normal(6)
-    assert _randers_F_pair(params, p, y) == (_randers_F(params, p, y), _randers_F(params, p, -y))
+    assert _randers_F_pair(params, p, y) == (
+        scalar_randers_F(params, p, y), scalar_randers_F(params, p, -y)
+    )
 
 
 def test_randers_F_still_validates():

@@ -34,7 +34,7 @@ direction.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
@@ -275,7 +275,7 @@ def _fd_derivative(g):
 def compute_cg(nl):
     """Maximum of g(s)/s over 1e-8 <= s <= 1e8 by dense log scan plus
     golden refinement."""
-    g = nl.g if isinstance(nl, Nonlinearity) else _as_scalar_fn(nl)
+    g = nl.g
     s = np.geomspace(1e-8, 1e8, 4096)
     with np.errstate(over="ignore", invalid="ignore"):
         ratio = g(s) / s
@@ -419,6 +419,10 @@ class WeightKappa:
 # Discretization
 # ---------------------------------------------------------------------------
 
+#: Gauss-Legendre points per element of the solver's assembly.
+QUAD_ORDER = 8
+#: Last node r_M of the solver mesh, where the profile is pinned to 0.
+R_MAX = 1.0 - 1e-6
 #: Damped Newton steps per refinement.
 NEWTON_ITERS = 80
 #: Path-relaxation sweeps per mountain-pass search.
@@ -432,12 +436,14 @@ HESSIAN_SHIFT = 1e-6
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Mesh, quadrature and iteration knobs for the variational solver.
+    """Mesh and iteration knobs for the variational solver.
 
-    The Newton step cap, the mountain pass's sweep budget and path size,
-    and the descent direction's Hessian shift are the module constants
-    :data:`NEWTON_ITERS`, :data:`MAX_SWEEPS`, :data:`PATH_NODES` and
-    :data:`HESSIAN_SHIFT`.
+    The quadrature order, the mesh's last node, the Newton step cap, the
+    mountain pass's sweep budget and path size, and the descent direction's
+    Hessian shift are the module constants :data:`QUAD_ORDER`,
+    :data:`R_MAX`, :data:`NEWTON_ITERS`, :data:`MAX_SWEEPS`,
+    :data:`PATH_NODES` and :data:`HESSIAN_SHIFT`; ``quad_order`` reads the
+    first as a class attribute.
 
     ``max_iter`` caps each start's descent steps.  A start cut off by it
     keeps its residual, which is at or above ``tol``, so it counts as a
@@ -445,19 +451,14 @@ class SolverConfig:
     """
 
     M: int = 400
-    r_max: float = 1.0 - 1e-6
-    quad_order: int = 8
     tol: float = 1e-8
     max_iter: int = 400
     seed: int = 0
+    quad_order: ClassVar[int] = QUAD_ORDER
 
     def __post_init__(self):
         if self.M < 16:
             raise ValueError("need at least 16 radial elements")
-        if not 0.0 < self.r_max < 1.0:
-            raise ValueError("r_max must lie in (0, 1)")
-        if self.quad_order < 2:
-            raise ValueError("quadrature order must be at least 2")
         if self.tol <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.max_iter < 1:
@@ -467,11 +468,11 @@ class SolverConfig:
 
 
 def solver_nodes(cfg=None):
-    """Radial mesh r_1 < ... < r_M = r_max, cosine-clustered at both ends."""
+    """Radial mesh r_1 < ... < r_M = R_MAX, cosine-clustered at both ends."""
     if cfg is None:
         cfg = SolverConfig()
     t = np.linspace(0.0, 1.0, cfg.M + 1)[1:]
-    return cfg.r_max * 0.5 * (1.0 - np.cos(math.pi * t))
+    return R_MAX * 0.5 * (1.0 - np.cos(math.pi * t))
 
 
 def _row_dot(x, y):
@@ -580,7 +581,7 @@ class _Assembly:
     falls back to the Riesz vector.
     """
 
-    def __init__(self, params, nodes, quad_order=8):
+    def __init__(self, params, nodes, quad_order=QUAD_ORDER):
         params.require_a_below_one("discrete energy assembly")
         self.nodes = np.asarray(nodes, dtype=float)
         M = self.nodes.size
@@ -854,10 +855,10 @@ class _Assembly:
         return float(np.vdot(self.w_klein, self.klein_dual * (dv * dw)[:, None] + vp * wp))
 
 
-def _assembly_for(u, params, cfg):
+def _assembly_for(u, params):
     if not isinstance(u, RadialFunction) or not u.is_grid:
         raise TypeError("a grid-backed radial profile is required here")
-    return _Assembly(params, u.nodes, quad_order=(cfg or SolverConfig()).quad_order)
+    return _Assembly(params, u.nodes)
 
 
 def _mesh_vector(u, asm, what):
@@ -887,7 +888,7 @@ def _quad_cfg(r_max):
 # Public functionals
 # ---------------------------------------------------------------------------
 
-def energy_E(u, params, cfg=None):
+def energy_E(u, params):
     """Energy int F_a*^2(x, Du) dV_Fa of a radial profile, for a < 1.
 
     Grid-backed profiles are assembled element-exactly; closed-form
@@ -895,8 +896,7 @@ def energy_E(u, params, cfg=None):
     """
     params.require_a_below_one("the energy functional")
     if isinstance(u, RadialFunction) and u.is_grid:
-        asm = _assembly_for(u, params, cfg)
-        return asm.energy(u.values)
+        return _assembly_for(u, params).energy(u.values)
     return radial_integral(
         lambda r: np.asarray(radial_fstar(params, r, u.du(r))) ** 2,
         params,
@@ -905,12 +905,11 @@ def energy_E(u, params, cfg=None):
     )
 
 
-def g_functional(u, params, kappa, nl, cfg=None):
+def g_functional(u, params, kappa, nl):
     """Weighted potential int kappa G(u) dV_Fa."""
     params.require_a_below_one("the potential functional")
     if isinstance(u, RadialFunction) and u.is_grid:
-        asm = _assembly_for(u, params, cfg)
-        return asm.g_int(u.values, kappa, nl)
+        return _assembly_for(u, params).g_int(u.values, kappa, nl)
     return radial_integral(
         lambda r: kappa.kappa(r) * nl.G(u.u(r)),
         params,
@@ -919,20 +918,21 @@ def g_functional(u, params, kappa, nl, cfg=None):
     )
 
 
-def j_lambda(u, lam, params, kappa, nl, cfg=None):
+def j_lambda(u, lam, params, kappa, nl):
     """J_lambda(u) = (1/2) E(u) - lambda G(u)."""
-    return 0.5 * energy_E(u, params, cfg) - lam * g_functional(u, params, kappa, nl, cfg)
+    _check_lambda(lam)
+    return 0.5 * energy_E(u, params) - lam * g_functional(u, params, kappa, nl)
 
 
-def discrete_gradient(u, lam, params, kappa, nl, cfg=None):
+def discrete_gradient(u, lam, params, kappa, nl):
     """Exact gradient of the discrete J_lambda in the nodal values.
 
     Shaped like the profile's value vector, last entry pinned to 0.
     Matches central finite differences of :func:`j_lambda` to roundoff
     away from slope sign changes and to first order across them.
     """
-    asm = _assembly_for(u, params, cfg)
-    return asm.grad(u.values, lam, kappa, nl)
+    _check_lambda(lam)
+    return _assembly_for(u, params).grad(u.values, lam, kappa, nl)
 
 
 def nonexistence_threshold(params, nl, kappa):
@@ -961,11 +961,6 @@ def _ratio(E, G):
     return E / (2.0 * G) if G > 0.0 else math.inf
 
 
-def _onset_ratio(asm, v, kappa, nl):
-    """The onset ratio E/(2G) of a nodal vector."""
-    return _ratio(asm.energy(v), asm.g_int(v, kappa, nl))
-
-
 def _best_trial(ratios):
     """Smallest of the onset ratios and the index of the first one attaining
     it; raises when none is finite (no trial has positive potential)."""
@@ -983,14 +978,14 @@ def _best_trial(ratios):
 
 @functools.lru_cache(maxsize=1)
 def _tilde_search(params, kappa, nl, cfg):
-    """Best tent-profile bound on the onset ratio E/(2G); also returns the
-    minimizing trial vector (read-only) and its assembly.
+    """Best tent-profile bound on the onset ratio E/(2G), and the assembly
+    that keeps the descent starts of the minimizing tent.
 
     A tent of height h scores h^2 E_b / (2 G(h P)) from its width's unit
     tent's energy E_b and point values P.  Two rules score the potential.
     A 2-point Gauss rule per element scores each width's 25 heights and
     picks the first height j of least rough ratio.  The full-order rule
-    (``cfg.quad_order`` points) then rescores heights j-1, j, j+1, which
+    (:data:`QUAD_ORDER` points) then rescores heights j-1, j, j+1, which
     guards against a rough ratio that ranks two neighbouring heights the
     wrong way round; a width without a finite rough ratio is rescored at
     every height.  The first full-order minimum in (width, height) order
@@ -1009,7 +1004,7 @@ def _tilde_search(params, kappa, nl, cfg):
     holds about 4.3 MB at M = 6400: 3.1 MB of quadrature data and weights,
     0.36 MB of state of the last vector it evaluated and 0.82 MB of starts.
     """
-    asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
+    asm = _Assembly(params, solver_nodes(cfg))
     rough = _Assembly(params, asm.nodes, quad_order=2)
     widths, heights = np.linspace(0.15, 0.8, 10), np.geomspace(1e-2, 1e2, 25)
 
@@ -1048,9 +1043,9 @@ def _tilde_search(params, kappa, nl, cfg):
     log_h, neg_rat, _ = _golden_max(
         neg_ratio, math.log(h0 / 3.0), math.log(h0 * 3.0), tol=1e-10, max_iter=60
     )
-    trial = _read_only(_tent_vector(asm.nodes, math.exp(log_h), w0))
+    trial = _tent_vector(asm.nodes, math.exp(log_h), w0)
     asm.keep_starts(_descent_starts(trial, cfg.seed))
-    return min(-neg_rat, best), trial, asm
+    return min(-neg_rat, best), asm
 
 
 def _descent_starts(trial, seed):
@@ -1066,29 +1061,21 @@ def _descent_starts(trial, seed):
     return starts
 
 
-def tilde_lambda_estimate(params, kappa, nl, trials=None, cfg=None):
+def tilde_lambda_estimate(params, kappa, nl, cfg=None):
     """Upper bound on the onset value inf E/(2G) over profiles with G > 0.
 
-    With no explicit trials, scans tent profiles over 10 widths and 25
-    heights and refines the best height by golden section; each width is
-    assembled once, and its heights are scored through E(h v) = h^2 E(v)
-    and the point values h P of the unit tent.  A 2-point rule scores the
-    grid and picks each width's best height; the full-order rule rescores
-    that height and its two neighbours, picks the winning cell from those
-    scores and refines it (see ``_tilde_search``).  Explicit trials
-    are grid-backed profiles or nodal vectors on the solver mesh, or
-    closed-form profiles, which are sampled at its nodes; each is scored
-    with its boundary value pinned to 0.  Being a trial-family minimum, the
-    result is an upper bound on the true onset; the empirical onset of the
+    Scans tent profiles over 10 widths and 25 heights and refines the best
+    height by golden section; each width is assembled once, and its heights
+    are scored through E(h v) = h^2 E(v) and the point values h P of the
+    unit tent.  A 2-point rule scores the grid and picks each width's best
+    height; the full-order rule rescores that height and its two
+    neighbours, picks the winning cell from those scores and refines it
+    (see ``_tilde_search``).  Being a trial-family minimum, the result is
+    an upper bound on the true onset; the empirical onset of the
     two-solution regime is reported by scans, not claimed equal to this
     number.
     """
-    cfg = cfg or SolverConfig()
-    if trials is None:
-        return _tilde_search(params, kappa, nl, cfg)[0]
-    asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
-    vectors = (_mesh_vector(t, asm, "trial profiles") for t in trials)
-    return _best_trial(_onset_ratio(asm, v, kappa, nl) for v in vectors)[0]
+    return _tilde_search(params, kappa, nl, cfg or SolverConfig())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1200,7 +1187,7 @@ def minimize(lam, params, kappa, nl, cfg=None, init=None):
     _check_lambda(lam)
     params.require_a_below_one("the variational solver")
     cfg = cfg or SolverConfig()
-    asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
+    asm = _Assembly(params, solver_nodes(cfg))
     init_vec = np.zeros(asm.M) if init is None else _mesh_vector(init, asm, "init")
     u, J, res, _ = _minimize_vec(asm, lam, kappa, nl, cfg, init_vec)
     return RadialFunction.from_values(asm.nodes, u), J, res
@@ -1254,7 +1241,7 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None, *, asm=None):
     params.require_a_below_one("the mountain-pass search")
     cfg = cfg or SolverConfig()
     if asm is None:
-        asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
+        asm = _Assembly(params, solver_nodes(cfg))
     target = _mesh_vector(u_target, asm, "u_target")
     J_target = asm.j_lambda(target, lam, kappa, nl)
     if not J_target < 0.0:
@@ -1446,7 +1433,7 @@ def solve(lam, params, kappa=None, nl=None, cfg=None):
     nl = nl or Nonlinearity.default()
     cfg = cfg or SolverConfig()
     lam_star = nonexistence_threshold(params, nl, kappa)
-    lam_tilde, _, asm = _tilde_search(params, kappa, nl, cfg)
+    lam_tilde, asm = _tilde_search(params, kappa, nl, cfg)
     failures = []
     best = None
     iters_of_best = 0
@@ -1520,7 +1507,7 @@ def solve(lam, params, kappa=None, nl=None, cfg=None):
         solutions=tuple(solutions),
         failures=tuple(failures),
         mesh_size=cfg.M,
-        r_max=cfg.r_max,
+        r_max=R_MAX,
     )
 
 
@@ -1561,7 +1548,7 @@ def lambda_scan(lambdas, params, kappa=None, nl=None, cfg=None):
                 lambda_tilde_est=lam_tilde,
                 failures=(str(exc),),
                 mesh_size=cfg.M,
-                r_max=cfg.r_max,
+                r_max=R_MAX,
             )
         reports.append(rep)
     return LambdaScanReport(
@@ -1588,7 +1575,7 @@ def subquadraticity_diagnostic(u_dir, params, kappa=None, nl=None, t_schedule=No
     t_schedule = np.asarray(t_schedule, dtype=float)
     if not np.all((t_schedule > 0.0) & (t_schedule < math.inf)):
         raise ValueError("t_schedule must hold positive finite values")
-    asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
+    asm = _Assembly(params, solver_nodes(cfg))
     v = _mesh_vector(u_dir, asm, "the direction profile")
     base = asm.inner_K(v, v)
     if base <= 0.0:

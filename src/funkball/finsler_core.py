@@ -23,10 +23,8 @@ import numpy as np
 
 __all__ = [
     "BallPoint",
-    "CoVec",
     "GeometryError",
     "ModelParams",
-    "TanVec",
     "beta_norm",
     "funk_distance",
     "klein_cometric",
@@ -53,10 +51,6 @@ CIRCLE_ANGLES = 512
 CIRCLE_TOL = 1e-10
 #: Step of the central differences in :func:`legendre_gradient_fd`.
 FD_STEP = 1e-6
-
-#: Tangent vectors and covectors are plain coordinate arrays.
-TanVec = np.ndarray
-CoVec = np.ndarray
 
 
 class GeometryError(ValueError):

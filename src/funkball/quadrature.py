@@ -47,15 +47,20 @@ def _gamma_half(twice_x):
 
     Only integer and half-integer arguments occur in ball volumes, so a
     factorial formula covers everything and keeps the core free of
-    special-function imports.
+    special-function imports.  Gamma(m + 1/2) is sqrt(pi) times the exact
+    integer (2m)!/m! divided by 4^m, a correctly rounded quotient; a Gamma
+    beyond the float range raises ValueError.
     """
     k = int(twice_x)
     if k != twice_x or k <= 0:
         raise ValueError(f"argument must be a positive multiple of 1/2, got {twice_x / 2}")
-    if k % 2 == 0:
-        return float(math.factorial(k // 2 - 1))
-    m = (k - 1) // 2
-    return math.factorial(2 * m) / (4.0**m * math.factorial(m)) * math.sqrt(math.pi)
+    m = k // 2
+    try:
+        if k % 2 == 0:
+            return float(math.factorial(m - 1))
+        return math.factorial(2 * m) // math.factorial(m) / 4**m * math.sqrt(math.pi)
+    except OverflowError:
+        raise ValueError(f"Gamma({k / 2}) exceeds the float range") from None
 
 
 def unit_ball_volume(n):

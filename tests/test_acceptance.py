@@ -164,7 +164,7 @@ def test_gradient_against_finite_differences():
             vals[-1] = 0.0
             u = RadialFunction.from_values(nodes, vals)
             lam = float(rng.uniform(0.5, 5.0))
-            g = discrete_gradient(u, lam, params, kappa, nl, cfg)
+            g = discrete_gradient(u, lam, params, kappa, nl)
             h = 1e-6
             fd = np.zeros(nodes.size - 1)
             for i in range(nodes.size - 1):
@@ -172,8 +172,8 @@ def test_gradient_against_finite_differences():
                 vp[i] += h
                 vm[i] -= h
                 fd[i] = (
-                    j_lambda(RadialFunction.from_values(nodes, vp), lam, params, kappa, nl, cfg)
-                    - j_lambda(RadialFunction.from_values(nodes, vm), lam, params, kappa, nl, cfg)
+                    j_lambda(RadialFunction.from_values(nodes, vp), lam, params, kappa, nl)
+                    - j_lambda(RadialFunction.from_values(nodes, vm), lam, params, kappa, nl)
                 ) / (2.0 * h)
             scale = float(np.max(np.abs(g[:-1])))
             worst = max(worst, float(np.max(np.abs(g[:-1] - fd))) / scale)

@@ -90,6 +90,12 @@ def test_counterexample_single_radius_rejected(capsys):
     assert code == 2
 
 
+def test_counterexample_beyond_the_float_range_exits_2(capsys):
+    code, out, err = run(capsys, "counterexample", "--n", "400")
+    assert (code, out) == (2, "")
+    assert err == "error: Gamma(201.0) exceeds the float range\n"
+
+
 def test_solve_lambda_zero(capsys, tmp_path):
     cfg = tmp_path / "fast.cfg"
     cfg.write_text(FAST_CFG)
@@ -303,6 +309,26 @@ def test_diag_tables(capsys, tmp_path):
     assert len(grad) == 6
 
 
+def test_diag_fails_a_nan_gradient_check(capsys, tmp_path, monkeypatch):
+    # max(0.0, nan) is 0.0: a NaN state error must not read as a pass
+    from funkball import elliptic_solver as es
+
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(FAST_CFG)
+    gradient, calls = es.discrete_gradient, []
+
+    def nan_at_the_third_state(*args):
+        calls.append(None)
+        g = gradient(*args)
+        return g * math.nan if len(calls) == 3 else g
+
+    monkeypatch.setattr(es, "discrete_gradient", nan_at_the_third_state)
+    code, out, err = run(capsys, "diag", "--config", str(cfg))
+    assert code == 1
+    assert "gradient check: worst relative error nan over 5 states" in out
+    assert err == "error: gradient check exceeded its tolerance\n"
+
+
 def test_scan_default_schedule_runs_one_tent_search(capsys, tmp_path):
     # lambda~ and every solve of the scan read the search's memo: one miss
     from funkball import elliptic_solver as es
@@ -340,8 +366,6 @@ quad.r_max = 0.99999899999999997
 run.verify = 0
 solver.m = 400
 solver.max_iter = 400
-solver.quad_order = 8
-solver.r_max = 0.99999899999999997
 solver.seed = 0
 solver.tol = 1e-08
 """
@@ -367,6 +391,8 @@ def test_resolved_cfg_of_default_run(capsys, tmp_path):
         ("solver.seed = -1", "seed must be non-negative"),
         ("solver.max_iter = 0", "max_iter must be at least 1"),
         ("solver.max_sweeps = 0", "unknown key 'solver.max_sweeps'"),
+        ("solver.quad_order = 8", "unknown key 'solver.quad_order'"),
+        ("solver.r_max = 0.5", "unknown key 'solver.r_max'"),
     ],
 )
 def test_every_subcommand_validates_the_whole_config(capsys, tmp_path, line, message):
@@ -385,7 +411,7 @@ def test_every_subcommand_validates_the_whole_config(capsys, tmp_path, line, mes
         (("metric", "--a", "1.5", "--reversibility"), "", "interpolation parameter must lie in"),
         (("metric", "--reversibility"), "solver.tol = 0", "tolerances must be positive"),
         (("metric", "--reversibility"), "quad.r_max = 1", "r_max must lie in (0, 1), got 1.0"),
-        (("metric", "--reversibility"), "solver.r_max = 1.5", "r_max must lie in (0, 1)"),
+        (("diag", "--lambda", "-5"), "", "lambda must be finite and non-negative"),
         (("norms", "--r-max", "1"), "", "r_max must lie in (0, 1), got 1.0"),
         (("counterexample", "--r-schedule", "0.9"), "", "need at least two truncation radii"),
         (("counterexample", "--r-schedule", "0.5,1.2"), "", "truncation radii must lie in (0, 1)"),
@@ -394,6 +420,8 @@ def test_every_subcommand_validates_the_whole_config(capsys, tmp_path, line, mes
         (("metric", "--a", "1", "--x", "0,0,0", "--x2", "2,0,0"), "", "not strictly inside"),
         (("solve", "--lambda", "nan"), "", "lambda must be finite and non-negative"),
         (("solve", "--lambda", "inf"), "", "lambda must be finite and non-negative"),
+        (("diag", "--lambda", "nan"), "", "lambda must be finite and non-negative"),
+        (("diag", "--lambda", "inf"), "", "lambda must be finite and non-negative"),
     ],
 )
 def test_checks_left_to_the_owning_class_exit_2(capsys, tmp_path, argv, cfg_line, message):

@@ -48,6 +48,13 @@ def tent_values(nodes, height=1.0, width=0.4):
     return v
 
 
+def _best_tent(params, kappa, nl, cfg):
+    """lambda~, the refined tent behind it (the third kept start, 1 * tent)
+    and the kept assembly."""
+    lam_tilde, asm = _tilde_search(params, kappa, nl, cfg)
+    return lam_tilde, asm.starts()[2], asm
+
+
 # --- radial closed form ----------------------------------------------------
 
 def test_radial_fstar_klein_case(rng):
@@ -100,7 +107,7 @@ def test_one_minus_ar_forms_match_exact_values(a):
     # 1 - (a r)^2 by subtracting the rounded square is 2e3 eps off at
     # a = 0.9999, r = r_max
     eps = np.finfo(float).eps
-    r_max = SolverConfig().r_max
+    r_max = es.R_MAX
     A = Fraction(a)
     for r in (r_max, float(np.nextafter(r_max, 0.0)), 1.0 - 1e-5, 1.0 - 3e-4, 0.99):
         R = Fraction(r)
@@ -153,33 +160,33 @@ def test_zero_profile_functionals():
     params = ModelParams(n=3, a=0.5)
     nodes = solver_nodes(FAST)
     u = RadialFunction.from_values(nodes, np.zeros_like(nodes))
-    assert energy_E(u, params, FAST) == 0.0
-    assert g_functional(u, params, WeightKappa.default(), Nonlinearity.default(), FAST) == 0.0
-    assert j_lambda(u, 2.0, params, WeightKappa.default(), Nonlinearity.default(), FAST) == 0.0
+    assert energy_E(u, params) == 0.0
+    assert g_functional(u, params, WeightKappa.default(), Nonlinearity.default()) == 0.0
+    assert j_lambda(u, 2.0, params, WeightKappa.default(), Nonlinearity.default()) == 0.0
 
 
 def test_energy_rejects_funk_endpoint():
     nodes = solver_nodes(FAST)
     u = RadialFunction.from_values(nodes, tent_values(nodes))
     with pytest.raises(GeometryError):
-        energy_E(u, ModelParams(n=2, a=1.0), FAST)
+        energy_E(u, ModelParams(n=2, a=1.0))
 
 
 def test_energy_scaling_quadratic(rng):
     params = ModelParams(n=3, a=0.5)
     nodes = solver_nodes(FAST)
     u = RadialFunction.from_values(nodes, tent_values(nodes))
-    E = energy_E(u, params, FAST)
+    E = energy_E(u, params)
     for t in (0.5, 2.0, 7.0):
-        np.testing.assert_allclose(energy_E(u.scale(t), params, FAST), t * t * E, rtol=1e-12)
+        np.testing.assert_allclose(energy_E(u.scale(t), params), t * t * E, rtol=1e-12)
 
 
 def test_energy_negation_bounded_by_reversibility():
     params = ModelParams(n=3, a=0.5)
     nodes = solver_nodes(FAST)
     u = RadialFunction.from_values(nodes, tent_values(nodes))
-    E = energy_E(u, params, FAST)
-    En = energy_E(-u, params, FAST)
+    E = energy_E(u, params)
+    En = energy_E(-u, params)
     assert abs(En - E) > 1e-3 * E  # genuinely asymmetric
     rev2 = ((1.0 + params.a) / (1.0 - params.a)) ** 2
     assert En <= rev2 * E * (1.0 + 1e-12)
@@ -233,7 +240,7 @@ def test_grid_and_callable_energy_agree():
     )
     # P1 interpolation of the tent is exact away from the kink node
     np.testing.assert_allclose(
-        energy_E(grid_u, params, SolverConfig(M=800)), energy_E(smooth_u, params), rtol=1e-3
+        energy_E(grid_u, params), energy_E(smooth_u, params), rtol=1e-3
     )
 
 
@@ -243,7 +250,7 @@ def test_gradient_zero_at_zero_profile():
     params = ModelParams(n=3, a=0.5)
     nodes = solver_nodes(FAST)
     u = RadialFunction.from_values(nodes, np.zeros_like(nodes))
-    g = discrete_gradient(u, 5.0, params, WeightKappa.default(), Nonlinearity.default(), FAST)
+    g = discrete_gradient(u, 5.0, params, WeightKappa.default(), Nonlinearity.default())
     assert np.all(g == 0.0)
 
 
@@ -258,7 +265,7 @@ def test_gradient_matches_finite_differences(rng):
         vals = rng.standard_normal(nodes.size) * np.maximum(0.0, 1.0 - nodes)
         vals[-1] = 0.0
         u = RadialFunction.from_values(nodes, vals)
-        g = discrete_gradient(u, lam, params, kappa, nl, cfg)
+        g = discrete_gradient(u, lam, params, kappa, nl)
         h = 1e-6
         fd = np.zeros(nodes.size - 1)
         for i in range(nodes.size - 1):
@@ -266,8 +273,8 @@ def test_gradient_matches_finite_differences(rng):
             vp[i] += h
             vm[i] -= h
             fd[i] = (
-                j_lambda(RadialFunction.from_values(nodes, vp), lam, params, kappa, nl, cfg)
-                - j_lambda(RadialFunction.from_values(nodes, vm), lam, params, kappa, nl, cfg)
+                j_lambda(RadialFunction.from_values(nodes, vp), lam, params, kappa, nl)
+                - j_lambda(RadialFunction.from_values(nodes, vm), lam, params, kappa, nl)
             ) / (2.0 * h)
         scale = np.max(np.abs(g[:-1])) or 1.0
         np.testing.assert_allclose(g[:-1], fd, atol=1e-5 * scale)
@@ -282,7 +289,7 @@ def test_gradient_klein_case_against_independent_assembly(rng):
     params = ModelParams(n=n, a=0.0)
     kappa = WeightKappa.default()
     nl = Nonlinearity.default()
-    cfg = SolverConfig(M=60, quad_order=8)
+    cfg = SolverConfig(M=60)
     nodes = solver_nodes(cfg)
     vals = np.sin(2.0 * nodes) * (1.0 - nodes)
     vals[-1] = 0.0
@@ -316,7 +323,7 @@ def test_gradient_klein_case_against_independent_assembly(rng):
     grad[-1] = 0.0
 
     u = RadialFunction.from_values(nodes, vals)
-    got = discrete_gradient(u, lam, params, kappa, nl, cfg)
+    got = discrete_gradient(u, lam, params, kappa, nl)
     np.testing.assert_allclose(got, grad, atol=1e-10 * max(1.0, np.max(np.abs(grad))))
 
 
@@ -453,8 +460,8 @@ def test_scalar_only_weight_is_sampled_per_entry():
     params, nl = ModelParams(n=3, a=0.5), Nonlinearity.default()
     u = RadialFunction.from_values(solver_nodes(FAST), tent_values(solver_nodes(FAST)))
     np.testing.assert_allclose(
-        g_functional(u, params, scalar, nl, FAST),
-        g_functional(u, params, vector, nl, FAST),
+        g_functional(u, params, scalar, nl),
+        g_functional(u, params, vector, nl),
         rtol=1e-14,
     )
 
@@ -509,7 +516,7 @@ def test_tilde_best_trial_has_positive_potential():
     params = ModelParams(n=3, a=0.5)
     kappa = WeightKappa.default()
     nl = Nonlinearity.default()
-    ratio, best_vec, asm = _tilde_search(params, kappa, nl, FAST)
+    ratio, best_vec, asm = _best_tent(params, kappa, nl, FAST)
     assert asm.g_int(best_vec, kappa, nl) > 0.0
     assert math.isfinite(ratio) and ratio > 0.0
 
@@ -559,13 +566,19 @@ def _scored_tilde_search(params, kappa, nl, cfg):
     """The tent search that scores every (height, width) tent by its own
     energy and potential: (lambda~, grid height, grid width)."""
     asm = _Assembly(params, solver_nodes(cfg), quad_order=cfg.quad_order)
+
+    def onset_ratio(h, w):
+        v = tent_values(asm.nodes, h, w)
+        E, G = asm.energy(v), asm.g_int(v, kappa, nl)
+        return E / (2.0 * G) if G > 0.0 else math.inf
+
     tents = [(h, w) for w in np.linspace(0.15, 0.8, 10) for h in np.geomspace(1e-2, 1e2, 25)]
-    ratios = [es._onset_ratio(asm, tent_values(asm.nodes, h, w), kappa, nl) for h, w in tents]
+    ratios = [onset_ratio(h, w) for h, w in tents]
     k = int(np.argmin(ratios))  # the first minimum
     h0, w0 = tents[k]
 
     def neg_ratio(log_h):
-        return -es._onset_ratio(asm, tent_values(asm.nodes, math.exp(log_h), w0), kappa, nl)
+        return -onset_ratio(math.exp(log_h), w0)
 
     _, neg_rat, _ = es._golden_max(
         neg_ratio, math.log(h0 / 3.0), math.log(h0 * 3.0), tol=1e-10, max_iter=60
@@ -601,7 +614,7 @@ def test_tilde_search_matches_per_tent_scoring(monkeypatch, n, a, weight, cfg):
         return golden(fn, lo, hi, **kwargs)
 
     monkeypatch.setattr(es, "_golden_max", recording)
-    lam_tilde, trial, asm = _tilde_search(params, kappa, nl, cfg)
+    lam_tilde, trial, asm = _best_tent(params, kappa, nl, cfg)
     # the bracket is centred on the grid height in log scale
     (lo, hi), = brackets
     np.testing.assert_allclose(math.exp(0.5 * (lo + hi)), h_ref, rtol=1e-12)
@@ -628,16 +641,20 @@ def test_tilde_search_rescores_every_height_the_rough_rule_cannot_see():
 
 
 def test_tilde_estimate_signals_incompatible_weight():
-    # weight supported where every solver-mesh trial stays flat at 0 height
+    # weight supported where every tent (widths up to 0.8) stays flat at 0
     params = ModelParams(n=3, a=0.5)
     nl = Nonlinearity.default()
-    nodes = solver_nodes(FAST)
-    trial = np.zeros(nodes.size)  # G(0) = 0 for every scaling
+
+    def outer_band(r):
+        r = np.asarray(r, dtype=float)
+        return ((0.85 < r) & (r < 0.95)).astype(float)
+
     with pytest.raises(SolverError):
-        tilde_lambda_estimate(params, WeightKappa.default(), nl, trials=[trial], cfg=FAST)
+        tilde_lambda_estimate(params, WeightKappa(kappa=outer_band), nl, cfg=FAST)
 
 
 def test_tilde_estimate_samples_closed_form_trial():
+    # a closed-form profile is sampled at the solver nodes
     params = ModelParams(n=3, a=0.5)
     kappa, nl = WeightKappa.default(), Nonlinearity.default()
     closed = RadialFunction.from_callables(
@@ -645,19 +662,20 @@ def test_tilde_estimate_samples_closed_form_trial():
         lambda r: np.where(np.asarray(r) < 0.4, -1.0 / 0.4, 0.0),
     )
     grid = tent_values(solver_nodes(FAST))
-    est = tilde_lambda_estimate(params, kappa, nl, trials=[closed], cfg=FAST)
-    assert est == tilde_lambda_estimate(params, kappa, nl, trials=[grid], cfg=FAST)
+    table = subquadraticity_diagnostic(closed, params, kappa, nl, cfg=FAST)
+    assert np.array_equal(table, subquadraticity_diagnostic(grid, params, kappa, nl, cfg=FAST))
 
 
 def test_tilde_estimate_pins_raw_trial():
+    # a raw vector of nodal values has its boundary entry pinned to 0
     params = ModelParams(n=3, a=0.5)
     kappa, nl = WeightKappa.default(), Nonlinearity.default()
     cfg = SolverConfig(M=64)
     pinned = tent_values(solver_nodes(cfg))
     unpinned = pinned.copy()
     unpinned[-1] = 1.0
-    est = tilde_lambda_estimate(params, kappa, nl, trials=[unpinned], cfg=cfg)
-    assert est == tilde_lambda_estimate(params, kappa, nl, trials=[pinned], cfg=cfg)
+    table = subquadraticity_diagnostic(unpinned, params, kappa, nl, cfg=cfg)
+    assert np.array_equal(table, subquadraticity_diagnostic(pinned, params, kappa, nl, cfg=cfg))
 
 
 # --- minimization and mountain pass ---------------------------------------
@@ -692,7 +710,7 @@ def test_minimize_negative_energy_above_onset():
     kappa = WeightKappa.default()
     nl = Nonlinearity.default()
     lam = 10.0 * tilde_lambda_estimate(params, kappa, nl, cfg=FAST)
-    ratio, best_vec, _ = _tilde_search(params, kappa, nl, FAST)
+    ratio, best_vec, _ = _best_tent(params, kappa, nl, FAST)
     u, J, res = minimize(lam, params, kappa, nl, FAST, best_vec)
     assert res < FAST.tol
     assert J < 0.0
@@ -711,7 +729,7 @@ def test_mountain_pass_saddle_above_zero():
     kappa = WeightKappa.default()
     nl = Nonlinearity.default()
     lam = 10.0 * tilde_lambda_estimate(params, kappa, nl, cfg=FAST)
-    ratio, best_vec, asm = _tilde_search(params, kappa, nl, FAST)
+    ratio, best_vec, asm = _best_tent(params, kappa, nl, FAST)
     u1, J1, res1 = minimize(lam, params, kappa, nl, FAST, best_vec)
     assert J1 < 0.0
     u2, J2, res2 = mountain_pass(lam, params, kappa, nl, u1, FAST)
@@ -731,7 +749,7 @@ def test_mountain_pass_energy_calls_capped(monkeypatch):
     params = ModelParams(n=3, a=0.5)
     kappa = WeightKappa.default()
     nl = Nonlinearity.default()
-    lam_tilde, best_vec, _ = _tilde_search(params, kappa, nl, FAST)
+    lam_tilde, best_vec, _ = _best_tent(params, kappa, nl, FAST)
     lam = 10.0 * lam_tilde
     u1, _, _ = minimize(lam, params, kappa, nl, FAST, best_vec)
     calls = []
@@ -753,7 +771,7 @@ def test_ray_barrier_matches_per_point_energies(multiple):
     params = ModelParams(n=3, a=0.5)
     kappa = WeightKappa.default()
     nl = Nonlinearity.default()
-    lam_tilde, best_vec, asm = _tilde_search(params, kappa, nl, FAST)
+    lam_tilde, best_vec, asm = _best_tent(params, kappa, nl, FAST)
     u1, _, _ = minimize(10.0 * lam_tilde, params, kappa, nl, FAST, best_vec)
     lam = multiple * lam_tilde
     target = (multiple / 10.0) ** 2 * u1.values  # amplitudes grow like lambda^2
@@ -1038,7 +1056,7 @@ def test_a_second_solve_reuses_the_source_terms_of_the_eight_starts():
         assert solve(0.5 * lam_star, params, kappa, nl, FAST).classification == "only-zero"
         counts.append(dict(calls))
     cold, second = counts
-    assert len(es._tilde_search(params, kappa, nl, FAST)[2].starts()) == 8
+    assert len(es._tilde_search(params, kappa, nl, FAST)[1].starts()) == 8
     assert second == {"G": cold["G"] - 8, "g": cold["g"] - 8}
 
 
@@ -1126,14 +1144,6 @@ def test_a_new_problem_misses_the_tent_search_cache():
     for k, args in enumerate(others, start=2):
         assert _tilde_search(*args) is not first
         assert _tilde_search.cache_info()[:2] == (1, k)
-
-
-def test_cached_tent_trial_is_read_only():
-    _, trial, _ = _tilde_search(
-        ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default(), FAST
-    )
-    with pytest.raises(ValueError):
-        trial[0] = 1.0
 
 
 @pytest.mark.parametrize("multiple", [10.0, 100.0])
@@ -1559,9 +1569,10 @@ def test_kept_state_is_read_only():
 
 def test_kept_starts_and_their_terms_are_read_only():
     params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
-    _, trial, asm = _tilde_search(params, kappa, nl, FAST)
+    asm = _tilde_search(params, kappa, nl, FAST)[1]
     starts = asm.starts()
-    assert np.array_equal(starts[2], trial)
+    for k, t in enumerate((0.25, 0.5, 1.0, 2.0, 4.0)):
+        assert np.array_equal(starts[k], t * starts[2])  # t * tent
     for v in starts:
         asm.g_int(v, kappa, nl)
         asm.grad(v, 1.0, kappa, nl)
@@ -1579,16 +1590,16 @@ def test_kept_start_terms_follow_the_weight_and_nonlinearity(other):
     # terms or the live row count kept for the first weight
     _tilde_search.cache_clear()
     params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
-    asm = _tilde_search(params, kappa, nl, FAST)[2]
+    asm = _tilde_search(params, kappa, nl, FAST)[1]
     fresh = _Assembly(params, asm.nodes, quad_order=FAST.quad_order)
     for v in asm.starts():
         _kernel_bits(asm, v, kappa, nl)
     if other == "equal-weight":
         kappa = copy.copy(kappa)
-        assert _tilde_search(params, kappa, nl, FAST)[2] is asm
+        assert _tilde_search(params, kappa, nl, FAST)[1] is asm
     elif other == "equal-nonlinearity":
         nl = copy.copy(nl)
-        assert _tilde_search(params, kappa, nl, FAST)[2] is asm
+        assert _tilde_search(params, kappa, nl, FAST)[1] is asm
     else:
         # another vector under the other weight moves the live row count,
         # which the first weight's kept terms must not read
@@ -1772,8 +1783,8 @@ def test_scalar_valued_weight_is_sampled_per_point():
     u = RadialFunction.from_values(solver_nodes(FAST), tent_values(solver_nodes(FAST)))
     constant = WeightKappa(kappa=lambda r: 1.0)
     ones = WeightKappa(kappa=lambda r: np.ones_like(np.asarray(r, dtype=float)))
-    got = g_functional(u, params, constant, nl, FAST)
-    assert got > 0.0 and got == g_functional(u, params, ones, nl, FAST)
+    got = g_functional(u, params, constant, nl)
+    assert got > 0.0 and got == g_functional(u, params, ones, nl)
 
 
 def test_grid_profile_on_another_mesh_is_sampled_at_the_nodes():
@@ -1782,8 +1793,8 @@ def test_grid_profile_on_another_mesh_is_sampled_at_the_nodes():
     r = np.linspace(0.01, 0.5, 120)  # same size as the FAST mesh, other nodes
     other = RadialFunction.from_values(r, np.maximum(1.0 - r / 0.4, 0.0))
     sampled = other.u(solver_nodes(FAST))
-    est = tilde_lambda_estimate(params, kappa, nl, trials=[other], cfg=FAST)
-    assert est == tilde_lambda_estimate(params, kappa, nl, trials=[sampled], cfg=FAST)
+    table = subquadraticity_diagnostic(other, params, kappa, nl, cfg=FAST)
+    assert np.array_equal(table, subquadraticity_diagnostic(sampled, params, kappa, nl, cfg=FAST))
     # a profile on the solver mesh itself keeps its values exactly
     asm = _Assembly(params, solver_nodes(FAST), quad_order=FAST.quad_order)
     own = RadialFunction.from_values(asm.nodes, tent_values(asm.nodes))

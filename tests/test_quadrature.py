@@ -24,6 +24,16 @@ def test_unit_ball_volume_known_values():
     np.testing.assert_allclose(unit_ball_volume(5), 8.0 * math.pi**2 / 15.0, rtol=1e-15)
 
 
+def test_unit_ball_volume_beyond_the_float_range_of_factorials():
+    # 172! overflows a float, but omega_171 ~ 1.2e-87 does not; against the
+    # recurrence omega_n = 2 pi / n omega_(n-2)
+    vol = unit_ball_volume(171)
+    assert 0.0 < vol < math.inf
+    np.testing.assert_allclose(vol, 2.0 * math.pi / 171.0 * unit_ball_volume(169), rtol=1e-14)
+    with pytest.raises(ValueError, match=r"Gamma\(201.0\) exceeds the float range"):
+        unit_ball_volume(400)
+
+
 def test_sphere_area_known_values():
     np.testing.assert_allclose(sphere_area(2), 2.0 * math.pi, rtol=1e-15)
     np.testing.assert_allclose(sphere_area(3), 4.0 * math.pi, rtol=1e-15)

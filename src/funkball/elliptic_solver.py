@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from .finsler_core import GeometryError, _golden_max, _one_minus_ar
 from .quadrature import QuadratureConfig, _sample_radial, radial_integral, sphere_area
@@ -491,13 +490,22 @@ def _finite(x):
     return x
 
 
+@functools.cache
+def _lapack():
+    """SciPy's LAPACK wrappers, imported on the first factorization so that
+    processes that never solve (the closed forms, the norm reports) do not
+    load ``scipy.linalg``."""
+    from scipy.linalg import lapack
+    return lapack
+
+
 def _band_factor(band):
     """LDL^T factor ``(d, e)`` of the symmetric tridiagonal matrix with the
-    pair ``band = (diagonal, off-diagonal)``, from LAPACK's dpttrf:
-    ValueError on a non-finite band, LinAlgError when a pivot is not positive
-    (the matrix is not positive definite)."""
+    pair ``band = (diagonal, off-diagonal)``, from LAPACK's dpttrf (loaded on
+    first use): ValueError on a non-finite band, LinAlgError when a pivot is
+    not positive (the matrix is not positive definite)."""
     diag, off = band
-    d, e, info = dpttrf(_finite(diag), _finite(off))
+    d, e, info = _lapack().dpttrf(_finite(diag), _finite(off))
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
     return d, e
@@ -506,7 +514,7 @@ def _band_factor(band):
 def _band_solve(factor, b):
     """Solution of A x = b from the LDL^T factor ``(d, e)`` of A, from LAPACK's
     dpttrs; ValueError on a non-finite right-hand side."""
-    return dpttrs(*factor, _finite(b))[0]
+    return _lapack().dpttrs(*factor, _finite(b))[0]
 
 
 class _Assembly:
@@ -574,7 +582,8 @@ class _Assembly:
     M-1 and M-2, the arrays LAPACK's tridiagonal routines read.
     ``_residual(g)`` returns the dual norm of a gradient with the Riesz
     vector K^{-1} g behind it, so an iterate's residual takes one
-    tridiagonal solve with the cached LDL^T factor of K (dpttrf/dpttrs).
+    tridiagonal solve with the cached LDL^T factor of K (dpttrf/dpttrs,
+    loaded on first use).
     The Gram pair is kept beside that factor, so ``shifted_solve`` forms and
     factors H + HESSIAN_SHIFT K by LDL^T for a descent direction without
     reassembling K; where that matrix is not positive definite the descent
@@ -1097,7 +1106,7 @@ def _newton_refine(asm, u, lam, kappa, nl, cfg, g, res):
         accepted = False
         for _ in range(10):
             # LAPACK's LU with partial pivoting: the Hessian may be indefinite
-            *_, step, info = dgtsv(off, diag + mu, off, rhs)
+            *_, step, info = _lapack().dgtsv(off, diag + mu, off, rhs)
             if info > 0:  # a zero pivot: the damped Hessian is singular
                 mu = max(10.0 * mu, 1e-8)
                 continue

@@ -29,9 +29,9 @@ from .finsler_core import (
 )
 from .quadrature import (
     MEASURES,
-    QuadratureConfig,
     RadialGrid,
     ball_integral_mc,
+    gauss_panels,
     measure_density,
     radial_grid,
     radial_integral,

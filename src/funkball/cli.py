@@ -10,11 +10,12 @@ subquadraticity and gradient-check tables.
 Configuration is a flat ``key = value`` text file with dotted keys
 (``params.a = 0.5``), overridden by command-line flags; every run that
 writes outputs also writes its fully resolved configuration next to them.
-The ``quad.*`` and ``solver.*`` keys are the fields of ``QuadratureConfig``
-and ``SolverConfig``, defaults included.  The problem is the default
-nonlinearity with the bump weight of radius ``problem.kappa_radius``.
+The ``solver.*`` keys are the fields of ``SolverConfig``, defaults
+included; ``quad.r_max`` is the truncation radius of ``norms`` (the config
+twin of ``--r-max``), by default ``quadrature.R_MAX``.  The problem is the
+default nonlinearity with the bump weight of radius ``problem.kappa_radius``.
 Every subcommand validates every key, each by the class that owns it; the
-CLI checks only what no class owns (key names and numbers).
+CLI checks what no class owns (key names, numbers and ``quad.r_max``).
 ``scan`` runs its schedule sequentially through ``lambda_scan``.
 Exit codes: 0 success, 1 certification failure (a failed start or an
 uncertified solution, at any lambda of a scan), 2 validation failure.
@@ -26,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,7 +35,7 @@ import numpy as np
 from . import elliptic_solver as es
 from . import finsler_core as fc
 from . import sobolev as sb
-from .quadrature import QuadratureConfig
+from .quadrature import R_MAX, _check_r_max
 
 __all__ = ["main"]
 
@@ -83,7 +84,7 @@ def _section_defaults(section, cls):
 CONFIG_DEFAULTS = {
     "params.n": 3,
     "params.a": 0.5,
-    **_section_defaults("quad", QuadratureConfig),
+    "quad.r_max": R_MAX,
     **_section_defaults("solver", es.SolverConfig),
     "problem.kappa_radius": 0.5,
     "run.verify": 0,
@@ -129,9 +130,9 @@ def resolve_config(args):
     """Merge defaults, config file and flags, and validate every key.
 
     Returns a namespace holding the resolved ``cfg`` dict and the objects
-    built from it: ``params``, ``quad``, ``solver``, ``nl`` and ``kappa``.
-    Each class checks its own fields, so every subcommand validates the
-    whole configuration, whichever parts it uses.
+    built from it: ``params``, ``solver``, ``nl`` and ``kappa``.  Each class
+    checks its own fields and the CLI checks ``quad.r_max``, so every
+    subcommand validates the whole configuration, whichever parts it uses.
     """
     cfg = dict(CONFIG_DEFAULTS)
     if getattr(args, "config", None):
@@ -146,11 +147,11 @@ def resolve_config(args):
         cfg["run.verify"] = 1
     cfg = {k: _coerce(k, v) for k, v in cfg.items()}
     params = fc.ModelParams(n=cfg["params.n"], a=cfg["params.a"])
-    quad = _section(cfg, "quad", QuadratureConfig)
+    _check_r_max(cfg["quad.r_max"])
     solver = _section(cfg, "solver", es.SolverConfig)
     nl = es.Nonlinearity.default()
     kappa = es.WeightKappa.default(radius=cfg["problem.kappa_radius"])
-    return SimpleNamespace(cfg=cfg, params=params, quad=quad, solver=solver, nl=nl, kappa=kappa)
+    return SimpleNamespace(cfg=cfg, params=params, solver=solver, nl=nl, kappa=kappa)
 
 
 def _ensure_outdir(args):
@@ -261,8 +262,8 @@ def cmd_norms(args):
         )
     else:
         raise CliValidationError(f"unknown profile {args.profile!r}")
-    quad = run.quad if args.r_max is None else replace(run.quad, r_max=args.r_max)
-    report = sb.w12a_norm(u, run.params, quad)
+    r_max = run.cfg["quad.r_max"] if args.r_max is None else _check_r_max(args.r_max)
+    report = sb.w12a_norm(u, run.params, r_max)
     for name in sb.NormReport.CSV_HEADER:
         print(f"{name} = {_fmt(getattr(report, name))}")
     outdir = _ensure_outdir(args)
@@ -285,7 +286,7 @@ def cmd_counterexample(args):
             schedule = [float(v) for v in args.r_schedule.split(",")]
         except ValueError:
             raise CliValidationError("--r-schedule expects comma-separated radii")
-    trend = sb.divergence_trend(run.params.n, schedule, run.quad)
+    trend = sb.divergence_trend(run.params.n, schedule)
     rows = [
         (R, c1, c2, trend["slope"])
         for R, c1, c2 in zip(trend["R"], trend["C1"], trend["C2"])

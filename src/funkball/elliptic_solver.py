@@ -39,7 +39,7 @@ from typing import Callable, ClassVar, Optional
 import numpy as np
 
 from .finsler_core import GeometryError, _golden_max, _one_minus_ar
-from .quadrature import QuadratureConfig, _sample_radial, radial_integral, sphere_area
+from .quadrature import _sample_radial, gauss_panels, radial_integral, sphere_area
 
 __all__ = [
     "Nonlinearity",
@@ -600,7 +600,9 @@ class _Assembly:
             raise ValueError("mesh must end strictly inside the unit interval")
         self.M = M
         self._n, self._a = params.n, params.a
-        lows, highs, R, W = self._element_rule(quad_order)
+        self._edges = np.concatenate(([0.0], self.nodes))
+        R, W = gauss_panels(self._edges, quad_order)
+        lows, highs = self._edges[:-1, None], self._edges[1:, None]
 
         # hat-function data: element 0 is the flat center piece
         h = highs - lows
@@ -619,15 +621,6 @@ class _Assembly:
         self._starts = ()
         self._kept = [None, None, None, None, None]  # bits of u, (du, A_sigma), weight, P, start
 
-    def _element_rule(self, quad_order):
-        """Element ends (as columns), Gauss points R and weights W, one row
-        per element."""
-        gx, gw = np.polynomial.legendre.leggauss(quad_order)
-        lows = np.concatenate(([0.0], self.nodes[:-1]))[:, None]
-        highs = self.nodes[:, None]
-        half = 0.5 * (highs - lows)
-        return lows, highs, lows + half * (gx + 1.0), half * gw
-
     def _base(self, W):
         """Euclidean volume weights of the points for the Gauss weights W."""
         return W * sphere_area(self._n) * self.R ** (self._n - 1)
@@ -643,7 +636,7 @@ class _Assembly:
 
     @functools.cached_property
     def w_klein(self):
-        W = self._element_rule(self.R.shape[1])[3]
+        W = gauss_panels(self._edges, self.R.shape[1])[1]
         return self._base(W) * self._factors()[0] ** (-0.5 * (self._n + 1))
 
     @functools.cached_property
@@ -889,10 +882,6 @@ def _check_lambda(lam):
         raise ValueError("lambda must be finite and non-negative")
 
 
-def _quad_cfg(r_max):
-    return QuadratureConfig(r_max=min(r_max, 1.0 - 1e-9))
-
-
 # ---------------------------------------------------------------------------
 # Public functionals
 # ---------------------------------------------------------------------------
@@ -910,7 +899,7 @@ def energy_E(u, params):
         lambda r: np.asarray(radial_fstar(params, r, u.du(r))) ** 2,
         params,
         "finsler_a",
-        _quad_cfg(u.r_max),
+        min(u.r_max, 1.0 - 1e-9),
     )
 
 
@@ -923,7 +912,7 @@ def g_functional(u, params, kappa, nl):
         lambda r: kappa.kappa(r) * nl.G(u.u(r)),
         params,
         "finsler_a",
-        _quad_cfg(u.r_max),
+        min(u.r_max, 1.0 - 1e-9),
     )
 
 

@@ -21,9 +21,11 @@ import numpy as np
 
 __all__ = [
     "MEASURES",
-    "QuadratureConfig",
+    "PANEL_POINTS",
+    "R_MAX",
     "RadialGrid",
     "ball_integral_mc",
+    "gauss_panels",
     "measure_density",
     "radial_grid",
     "radial_integral",
@@ -36,8 +38,16 @@ __all__ = [
 #: stored in the model parameters.
 MEASURES = ("lebesgue", "klein", "finsler_a")
 
-#: Distinct configs whose rules :func:`radial_grid` keeps.  A geometry case
-#: (norm sandwich, Federer-Fleming, divergence trend) uses 9 distinct configs
+#: Gauss-Legendre points per panel of :func:`radial_grid`; each panel is then
+#: essentially exact for smooth integrands.
+PANEL_POINTS = 64
+
+#: Default truncation radius.  Integrals that diverge as the truncation
+#: approaches 1 are exhibited by sweeping ``r_max``, never by evaluating at 1.
+R_MAX = 1.0 - 1e-6
+
+#: Distinct radii whose rules :func:`radial_grid` keeps.  A geometry case
+#: (norm sandwich, Federer-Fleming, divergence trend) uses 9 distinct radii
 #: in 24 calls; the solver never calls :func:`radial_grid`.
 GRID_CACHE_SIZE = 32
 
@@ -77,33 +87,6 @@ def sphere_area(n):
 
 
 @dataclass(frozen=True)
-class QuadratureConfig:
-    """Knobs for the radial quadrature rule.
-
-    Parameters
-    ----------
-    m : int
-        Gauss-Legendre points per panel.  The default 64 makes each panel
-        essentially exact for smooth integrands.
-    r_max : float
-        Truncation radius, strictly inside the unit interval.  Integrals
-        that diverge as the truncation approaches 1 are exhibited by
-        sweeping ``r_max``, never by evaluating at 1.
-
-    The panels are refined geometrically toward the boundary.
-    """
-
-    m: int = 64
-    r_max: float = 1.0 - 1e-6
-
-    def __post_init__(self):
-        if self.m < 8:
-            raise ValueError(f"need at least 8 points per panel, got {self.m}")
-        if not 0.0 < self.r_max < 1.0:
-            raise ValueError(f"r_max must lie in (0, 1), got {self.r_max}")
-
-
-@dataclass(frozen=True)
 class RadialGrid:
     """A flattened 1-d quadrature rule on (0, r_max].
 
@@ -114,7 +97,6 @@ class RadialGrid:
     nodes: np.ndarray
     weights: np.ndarray
     r_max: float
-    m: int
 
     def __post_init__(self):
         nodes = np.array(self.nodes, dtype=float)
@@ -128,43 +110,47 @@ class RadialGrid:
             raise ValueError("nodes must be strictly increasing")
         if np.any(weights <= 0):
             raise ValueError("weights must be positive")
-        if not 0.0 < self.r_max < 1.0:
-            raise ValueError("r_max must lie in (0, 1)")
+        _check_r_max(self.r_max)
 
 
-def _panel_edges(cfg):
+def _check_r_max(r_max):
+    """``r_max``, or ValueError unless it lies in (0, 1)."""
+    if not 0.0 < r_max < 1.0:
+        raise ValueError(f"r_max must lie in (0, 1), got {r_max}")
+    return r_max
+
+
+def _panel_edges(r_max):
     # Geometric refinement toward the singularity at r = 1: each panel halves
     # the remaining distance to 1, stopping once the next edge would pass
     # r_max.  Panel widths then track the (1-r) scale of the Klein blow-up.
     edges = [0.0]
     while True:
         nxt = 1.0 - 0.5 * (1.0 - edges[-1])
-        if nxt >= cfg.r_max - 0.25 * (1.0 - cfg.r_max):
+        if nxt >= r_max - 0.25 * (1.0 - r_max):
             break
         edges.append(nxt)
-    edges.append(cfg.r_max)
+    edges.append(r_max)
     return np.array(edges)
 
 
+def gauss_panels(edges, m):
+    """The m-point Gauss-Legendre rule on each panel [edges[k], edges[k+1]]:
+    points and weights as ``(len(edges) - 1, m)`` arrays, one row per panel."""
+    gx, gw = np.polynomial.legendre.leggauss(m)
+    edges = np.asarray(edges, dtype=float)
+    lows = edges[:-1, None]
+    half = 0.5 * (edges[1:, None] - lows)
+    return lows + half * (gx + 1.0), half * gw
+
+
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
-def radial_grid(cfg=None):
-    """The panel Gauss-Legendre rule described by ``cfg``, built once per
-    distinct config (the :data:`GRID_CACHE_SIZE` most recently used are kept)."""
-    if cfg is None:
-        cfg = QuadratureConfig()
-    gx, gw = np.polynomial.legendre.leggauss(cfg.m)
-    edges = _panel_edges(cfg)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(lo + half * (gx + 1.0))
-        weights.append(half * gw)
-    return RadialGrid(
-        nodes=np.concatenate(nodes),
-        weights=np.concatenate(weights),
-        r_max=cfg.r_max,
-        m=cfg.m,
-    )
+def radial_grid(r_max):
+    """The :data:`PANEL_POINTS`-point panel Gauss-Legendre rule on (0, r_max],
+    built once per distinct radius (the :data:`GRID_CACHE_SIZE` most recently
+    used are kept)."""
+    nodes, weights = gauss_panels(_panel_edges(_check_r_max(r_max)), PANEL_POINTS)
+    return RadialGrid(nodes=nodes.ravel(), weights=weights.ravel(), r_max=r_max)
 
 
 def measure_density(params, r, measure):
@@ -198,7 +184,7 @@ def _sample_radial(f, r):
     return vals
 
 
-def radial_integral(f, params, measure, cfg=None):
+def radial_integral(f, params, measure, r_max=R_MAX):
     """Integrate a radial function over the truncated ball.
 
     Parameters
@@ -209,7 +195,8 @@ def radial_integral(f, params, measure, cfg=None):
         Supplies the dimension (and `a` for the ``"finsler_a"`` measure).
     measure : str
         One of :data:`MEASURES`.
-    cfg : QuadratureConfig, optional
+    r_max : float
+        Truncation radius, strictly inside the unit interval.
 
     Returns
     -------
@@ -218,12 +205,10 @@ def radial_integral(f, params, measure, cfg=None):
     Raises
     ------
     ValueError
-        If any integrand sample is non-finite, or the measure tag is
-        unknown.
+        If any integrand sample is non-finite, the measure tag is
+        unknown, or ``r_max`` lies outside (0, 1).
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
-    grid = radial_grid(cfg)
+    grid = radial_grid(r_max)
     r = grid.nodes
     vals = _sample_radial(f, r)
     if not np.all(np.isfinite(vals)):

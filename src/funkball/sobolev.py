@@ -13,13 +13,13 @@ C1(R) (convergent) and C2(R) (logarithmically divergent as R -> 1).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .elliptic_solver import RadialFunction, radial_fstar
 from .finsler_core import ModelParams
-from .quadrature import QuadratureConfig, radial_integral, sphere_area, unit_ball_volume
+from .quadrature import R_MAX, radial_integral, sphere_area, unit_ball_volume
 
 __all__ = [
     "NormReport",
@@ -63,47 +63,42 @@ class NormReport:
         return tuple(getattr(self, name) for name in self.CSV_HEADER)
 
 
-def _norm_cfg(u, cfg):
-    if cfg is not None:
-        return cfg if cfg.r_max < u.r_max else replace(cfg, r_max=min(cfg.r_max, u.r_max))
-    return QuadratureConfig(r_max=min(1.0 - 1e-6, u.r_max))
-
-
-def _klein_parts(u, params, cfg):
+def _klein_parts(u, params, r_max):
     """Klein-volume mass int u^2 dV_K and gradient int h_K*(Du) dV_K."""
-    mass = radial_integral(lambda r: np.asarray(u.u(r)) ** 2, params, "klein", cfg)
+    mass = radial_integral(lambda r: np.asarray(u.u(r)) ** 2, params, "klein", r_max)
     grad = radial_integral(
         lambda r: ((1.0 - np.asarray(r) ** 2) * np.asarray(u.du(r))) ** 2,
         params,
         "klein",
-        cfg,
+        r_max,
     )
     return mass, grad
 
 
-def w12a_norm(u, params, cfg=None):
+def w12a_norm(u, params, r_max=R_MAX):
     """Assemble the :class:`NormReport` of a radial profile.
 
     For a = 0 the total equals the Riemannian H^1_2 norm identically (the
     same integrand and measure); for 0 < a < 1 the two are sandwiched
     within explicit constants; a = 1 is allowed and is where the seminorm
-    of a profile and of its negation can differ in kind.
+    of a profile and of its negation can differ in kind.  The integrals
+    are truncated at ``min(r_max, u.r_max)``.
     """
-    cfg = _norm_cfg(u, cfg)
+    r_max = min(r_max, u.r_max)
 
     def dual_sq(r):
         return np.asarray(radial_fstar(params, r, u.du(r))) ** 2
 
-    seminorm = radial_integral(dual_sq, params, "finsler_a", cfg)
-    mass = radial_integral(lambda r: np.asarray(u.u(r)) ** 2, params, "finsler_a", cfg)
-    klein_mass, klein_sq = _klein_parts(u, params, cfg)
+    seminorm = radial_integral(dual_sq, params, "finsler_a", r_max)
+    mass = radial_integral(lambda r: np.asarray(u.u(r)) ** 2, params, "finsler_a", r_max)
+    klein_mass, klein_sq = _klein_parts(u, params, r_max)
     return NormReport(
         seminorm=seminorm,
         mass=mass,
         total=math.sqrt(max(seminorm + mass, 0.0)),
         klein_gradient=math.sqrt(max(klein_sq, 0.0)),
         riemannian=math.sqrt(max(klein_sq + klein_mass, 0.0)),
-        r_max=cfg.r_max,
+        r_max=r_max,
     )
 
 
@@ -124,7 +119,7 @@ def counterexample_profile():
     return RadialFunction.from_callables(u, du, r_max=1.0)
 
 
-def c1_c2_integrals(r_max, n, cfg=None):
+def c1_c2_integrals(r_max, n):
     """Truncated halves of the dichotomy computation at a = 1.
 
     C1(R) = (1/4) int_{|x|<R} (1-|x|) dx is the seminorm of the
@@ -136,31 +131,31 @@ def c1_c2_integrals(r_max, n, cfg=None):
     if not 0.0 < r_max < 1.0:
         raise ValueError(f"truncation radius must lie in (0, 1), got {r_max}")
     params = ModelParams(n=n, a=1.0)
-    cfg = replace(cfg, r_max=r_max) if cfg is not None else QuadratureConfig(r_max=r_max)
-    c1 = 0.25 * radial_integral(lambda r: 1.0 - np.asarray(r), params, "lebesgue", cfg)
+    c1 = 0.25 * radial_integral(lambda r: 1.0 - np.asarray(r), params, "lebesgue", r_max)
     c2 = 0.25 * radial_integral(
         lambda r: (1.0 + np.asarray(r)) ** 2 / (1.0 - np.asarray(r)),
         params,
         "lebesgue",
-        cfg,
+        r_max,
     )
     return c1, c2
 
 
-def federer_fleming_check(u, params, cfg=None):
+def federer_fleming_check(u, params, r_max=R_MAX):
     """Check int u^2 dV_K <= (4/(n-1)^2) int h_K*(Du) dV_K.
 
     Returns (lhs, rhs, ratio); the inequality holds when ratio <= 1.  A
     profile with zero gradient (the zero profile) has no ratio and raises.
+    The integrals are truncated at ``min(r_max, u.r_max)``.
     """
-    lhs, grad = _klein_parts(u, params, _norm_cfg(u, cfg))
+    lhs, grad = _klein_parts(u, params, min(r_max, u.r_max))
     rhs = 4.0 / (params.n - 1) ** 2 * grad
     if rhs <= 0.0:
         raise ValueError("ratio undefined for a profile with zero gradient")
     return lhs, rhs, lhs / rhs
 
 
-def divergence_trend(n, r_schedule=None, cfg=None):
+def divergence_trend(n, r_schedule=None):
     """Tabulate C1 and C2 along a truncation schedule and fit the C2 slope.
 
     C2 grows linearly in ln(1/(1-R)) with slope n*omega_n, so successive
@@ -178,7 +173,7 @@ def divergence_trend(n, r_schedule=None, cfg=None):
         raise ValueError("truncation radii must lie in (0, 1)")
     c1s, c2s = [], []
     for R in r_schedule:
-        c1, c2 = c1_c2_integrals(R, n, cfg)
+        c1, c2 = c1_c2_integrals(R, n)
         c1s.append(c1)
         c2s.append(c2)
     x = np.log(1.0 / (1.0 - np.asarray(r_schedule)))

@@ -13,7 +13,6 @@ from funkball import (
     BallPoint,
     ModelParams,
     Nonlinearity,
-    QuadratureConfig,
     RadialFunction,
     SolverConfig,
     WeightKappa,
@@ -45,7 +44,7 @@ def test_counterexample_constants():
     c1, _ = c1_c2_integrals(1.0 - 1e-8, 2)
     err_c1 = abs(c1 - math.pi / 12.0)
     u = counterexample_profile()
-    rep = w12a_norm(u, ModelParams(n=2, a=1.0), QuadratureConfig(r_max=1.0 - 1e-8))
+    rep = w12a_norm(u, ModelParams(n=2, a=1.0), 1.0 - 1e-8)
     err_total = abs(rep.total**2 - 5.0 * math.pi / 12.0)
     elapsed = time.perf_counter() - t0
     ok = err_c1 < 1e-6 and err_total < 1e-5 and elapsed < 1.0

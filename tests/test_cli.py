@@ -361,7 +361,6 @@ RESOLVED_DEFAULT = """\
 params.a = 0.5
 params.n = 3
 problem.kappa_radius = 0.5
-quad.m = 64
 quad.r_max = 0.99999899999999997
 run.verify = 0
 solver.m = 400
@@ -383,7 +382,7 @@ def test_resolved_cfg_of_default_run(capsys, tmp_path):
     [
         ("solver.m = 8", "need at least 16 radial elements"),
         ("solver.path_nodes = 2", "unknown key 'solver.path_nodes'"),
-        ("quad.m = 4", "need at least 8 points per panel, got 4"),
+        ("quad.m = 4", "unknown key 'quad.m'"),
         ("quad.scheme = spiral", "unknown key 'quad.scheme'"),
         ("problem.kappa_radius = 1.5", "the weight radius must lie in (0, 1)"),
         ("problem.g = cubic", "unknown key 'problem.g'"),

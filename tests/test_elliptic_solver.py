@@ -11,7 +11,6 @@ from funkball import (
     GeometryError,
     ModelParams,
     Nonlinearity,
-    QuadratureConfig,
     RadialFunction,
     SolveReport,
     SolverConfig,
@@ -196,7 +195,7 @@ def test_energy_klein_case_is_gradient_norm(rng):
     params = ModelParams(n=2, a=0.0)
     for _ in range(5):
         u = random_profile(rng)
-        rep = w12a_norm(u, params, QuadratureConfig(r_max=1.0 - 1e-9))
+        rep = w12a_norm(u, params, 1.0 - 1e-9)
         np.testing.assert_allclose(
             energy_E(u, params), rep.klein_gradient**2, rtol=1e-10
         )
@@ -223,9 +222,7 @@ def test_energy_legendre_route_identity(rng):
         return out
 
     direct = energy_E(u, params)
-    paired = radial_integral(
-        paired_density, params, "finsler_a", QuadratureConfig(r_max=1.0 - 1e-9)
-    )
+    paired = radial_integral(paired_density, params, "finsler_a", 1.0 - 1e-9)
     np.testing.assert_allclose(paired, direct, rtol=1e-10)
 
 

@@ -5,16 +5,17 @@ import pytest
 
 from funkball import (
     ModelParams,
-    QuadratureConfig,
     ball_integral_mc,
+    gauss_panels,
     measure_density,
     radial_grid,
     radial_integral,
     sphere_area,
     unit_ball_volume,
 )
+from funkball.quadrature import PANEL_POINTS, R_MAX
 
-TIGHT = QuadratureConfig(r_max=1.0 - 1e-8)
+TIGHT = 1.0 - 1e-8
 
 
 def test_unit_ball_volume_known_values():
@@ -65,52 +66,51 @@ def test_nonfinite_integrand_rejected():
 
 
 def test_grid_invariants():
-    grid = radial_grid(QuadratureConfig(m=32, r_max=0.9))
+    grid = radial_grid(0.9)
+    assert grid.nodes.size % PANEL_POINTS == 0
     assert np.all(np.diff(grid.nodes) > 0)
     assert np.all(grid.weights > 0)
     assert grid.nodes[0] > 0 and grid.nodes[-1] <= 0.9
 
 
 def test_grid_is_built_once_and_read_only():
-    cfg = QuadratureConfig(m=16, r_max=0.9)
-    grid = radial_grid(cfg)
-    assert radial_grid(cfg) is grid
-    assert radial_grid(QuadratureConfig(m=16, r_max=0.9)) is grid
+    grid = radial_grid(0.9)
+    assert radial_grid(0.9) is grid
     assert not grid.nodes.flags.writeable and not grid.weights.flags.writeable
     nodes = grid.nodes.copy()
     params = ModelParams(n=3, a=0.5)
-    before = radial_integral(lambda r: r, params, "klein", cfg)
+    before = radial_integral(lambda r: r, params, "klein", 0.9)
 
     def doubling(r):
         r *= 2.0  # on the shared array this raises; each entry is then doubled
         return r
 
     np.testing.assert_allclose(
-        radial_integral(doubling, params, "klein", cfg), 2.0 * before, rtol=1e-14
+        radial_integral(doubling, params, "klein", 0.9), 2.0 * before, rtol=1e-14
     )
-    assert radial_integral(lambda r: r, params, "klein", cfg) == before
+    assert radial_integral(lambda r: r, params, "klein", 0.9) == before
     np.testing.assert_array_equal(grid.nodes, nodes)
     assert grid.nodes[0] > 0 and grid.nodes[-1] <= 0.9
 
 
 def test_convergence_with_node_count():
-    # smooth integrand, fixed truncation: error should drop fast with m
-    params = ModelParams(n=2, a=0.5)
-    exact = radial_integral(
-        lambda r: np.cos(3.0 * r), params, "klein", QuadratureConfig(m=96, r_max=0.9)
-    )
-    errs = []
-    for m in (8, 16):
-        got = radial_integral(
-            lambda r: np.cos(3.0 * r), params, "klein", QuadratureConfig(m=m, r_max=0.9)
-        )
-        errs.append(abs(got - exact))
+    # smooth integrand (cos(3r) against the n = 2 Klein density), fixed
+    # panels: the error should drop fast with the points per panel m
+    edges = [0.0, 0.5, 0.75, 0.875, 0.9]
+
+    def rule(m):
+        r, w = gauss_panels(edges, m)
+        assert r.shape == w.shape == (len(edges) - 1, m)
+        return float(np.sum(w * np.cos(3.0 * r) * r * (1.0 - r * r) ** -1.5))
+
+    exact = rule(96)
+    errs = [abs(rule(m) - exact) for m in (8, 16)]
     assert errs[1] < errs[0] * 1e-3 or errs[1] < 1e-14
 
 
 def test_measure_density_consistency(dim):
     params = ModelParams(n=dim, a=0.7)
-    r = radial_grid(QuadratureConfig(m=16)).nodes
+    r = radial_grid(R_MAX).nodes
     fins = measure_density(params, r, "finsler_a")
     klein = measure_density(params, r, "klein")
     expect = (1.0 - (params.a * r) ** 2) ** (0.5 * (dim + 1))
@@ -120,9 +120,7 @@ def test_measure_density_consistency(dim):
 def test_truncation_monotonicity():
     params = ModelParams(n=2, a=0.0)
     vals = [
-        radial_integral(
-            lambda r: np.ones_like(r), params, "klein", QuadratureConfig(r_max=R)
-        )
+        radial_integral(lambda r: np.ones_like(r), params, "klein", R)
         for R in (0.5, 0.9, 0.99, 0.999)
     ]
     assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -138,7 +136,7 @@ def test_mc_agrees_with_radial():
     # same truncation on both sides; the density is not integrable up to 1
     params = ModelParams(n=2, a=0.5)
     f_rad = lambda r: 1.0 / (1.0 + r * r)
-    ref = radial_integral(f_rad, params, "finsler_a", QuadratureConfig(r_max=0.9))
+    ref = radial_integral(f_rad, params, "finsler_a", 0.9)
     est, se = ball_integral_mc(
         lambda x: f_rad(np.linalg.norm(x, axis=-1)),
         params,
@@ -170,7 +168,9 @@ def test_mc_sample_floor():
 
 
 def test_config_bounds():
-    with pytest.raises(ValueError):
-        QuadratureConfig(m=4)
-    with pytest.raises(ValueError):
-        QuadratureConfig(r_max=1.0)
+    params = ModelParams(n=2, a=0.0)
+    for r_max in (1.0, 0.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match=r"r_max must lie in \(0, 1\), got"):
+            radial_grid(r_max)
+        with pytest.raises(ValueError, match=r"r_max must lie in \(0, 1\), got"):
+            radial_integral(lambda r: np.ones_like(r), params, "lebesgue", r_max)

@@ -7,7 +7,6 @@ from funkball import (
     BallPoint,
     ModelParams,
     NormReport,
-    QuadratureConfig,
     RadialFunction,
     c1_c2_integrals,
     counterexample_profile,
@@ -122,7 +121,7 @@ def test_c1_limit_and_total_norm():
     # mass of the boundary root profile at a=1 is omega_n/(n+1)
     u = counterexample_profile()
     params = ModelParams(n=2, a=1.0)
-    rep = w12a_norm(u, params, QuadratureConfig(r_max=1.0 - 1e-8))
+    rep = w12a_norm(u, params, 1.0 - 1e-8)
     np.testing.assert_allclose(c1 + rep.mass, 5.0 * math.pi / 12.0, atol=1e-5)
     np.testing.assert_allclose(rep.seminorm, c1, rtol=1e-6)
 

@@ -76,16 +76,14 @@ def _write_json(path, obj):
 # Configuration
 # ---------------------------------------------------------------------------
 
-def _section_defaults(section, cls):
-    """``section.<lower-cased field>`` keys with the defaults of ``cls``."""
-    return {f"{section}.{f.name.lower()}": f.default for f in fields(cls)}
-
+#: ``solver.<lower-cased field name>`` for each field of ``SolverConfig``
+_SOLVER_KEYS = {f"solver.{f.name.lower()}": f for f in fields(es.SolverConfig)}
 
 CONFIG_DEFAULTS = {
     "params.n": 3,
     "params.a": 0.5,
     "quad.r_max": R_MAX,
-    **_section_defaults("solver", es.SolverConfig),
+    **{key: f.default for key, f in _SOLVER_KEYS.items()},
     "problem.kappa_radius": 0.5,
     "run.verify": 0,
 }
@@ -122,10 +120,6 @@ def _coerce(key, value):
         raise CliValidationError(f"config key {key} expects a number, got {value!r}")
 
 
-def _section(cfg, section, cls):
-    return cls(**{f.name: cfg[f"{section}.{f.name.lower()}"] for f in fields(cls)})
-
-
 def resolve_config(args):
     """Merge defaults, config file and flags, and validate every key.
 
@@ -143,12 +137,14 @@ def resolve_config(args):
         cfg["params.a"] = args.a
     if getattr(args, "seed", None) is not None:
         cfg["solver.seed"] = args.seed
+    if getattr(args, "r_max", None) is not None:
+        cfg["quad.r_max"] = args.r_max
     if getattr(args, "verify", False):
         cfg["run.verify"] = 1
     cfg = {k: _coerce(k, v) for k, v in cfg.items()}
     params = fc.ModelParams(n=cfg["params.n"], a=cfg["params.a"])
     _check_r_max(cfg["quad.r_max"])
-    solver = _section(cfg, "solver", es.SolverConfig)
+    solver = es.SolverConfig(**{f.name: cfg[key] for key, f in _SOLVER_KEYS.items()})
     nl = es.Nonlinearity.default()
     kappa = es.WeightKappa.default(radius=cfg["problem.kappa_radius"])
     return SimpleNamespace(cfg=cfg, params=params, solver=solver, nl=nl, kappa=kappa)
@@ -262,8 +258,7 @@ def cmd_norms(args):
         )
     else:
         raise CliValidationError(f"unknown profile {args.profile!r}")
-    r_max = run.cfg["quad.r_max"] if args.r_max is None else _check_r_max(args.r_max)
-    report = sb.w12a_norm(u, run.params, r_max)
+    report = sb.w12a_norm(u, run.params, run.cfg["quad.r_max"])
     for name in sb.NormReport.CSV_HEADER:
         print(f"{name} = {_fmt(getattr(report, name))}")
     outdir = _ensure_outdir(args)

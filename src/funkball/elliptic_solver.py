@@ -39,7 +39,7 @@ from typing import Callable, ClassVar, Optional
 import numpy as np
 
 from .finsler_core import GeometryError, _golden_max, _one_minus_ar
-from .quadrature import _sample_radial, gauss_panels, radial_integral, sphere_area
+from .quadrature import _sample_radial, gauss_panels, measure_density, radial_integral, sphere_area
 
 __all__ = [
     "Nonlinearity",
@@ -236,12 +236,9 @@ def _cached_primitive(g):
     breaks = np.concatenate(
         ([0.0], np.geomspace(1e-8, 1e7, 1200), np.geomspace(1e7, 1e12, 401)[1:])
     )
-    gx, gw = np.polynomial.legendre.leggauss(16)
-    lo, hi = breaks[:-1], breaks[1:]
-    half = 0.5 * (hi - lo)
-    pts = lo[:, None] + half[:, None] * (gx[None, :] + 1.0)
+    pts, wts = gauss_panels(breaks, 16)
     vals = g(pts.ravel()).reshape(pts.shape)
-    panel = half * (vals * gw[None, :]).sum(axis=1)
+    panel = (wts * vals).sum(axis=1)
     cum = np.concatenate(([0.0], np.cumsum(panel)))
     slope = g(breaks)
 
@@ -599,7 +596,7 @@ class _Assembly:
         if self.nodes[-1] >= 1.0:
             raise ValueError("mesh must end strictly inside the unit interval")
         self.M = M
-        self._n, self._a = params.n, params.a
+        self._params = params
         self._edges = np.concatenate(([0.0], self.nodes))
         R, W = gauss_panels(self._edges, quad_order)
         lows, highs = self._edges[:-1, None], self._edges[1:, None]
@@ -613,8 +610,7 @@ class _Assembly:
         self.inv_h = 1.0 / h[:, 0]
         self.inv_h[0] = 0.0
         self.R = R
-        one_m, down, up = self._factors()
-        self.w_fins = self._base(W) * (down * up / one_m) ** (0.5 * (self._n + 1))
+        self.w_fins = self._base(W) * measure_density(params, R, "finsler_a")
 
         self._kappa = self._kappa_w = None
         self._gram = None
@@ -623,12 +619,12 @@ class _Assembly:
 
     def _base(self, W):
         """Euclidean volume weights of the points for the Gauss weights W."""
-        return W * sphere_area(self._n) * self.R ** (self._n - 1)
+        return W * sphere_area(self._params.n) * self.R ** (self._params.n - 1)
 
     def _factors(self):
         """1 - r^2, 1 - a r and 1 + a r at the points."""
         R = self.R
-        return ((1.0 - R) * (1.0 + R), *_one_minus_ar(self._a, R))
+        return ((1.0 - R) * (1.0 + R), *_one_minus_ar(self._params.a, R))
 
     # The Klein weights, the Klein dual factor and the slope moment tables are
     # built on first use: the tent search's 2-point rule reads only the
@@ -637,7 +633,7 @@ class _Assembly:
     @functools.cached_property
     def w_klein(self):
         W = gauss_panels(self._edges, self.R.shape[1])[1]
-        return self._base(W) * self._factors()[0] ** (-0.5 * (self._n + 1))
+        return self._base(W) * measure_density(self._params, self.R, "klein")
 
     @functools.cached_property
     def klein_dual(self):

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .finsler_core import _one_minus_ar
+
 __all__ = [
     "MEASURES",
     "PANEL_POINTS",
@@ -158,7 +160,9 @@ def measure_density(params, r, measure):
 
     ``"lebesgue"`` is 1, ``"klein"`` is (1-r^2)^(-(n+1)/2), and
     ``"finsler_a"`` is ((1 - a^2 r^2)/(1 - r^2))^((n+1)/2) for the `a` held
-    in ``params``.
+    in ``params``.  Both differences are formed without cancellation, as
+    (1 - r)(1 + r) and through ``finsler_core._one_minus_ar``, as in
+    ``volume_density``.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
@@ -166,9 +170,11 @@ def measure_density(params, r, measure):
     if measure == "lebesgue":
         return np.ones_like(r)
     p = 0.5 * (params.n + 1)
+    one_m = (1.0 - r) * (1.0 + r)
     if measure == "klein":
-        return (1.0 - r * r) ** (-p)
-    return ((1.0 - (params.a * r) ** 2) / (1.0 - r * r)) ** p
+        return one_m ** (-p)
+    down, up = _one_minus_ar(params.a, r)
+    return (down * up / one_m) ** p
 
 
 def _sample_radial(f, r):

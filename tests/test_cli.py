@@ -85,6 +85,13 @@ def test_counterexample_verdicts(capsys, tmp_path):
     assert code == 0 and "verdict: PASS" in out
 
 
+def test_counterexample_passes_at_n_100(capsys):
+    # the slope between the two largest radii, free of the r^(n-1) bias of
+    # the small ones
+    code, out, _ = run(capsys, "counterexample", "--n", "100")
+    assert code == 0 and "verdict: PASS" in out
+
+
 def test_counterexample_single_radius_rejected(capsys):
     code, _, err = run(capsys, "counterexample", "--n", "2", "--r-schedule", "0.9")
     assert code == 2
@@ -269,6 +276,19 @@ def test_norms_counterexample_profile(capsys):
     assert code == 0
     total = float(value_of(out, "total"))
     assert total**2 == pytest.approx(5.0 * math.pi / 12.0, abs=1e-5)
+
+
+def test_norms_r_max_flag_is_written_to_resolved_cfg(capsys, tmp_path):
+    # --r-max is the flag twin of quad.r_max, so resolved.cfg records the
+    # radius the report was truncated at, and the flag wins over the file
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("quad.r_max = 0.9\n")
+    out_dir = tmp_path / "norms"
+    argv = ("norms", "--r-max", "0.99", "--config", str(cfg), "--out", str(out_dir))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert float(value_of(out, "r_max")) == 0.99
+    assert "quad.r_max = 0.98999999999999999\n" in (out_dir / "resolved.cfg").read_text()
 
 
 def test_norms_tent_profile(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from funkball import (
+    BallPoint,
     ModelParams,
     ball_integral_mc,
     gauss_panels,
@@ -12,6 +13,7 @@ from funkball import (
     radial_integral,
     sphere_area,
     unit_ball_volume,
+    volume_density,
 )
 from funkball.quadrature import PANEL_POINTS, R_MAX
 
@@ -115,6 +117,17 @@ def test_measure_density_consistency(dim):
     klein = measure_density(params, r, "klein")
     expect = (1.0 - (params.a * r) ** 2) ** (0.5 * (dim + 1))
     np.testing.assert_allclose(fins / klein, expect, rtol=1e-13)
+
+
+@pytest.mark.parametrize("n, a", [(3, 0.5), (10, 0.9999), (10, 0.0), (2, 0.99)])
+def test_measure_density_is_the_volume_density_near_the_boundary(n, a):
+    # 1 - r^2 and 1 - a^2 r^2 formed without cancellation, as volume_density
+    # forms them
+    params = ModelParams(n=n, a=a)
+    radii = np.array([0.999, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12])
+    got = measure_density(params, radii, "finsler_a")
+    expect = [volume_density(params, BallPoint(r * np.eye(n)[0])) for r in radii]
+    np.testing.assert_allclose(got, expect, rtol=1e-15, atol=0.0)
 
 
 def test_truncation_monotonicity():

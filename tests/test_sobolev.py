@@ -168,6 +168,22 @@ def test_divergence_trend_n3():
     assert trend["c1_rel_error"] < 1e-5
 
 
+@pytest.mark.parametrize("n", [2, 3, 10, 30, 100, 171])
+def test_divergence_trend_slope_is_n_omega_n(n):
+    # the slope between the two largest default radii, where r^(n-1) is
+    # within 2e-6 of 1 even at n = 171
+    np.testing.assert_allclose(divergence_trend(n)["slope"], sphere_area(n), rtol=1e-5)
+
+
+def test_divergence_trend_reads_the_two_largest_radii():
+    tight = divergence_trend(2, [0.99, 1.0 - 1e-8, 0.9, 1.0 - 1e-9])
+    sorted_ = divergence_trend(2, [0.9, 0.99, 1.0 - 1e-8, 1.0 - 1e-9])
+    assert tight["slope"] == sorted_["slope"]
+    assert tight["c1_rel_error"] == sorted_["c1_rel_error"]
+    with pytest.raises(ValueError, match="the two largest truncation radii must differ"):
+        divergence_trend(2, [0.5, 0.99, 0.99])
+
+
 # --- comparison inequalities ----------------------------------------------
 
 def test_federer_fleming_ratio(rng):

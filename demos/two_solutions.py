@@ -2,9 +2,9 @@
 
 Below the explicit threshold lambda* every descent run collapses to the
 zero profile.  Far above the onset estimate lambda~ the solver finds a
-negative-energy minimizer and then a second, positive-energy solution by
-deforming a path between 0 and the minimizer until its maximum is nearly
-stationary (a numerical mountain pass).
+negative-energy minimizer and then a second, positive-energy solution: the
+mountain-pass saddle, reached by Newton from the energy barrier on the ray
+from 0 to the minimizer and certified by its Morse index 1.
 
 Run:  python3 demos/two_solutions.py
 """

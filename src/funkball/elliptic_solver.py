@@ -28,7 +28,10 @@ exact tridiagonal Hessian H shifted by a small multiple mu = HESSIAN_SHIFT
 of the Gram matrix K: K carries a Klein mass term that the energy lacks,
 so the Riesz direction -K^{-1} g alone contracts only 0.3 to 0.8 per step.
 Where H + mu K is not positive definite the step falls back to that Riesz
-direction.
+direction.  The mountain-pass saddle is found by damped Newton from the
+barrier of the ray t -> J(t u) toward a minimizer u, and every solution is
+certified by its Morse index, the negative pivots of its tridiagonal
+Hessian's LDL^T recurrence: 0 for a minimizer, 1 for the saddle.
 """
 
 import functools
@@ -421,10 +424,6 @@ QUAD_ORDER = 8
 R_MAX = 1.0 - 1e-6
 #: Damped Newton steps per refinement.
 NEWTON_ITERS = 80
-#: Path-relaxation sweeps per mountain-pass search.
-MAX_SWEEPS = 4000
-#: Interior nodes of the mountain-pass path.
-PATH_NODES = 32
 #: Multiple mu of the H^1_2 Gram matrix K added to the Hessian H in the
 #: descent direction -(H + mu K)^{-1} g.
 HESSIAN_SHIFT = 1e-6
@@ -434,12 +433,11 @@ HESSIAN_SHIFT = 1e-6
 class SolverConfig:
     """Mesh and iteration knobs for the variational solver.
 
-    The quadrature order, the mesh's last node, the Newton step cap, the
-    mountain pass's sweep budget and path size, and the descent direction's
+    The quadrature order, the mesh's last node, the Newton step cap (of the
+    descent's polish and of the mountain pass) and the descent direction's
     Hessian shift are the module constants :data:`QUAD_ORDER`,
-    :data:`R_MAX`, :data:`NEWTON_ITERS`, :data:`MAX_SWEEPS`,
-    :data:`PATH_NODES` and :data:`HESSIAN_SHIFT`; ``quad_order`` reads the
-    first as a class attribute.
+    :data:`R_MAX`, :data:`NEWTON_ITERS` and :data:`HESSIAN_SHIFT`;
+    ``quad_order`` reads the first as a class attribute.
 
     ``max_iter`` caps each start's descent steps.  A start cut off by it
     keeps its residual, which is at or above ``tol``, so it counts as a
@@ -538,8 +536,9 @@ class _Assembly:
     than expanded into powers of a r: m0 - 2 m1 + m2 with
     m_k = sum_p w c^2 (a r)^k cancels as a r -> 1, with a relative error of
     about machine epsilon / (1 - a r)^2, while every table is a sum of
-    positive terms.  The Gram matrix's stiffness is
-    likewise a per-element moment of the Klein weights.
+    positive terms.  The Gram matrix and the H^1_2 inner product likewise
+    read per-element moments of the Klein weights: a stiffness moment and
+    three hat-mass moments (``_klein_moments``).
 
     Only the source terms (``g_int``, the ``g`` part of ``grad``, the ``dg``
     part of ``hessian_banded``) are evaluated per point, and only on the
@@ -784,18 +783,25 @@ class _Assembly:
         k = src.shape[0]
         return _read_only(_row_dot(src, self.NR[:k])), _read_only(_row_dot(src, self.NL[:k]))
 
-    def _tridiag(self, stiff, mass):
-        """Free-DOF matrix of sum_e stiff_e s_i s_j plus sum(mass * N_i N_j)
-        over the points of the first ``len(mass)`` elements, where the hat
-        slopes s are +-1 per element length (so ``stiff`` carries inv_h^2),
-        as its ``(diagonal, off-diagonal)`` pair."""
+    def _hat_moments(self, mass):
+        """Row sums of ``mass`` against the hat products NL NL, NL NR and
+        NR NR on the rows ``[:len(mass)]``."""
         k = mass.shape[0]
         NL, NR = self.NL[:k], self.NR[:k]
         mL = mass * NL
+        return _row_dot(mL, NL), _row_dot(mL, NR), _row_dot(mass * NR, NR)
+
+    def _tridiag(self, stiff, moments):
+        """Free-DOF matrix of sum_e stiff_e s_i s_j plus the hat-mass
+        ``moments`` (NL NL, NL NR, NR NR) of the first ``len(moments[0])``
+        elements, where the hat slopes s are +-1 per element length (so
+        ``stiff`` carries inv_h^2), as its ``(diagonal, off-diagonal)`` pair."""
+        LL, LR, RR = moments
+        k = LL.shape[0]
         right, left, coupling = stiff.copy(), stiff.copy(), -stiff
-        right[:k] += _row_dot(mass * NR, NR)
-        left[:k] += _row_dot(mL, NL)
-        coupling[:k] += _row_dot(mL, NR)
+        right[:k] += RR
+        left[:k] += LL
+        coupling[:k] += LR
         nf = self.M - 1
         # coupling[e] joins the nodes e-1 and e
         return self._to_nodes(right, left)[:nf], coupling[1:nf]
@@ -806,15 +812,22 @@ class _Assembly:
         stiff = self._slope_state(u)[1] * self.inv_h**2
         mass = self._source_weights(kappa) * nl.dg(self._live_points(u, kappa))
         mass *= -lam
-        return self._tridiag(stiff, mass)
+        return self._tridiag(stiff, self._hat_moments(mass))
 
     # -- H^1_2 Gram matrix and dual residual norm ---------------------------
+
+    @functools.cached_property
+    def _klein_moments(self):
+        """Per-element Klein moments: the stiffness moment sum_p w_klein
+        klein_dual and the hat-mass moments of w_klein (NL NL, NL NR, NR NR),
+        read by ``gram_banded`` and ``inner_K``."""
+        return (_row_dot(self.w_klein, self.klein_dual), *self._hat_moments(self.w_klein))
 
     def gram_banded(self):
         """Tridiagonal H^1_2 Gram matrix (Klein gradient + Klein mass), as
         its ``(diagonal, off-diagonal)`` pair."""
-        stiff = _row_dot(self.w_klein, self.klein_dual) * self.inv_h**2
-        return self._tridiag(stiff, self.w_klein)
+        stiff, *mass = self._klein_moments
+        return self._tridiag(stiff * self.inv_h**2, mass)
 
     def _gram_factor(self):
         """The Gram pair and its LDL^T factor ``(d, e)``, built on first use."""
@@ -846,11 +859,12 @@ class _Assembly:
         return math.sqrt(max(float(g[:-1] @ Kg[:-1]), 0.0)), Kg
 
     def inner_K(self, v, w):
-        """H^1_2 inner product of two nodal vectors; ``inner_K(v, v)``
-        evaluates the slopes and point values of ``v`` once."""
-        dv, vp = self.slopes(v), self.at_points(v)
-        dw, wp = (dv, vp) if w is v else (self.slopes(w), self.at_points(w))
-        return float(np.vdot(self.w_klein, self.klein_dual * (dv * dw)[:, None] + vp * wp))
+        """H^1_2 inner product of two nodal vectors from the per-element Klein
+        moments, O(M)."""
+        S, LL, LR, RR = self._klein_moments
+        vl, wl = self._left(v), self._left(w)
+        slopes = S @ (self.slopes(v) * self.slopes(w))
+        return float(slopes + LL @ (vl * wl) + LR @ (vl * w + v * wl) + RR @ (v * w))
 
 
 def _assembly_for(u, params):
@@ -1191,45 +1205,98 @@ def minimize(lam, params, kappa, nl, cfg=None, init=None):
 # Mountain pass
 # ---------------------------------------------------------------------------
 
-def _ray_barrier(asm, target, lam, kappa, nl):
-    """Locate the energy maximum along t -> J(t * target), t in (0, 1].
+def morse_index(band):
+    """Number of negative eigenvalues of the symmetric tridiagonal matrix with
+    the pair ``band = (diagonal, off-diagonal)``.
 
-    The barrier can sit many orders of magnitude below t = 1 when lambda
-    is deep in the two-solution regime, so the scan is logarithmic.
-    Returns (t_peak, J_peak); J_peak <= 0 means no barrier on the ray.
-    The energy is 2-homogeneous, E(t v) = t^2 E(v), and the point values are
-    linear, at_points(t v) = t at_points(v), so the target is assembled once
-    and each t costs one ``_potential``.
+    By Sylvester's law of inertia it is the number of negative pivots d_i =
+    a_i - b_{i-1}^2 / d_{i-1} of the matrix's LDL^T recurrence, an O(M) count
+    (Golub & Van Loan, Matrix Computations, section 8.4).  An exact zero
+    pivot is taken as the smallest positive double, as in a Sturm count.
     """
-    ts = np.geomspace(1e-10, 1.0, 240)
+    diag, off = band
+    count, d = 0, 1.0
+    for a, b2 in zip(diag.tolist(), [0.0] + (off * off).tolist()):
+        d = a - b2 / d
+        if d < 0.0:
+            count += 1
+        elif d == 0.0:
+            d = 5e-324
+    return count
+
+
+def _ray_barrier(asm, target, lam, kappa, nl):
+    """The first local maximum of t -> J(t * target) with t < 1, the ray's
+    barrier, as (t_peak, J_peak).
+
+    The scan runs over 600 points of log t in [log 1e-12, log 1e12], since
+    the barrier can sit many orders of magnitude below t = 1 deep in the
+    two-solution regime, and stops at the first point below its left
+    neighbour; golden section then refines log t between the neighbours of
+    the peak.  The energy is 2-homogeneous, E(t v) = t^2 E(v), and the point
+    values are linear, at_points(t v) = t at_points(v), so the target is
+    assembled once and each t costs one ``_potential``.  Raises
+    :class:`SolverError` when J(t * target) does not fall before t = 1.
+    """
     half_E = 0.5 * asm.energy(target)
     P = asm._live_points(target, kappa)
-    Js = np.array([half_E * t * t - lam * asm._potential(t * P, kappa, nl) for t in ts])
-    k = int(np.argmax(Js))
-    return float(ts[k]), float(Js[k])
+
+    def J(log_t):
+        t = math.exp(log_t)
+        return half_E * t * t - lam * asm._potential(t * P, kappa, nl)
+
+    logs = np.linspace(math.log(1e-12), math.log(1e12), 600)
+    Js = [J(logs[0])]
+    for k in range(1, logs.size):
+        if logs[k - 1] >= 0.0:
+            break
+        Js.append(J(logs[k]))
+        if Js[k] < Js[k - 1]:
+            log_t, J_peak, _ = _golden_max(J, logs[max(k - 2, 0)], logs[k], tol=1e-10)
+            return math.exp(log_t), J_peak
+    raise SolverError("no barrier on the ray below the target", diagnostics={"lambda": lam})
+
+
+def _certify(asm, u, res, lam, kappa, nl, cfg, index):
+    """Certificate of a candidate solution ``u`` with dual residual ``res``
+    (residual, least value, H^1_2 norm, Morse index and whether residual and
+    least value pass), and the tests it fails as a solution of Morse index
+    ``index``, each as a phrase."""
+    cert = {
+        "residual": res,
+        "min_value": float(np.min(u)),
+        "h12_norm": asm.h12_norm(u),
+        "morse_index": morse_index(asm.hessian_banded(u, lam, kappa, nl)),
+        "ok": bool(res < cfg.tol and np.min(u) >= -1e-10),
+    }
+    failed = [] if res < cfg.tol else [f"residual {res:.3e}"]
+    if not cert["min_value"] >= -1e-10:
+        failed.append(f"min {cert['min_value']:.3e}")
+    if cert["morse_index"] != index:
+        failed.append(f"Morse index {cert['morse_index']}, not {index}")
+    return cert, failed
 
 
 def mountain_pass(lam, params, kappa, nl, u_target, cfg=None, *, asm=None):
-    """Saddle between 0 and a negative-energy profile by path deformation.
+    """Mountain-pass saddle between 0 and a nonzero profile ``u_target``.
 
-    A polyline from 0 to ``u_target`` (fixed endpoints) with P interior
-    nodes is relaxed by repeatedly moving its maximum-energy node downhill
-    along the Riesz gradient orthogonalized against the path tangent in
-    the H^1_2 inner product; once the max node is nearly stationary it is
-    polished by damped Newton.  The initial nodes are log-concentrated
-    around the ray barrier (located by a geometric pre-scan), because for
-    large lambda the barrier sits at a tiny multiple of the target.  The
-    path energies are evaluated once and then updated with each accepted
-    move, since a sweep moves at most one node.  Returns (profile,
-    J_lambda, residual).
+    On the ray t -> J(t u_target), the fibering map (Drabek & Pohozaev,
+    Proc. Roy. Soc. Edinburgh 127A, 1997), J rises from 0 to a barrier and
+    falls toward the target when the target is a minimizer.  Damped Newton
+    (``_newton_refine``, indefinite tridiagonal steps by LAPACK's dgtsv)
+    runs from the barrier (``_ray_barrier``), and its result is certified:
+    residual below tol, least value at least -1e-10, J above max(0,
+    J(u_target)) and Morse index exactly 1.  A Newton that lands on zero or
+    on the minimizer has index 0, so the index test rejects it.  Returns
+    (profile, J_lambda, residual).
 
     ``asm`` is an ``_Assembly`` on the mesh of ``cfg`` to work on, such as
     the one the tent search keeps; without it one is built, with its own
     weight values and Gram factor.
 
-    Raises :class:`SolverError` when the ray has no positive barrier or the
-    running maximum sits at an endpoint (the barrier vanished), with sweep
-    diagnostics attached.
+    Raises :class:`SolverError` when the target is zero, the ray has no
+    barrier below the target or the candidate fails a certificate test,
+    named in the message.
     """
     _check_lambda(lam)
     params.require_a_below_one("the mountain-pass search")
@@ -1237,79 +1304,23 @@ def mountain_pass(lam, params, kappa, nl, u_target, cfg=None, *, asm=None):
     if asm is None:
         asm = _Assembly(params, solver_nodes(cfg))
     target = _mesh_vector(u_target, asm, "u_target")
-    J_target = asm.j_lambda(target, lam, kappa, nl)
-    if not J_target < 0.0:
+    if not np.any(target):
+        raise SolverError("mountain pass needs a nonzero target")
+    floor = max(0.0, asm.j_lambda(target, lam, kappa, nl))
+    t_peak, _ = _ray_barrier(asm, target, lam, kappa, nl)
+    u = t_peak * target
+    g = asm.grad(u, lam, kappa, nl)
+    u, res, _ = _newton_refine(asm, u, lam, kappa, nl, cfg, g, asm._residual(g)[0])
+    J = asm.j_lambda(u, lam, kappa, nl)
+    cert, failed = _certify(asm, u, res, lam, kappa, nl, cfg, 1)
+    if not J > floor:
+        failed.append(f"energy {J:.3e} not above {floor:.3e}")
+    if failed:
         raise SolverError(
-            f"mountain pass needs a negative-energy target, got J = {J_target}"
+            f"mountain-pass candidate failed certification ({', '.join(failed)})",
+            diagnostics={"lambda": lam, "energy": J, **cert},
         )
-
-    t_peak, J_peak = _ray_barrier(asm, target, lam, kappa, nl)
-    if not J_peak > 0.0:
-        raise SolverError(
-            "no positive barrier along the ray to the target",
-            diagnostics={"lambda": lam, "t_peak": t_peak, "J_peak": J_peak},
-        )
-    below = np.geomspace(t_peak * 1e-2, t_peak, PATH_NODES // 2 + 1)[:-1]
-    above = np.geomspace(t_peak, 1.0, PATH_NODES - PATH_NODES // 2 + 1)
-    ts = np.concatenate(([0.0], below, above))
-    path = ts[:, None] * target[None, :]
-    # descent directions are K-normalized, so scale steps to the barrier size
-    target_K = asm.h12_norm(target)
-    step_hint = max(0.05 * t_peak * target_K, 1e-12)
-
-    def polished(node, g, res):
-        """Newton-polished saddle from ``node`` with its gradient ``g`` and
-        residual ``res``, or None if not certified."""
-        refined, res_r, _ = _newton_refine(asm, node, lam, kappa, nl, cfg, g, res)
-        J_r = asm.j_lambda(refined, lam, kappa, nl)
-        if res_r < cfg.tol and J_r > 0.0:
-            profile = RadialFunction.from_values(asm.nodes, refined)
-            return profile, J_r, res_r
-        return None
-
-    energies = np.array([asm.j_lambda(v, lam, kappa, nl) for v in path])
-    for sweep in range(MAX_SWEEPS):
-        if not float(np.max(energies[1:-1])) > max(energies[0], energies[-1]):
-            raise SolverError(
-                "mountain-pass path collapsed: the maximum sits at an endpoint",
-                diagnostics={
-                    "sweep": sweep,
-                    "energies": energies.tolist(),
-                    "lambda": lam,
-                },
-            )
-        k = int(np.argmax(energies[1:-1])) + 1
-        node = path[k]
-        g = asm.grad(node, lam, kappa, nl)
-        res, d = asm._residual(g)
-        if res < 1e-3 * (1.0 + abs(energies[k])) and (found := polished(node, g, res)):
-            return found
-        tau = path[k + 1] - path[k - 1]
-        tt = asm.inner_K(tau, tau)
-        if tt > 0.0:
-            d = d - (asm.inner_K(d, tau) / tt) * tau
-        dn = asm.h12_norm(d)
-        if dn > 0.0:
-            d = d / dn
-        t = step_hint
-        moved = False
-        for _ in range(60):
-            trial = node - t * d
-            J_trial = asm.j_lambda(trial, lam, kappa, nl)
-            if J_trial < energies[k]:
-                path[k], energies[k] = trial, J_trial
-                step_hint = 2.0 * t
-                moved = True
-                break
-            t *= 0.5
-        if not moved:
-            if found := polished(node, g, res):
-                return found
-            step_hint = 1.0
-    raise SolverError(
-        "mountain-pass search did not stabilize within the sweep budget",
-        diagnostics={"lambda": lam, "sweeps": MAX_SWEEPS},
-    )
+    return RadialFunction.from_values(asm.nodes, u), J, res
 
 
 # ---------------------------------------------------------------------------
@@ -1391,28 +1402,27 @@ class LambdaScanReport:
 CSV_SCAN_HEADER = ("lambda", "classification", "energy", "residual", "h12_norm", "iterations")
 
 
-def _certify(asm, u, res, cfg):
-    """Certificate of a candidate solution ``u`` with dual residual ``res``,
-    and whether ``u`` is told apart from zero (H^1_2 norm at least 1e-6)."""
-    cert = {
-        "residual": res,
-        "min_value": float(np.min(u)),
-        "h12_norm": asm.h12_norm(u),
-        "ok": bool(res < cfg.tol and np.min(u) >= -1e-10),
-    }
-    return cert, cert["h12_norm"] >= 1e-6
-
-
 def solve(lam, params, kappa=None, nl=None, cfg=None):
     """Full pipeline at one lambda: minimize from several inits, then a
-    mountain pass when a negative-energy minimizer exists.
+    mountain pass toward each nonzero minimizer until a saddle certifies.
 
-    Classification: ``only-zero`` when every start collapses to the zero
-    profile, ``one`` when a single nonzero certified solution is found,
-    ``two`` when a negative-energy minimizer and a distinct, nonzero
-    positive-energy saddle are both certified.  Initial guesses are scaled
-    copies of the best tent trial plus seeded random perturbations, so runs
-    are deterministic for a fixed config.
+    Every start that converges to a nonzero profile (H^1_2 norm at least
+    1e-6) is a candidate minimizer.  In ascending J, a candidate within
+    1e-4 relative in H^1_2 norm of one already seen is the same, and each
+    distinct one must pass the certificate with Morse index 0.  One that
+    fails is dropped, and noted as a failure when it has the lowest J of all
+    converged starts.  The ray toward each certified minimizer, whatever the
+    sign of its J, is tried by :func:`mountain_pass` until a saddle of Morse
+    index 1 certifies; when none does, the failure of every ray is noted.
+    No ray is scanned when no start has a nonzero minimizer.
+
+    Classification: ``only-zero`` when no start certifies a nonzero
+    minimizer, ``one`` when a minimizer is certified but no saddle, ``two``
+    when the lowest certified minimizer and a mountain-pass saddle are both
+    certified; each solution reports its certificate, ``morse_index``
+    included.  Initial guesses are scaled copies of the best tent trial
+    plus seeded random perturbations, so runs are deterministic for a fixed
+    config.
 
     The lambda-independent tent search, its assembly and Gram factor, the
     starts and their source terms are kept for the last problem (see
@@ -1429,69 +1439,49 @@ def solve(lam, params, kappa=None, nl=None, cfg=None):
     lam_star = nonexistence_threshold(params, nl, kappa)
     lam_tilde, asm = _tilde_search(params, kappa, nl, cfg)
     failures = []
-    best = None
-    iters_of_best = 0
+    lowest = math.inf  # J of the lowest converged start
+    candidates = []  # (J, h12_norm, u, residual, iterations) of each nonzero start
     for init_vec in asm.starts():
         u, J, res, iters = _minimize_vec(asm, lam, kappa, nl, cfg, init_vec)
         if res >= cfg.tol:
             failures.append(f"minimize residual {res:.3e} above tol from one start")
             continue
-        if best is None or J < best[1]:
-            best = (u, J, res)
-            iters_of_best = iters
+        lowest = min(lowest, J)
+        norm = asm.h12_norm(u)
+        if norm >= 1e-6:
+            candidates.append((J, norm, u, res, iters))
+    candidates.sort(key=lambda c: c[0])
+    seen, minimizers = [], []
+    for J, norm, u, res, iters in candidates:
+        if any(asm.h12_norm(u - v) <= 1e-4 * (norm + n_v + 1.0) for v, n_v in seen):
+            continue
+        seen.append((u, norm))
+        cert, failed = _certify(asm, u, res, lam, kappa, nl, cfg, 0)
+        if failed:
+            if J == lowest:
+                failures.append(f"nonzero minimizer failed certification ({', '.join(failed)})")
+            continue
+        profile = RadialFunction.from_values(asm.nodes, u)
+        minimizers.append(
+            {"which": "minimizer", "energy": J, "iterations": iters, "profile": profile, **cert}
+        )
 
-    solutions = []
-    classification = "only-zero"
-    if best is not None:
-        u, J, res = best
-        cert, nonzero = _certify(asm, u, res, cfg)
-        if nonzero and cert["ok"]:
-            profile = RadialFunction.from_values(asm.nodes, u)
-            solutions.append(
-                {
-                    "which": "minimizer",
-                    "energy": J,
-                    "iterations": iters_of_best,
-                    "profile": profile,
-                    **cert,
-                }
-            )
-            classification = "one"
-            if J < 0.0:
-                try:
-                    u2, J2, res2 = mountain_pass(lam, params, kappa, nl, profile, cfg, asm=asm)
-                    cert2, nonzero2 = _certify(asm, u2.values, res2, cfg)
-                    sep = asm.h12_norm(u2.values - u)
-                    distinct = sep > 1e-4 * (cert["h12_norm"] + cert2["h12_norm"] + 1.0)
-                    if not nonzero2:
-                        failures.append(
-                            "mountain-pass candidate is numerically zero "
-                            f"(h12_norm {cert2['h12_norm']:.3e})"
-                        )
-                    elif cert2["ok"] and J2 > 0.0 and distinct:
-                        solutions.append(
-                            {
-                                "which": "mountain-pass",
-                                "energy": J2,
-                                "iterations": 0,
-                                "profile": u2,
-                                **cert2,
-                            }
-                        )
-                        classification = "two"
-                    else:
-                        failures.append(
-                            "mountain-pass candidate failed certification "
-                            f"(residual {cert2['residual']:.3e}, energy {J2:.3e}, "
-                            f"separation {sep:.3e})"
-                        )
-                except SolverError as exc:
-                    failures.append(f"mountain pass failed: {exc}")
-        elif nonzero:
-            failures.append(
-                f"nonzero minimizer failed certification (residual {cert['residual']:.3e}, "
-                f"min {cert['min_value']:.3e})"
-            )
+    solutions = minimizers[:1]
+    rays = []
+    for m in minimizers:
+        try:
+            u2, J2, res2 = mountain_pass(lam, params, kappa, nl, m["profile"], cfg, asm=asm)
+        except SolverError as exc:
+            rays.append(f"mountain pass failed: {exc}")
+            continue
+        cert2 = _certify(asm, u2.values, res2, lam, kappa, nl, cfg, 1)[0]
+        solutions.append(
+            {"which": "mountain-pass", "energy": J2, "iterations": 0, "profile": u2, **cert2}
+        )
+        break
+    else:
+        failures += rays
+    classification = ("only-zero", "one", "two")[len(solutions)]
 
     return SolveReport(
         lam=lam,

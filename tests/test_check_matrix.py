@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-COLLAPSE = "mountain pass failed: mountain-pass path collapsed: the maximum sits at an endpoint"
+NO_BARRIER = "mountain pass failed: no barrier on the ray below the target"
 
 
 def _stalled(residual):
@@ -46,14 +46,14 @@ def _diff(tmp_path, parent, change):
     return proc.returncode, proc.stdout.splitlines()
 
 
-FLOOR_RUN = [_stalled(3.594e-8), _stalled(3.569e-8), _stalled(3.588e-8), COLLAPSE]
+FLOOR_RUN = [_stalled(3.594e-8), _stalled(3.569e-8), _stalled(3.588e-8), NO_BARRIER]
 
 
 def test_diff_accepts_a_failure_count_moved_at_the_floor(tmp_path):
     parent = [_run("2 lambda~"), _run("100 lambda~", failures=FLOOR_RUN)]
     moved = [_solution("minimizer", -5.0), _solution("mountain-pass", 0.5)]
     change = [_run("2 lambda~", solutions=moved),
-              _run("100 lambda~", failures=[COLLAPSE, _stalled(3.678e-8)])]
+              _run("100 lambda~", failures=[NO_BARRIER, _stalled(3.678e-8)])]
     code, lines = _diff(tmp_path, parent, change)
     assert code == 0
     assert lines[0] == ("M=120 n=3 a=0.5 weight=bump lambda=100 lambda~: classification "

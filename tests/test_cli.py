@@ -211,29 +211,6 @@ def test_starts_cut_off_by_max_iter_exit_1(capsys, tmp_path):
     assert "  note: minimize residual " in out
 
 
-def test_mountain_pass_out_of_sweeps_is_a_failure(capsys, tmp_path, monkeypatch):
-    from funkball import elliptic_solver as es
-    from funkball.finsler_core import ModelParams
-
-    monkeypatch.setattr(es, "MAX_SWEEPS", 1)
-    params, kappa = ModelParams(n=3, a=0.5), es.WeightKappa.default()
-    nl = es.Nonlinearity.default()
-    fast = es.SolverConfig(M=120)
-    lam = 10.0 * es.tilde_lambda_estimate(params, kappa, nl, cfg=fast)
-    message = (
-        "mountain pass failed: mountain-pass search did not stabilize within the sweep budget"
-    )
-    report = es.solve(lam, params, kappa, nl, fast)
-    assert report.classification == "one"
-    assert report.failures == (message,)
-    cfg = tmp_path / "fast.cfg"
-    cfg.write_text(FAST_CFG)
-    code, out, _ = run(capsys, "solve", "--config", str(cfg), "--lambda", repr(lam))
-    assert code == 1
-    assert value_of(out, "classification") == "one"
-    assert f"  note: {message}" in out.splitlines()
-
-
 def test_scan_two_runs_write_identical_output(capsys, tmp_path):
     cfg = tmp_path / "fast.cfg"
     cfg.write_text(FAST_CFG)

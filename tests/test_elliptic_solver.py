@@ -713,11 +713,11 @@ def test_minimize_negative_energy_above_onset():
     assert J < 0.0
 
 
-def test_mountain_pass_needs_negative_target():
+def test_mountain_pass_needs_nonzero_target():
     params = ModelParams(n=3, a=0.5)
     nodes = solver_nodes(FAST)
     flat = RadialFunction.from_values(nodes, np.zeros_like(nodes))
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="nonzero target"):
         mountain_pass(1.0, params, WeightKappa.default(), Nonlinearity.default(), flat, FAST)
 
 
@@ -733,22 +733,68 @@ def test_mountain_pass_saddle_above_zero():
     assert J2 > 0.0 > J1
     assert res2 < FAST.tol
     assert np.min(u2.values) >= -1e-10
+    assert es.morse_index(asm.hessian_banded(u2.values, lam, kappa, nl)) == 1
     diff = u1.values - u2.values
     assert asm.h12_norm(diff) > 1e-4
 
 
-def test_mountain_pass_energy_calls_capped(monkeypatch):
-    # the path energies are kept between sweeps, and the ray barrier takes
-    # one energy call: this run makes 172 with a 16-node path (182 with the
-    # default 32); with the path's periodic re-equidistribution it made 203,
-    # and re-evaluating every path node on every sweep takes 597 on this setup
-    monkeypatch.setattr(es, "PATH_NODES", 16)
-    params = ModelParams(n=3, a=0.5)
-    kappa = WeightKappa.default()
-    nl = Nonlinearity.default()
-    lam_tilde, best_vec, _ = _best_tent(params, kappa, nl, FAST)
+def test_mountain_pass_rejects_a_candidate_of_index_0(monkeypatch):
+    # the minimizer itself fed to the saddle check: Newton from the ray's
+    # t = 1 takes no step, and the certificate names the index and the energy
+    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
+    lam_tilde, best_vec, asm = _best_tent(params, kappa, nl, FAST)
+    lam = 10.0 * lam_tilde
+    u1, J1, res1 = minimize(lam, params, kappa, nl, FAST, best_vec)
+    assert res1 < FAST.tol
+    assert es.morse_index(asm.hessian_banded(u1.values, lam, kappa, nl)) == 0
+    monkeypatch.setattr(es, "_ray_barrier", lambda *args: (1.0, J1))
+    with pytest.raises(SolverError) as info:
+        mountain_pass(lam, params, kappa, nl, u1, FAST)
+    message = str(info.value)
+    assert message.startswith("mountain-pass candidate failed certification (")
+    assert "Morse index 0, not 1" in message
+    assert f"energy {J1:.3e} not above 0.000e+00" in message
+    assert "residual" not in message and "min " not in message
+
+
+def test_mountain_pass_rejects_a_candidate_of_index_3(monkeypatch):
+    # a point on the ray past the barrier, where the Hessian has three
+    # negative eigenvalues, passed off as a critical point: the residual and
+    # the least value pass, and the certificate names the index
+    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
+    lam_tilde, best_vec, asm = _best_tent(params, kappa, nl, FAST)
     lam = 10.0 * lam_tilde
     u1, _, _ = minimize(lam, params, kappa, nl, FAST, best_vec)
+    assert es.morse_index(asm.hessian_banded(1e-3 * u1.values, lam, kappa, nl)) == 3
+    monkeypatch.setattr(es, "_ray_barrier", lambda *args: (1e-3, 0.0))
+    monkeypatch.setattr(es, "_newton_refine", lambda asm, u, *args: (u, 0.0, 0))
+    with pytest.raises(SolverError) as info:
+        mountain_pass(lam, params, kappa, nl, u1, FAST)
+    message = str(info.value)
+    assert "Morse index 3, not 1" in message
+    assert "residual" not in message and "min " not in message
+
+
+def test_morse_index_counts_the_negative_eigenvalues(rng):
+    for m in (1, 2, 5, 40, 300):
+        for shift in (0.0, -1.5, -3.0, -4.0):
+            diag, off = _seeded_band(rng, m, shift)
+            dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            expected = int(np.sum(np.linalg.eigvalsh(dense) < 0.0))
+            assert es.morse_index((diag, off)) == expected
+    # an exact zero pivot is a Sturm count's smallest positive pivot
+    assert es.morse_index((np.array([0.0, 0.0]), np.array([1.0]))) == 1
+    assert es.morse_index((np.array([0.0, 1.0]), np.array([0.0]))) == 0
+
+
+def test_full_support_saddle_energy_calls_capped(monkeypatch):
+    # exp(-r) at (3, 0.99), 10 lambda~: Newton from the ray's barrier
+    # certifies the saddle; the path relaxation before it ran out its 4000
+    # sweeps here at M = 200.  The tent search is warm, so the count is the
+    # solve's: J along 8 descents, the barrier scan and its golden section
+    params, nl = ModelParams(n=3, a=0.99), Nonlinearity.default()
+    kappa = WeightKappa(kappa=lambda r: np.exp(-np.asarray(r, dtype=float)))
+    lam = 10.0 * tilde_lambda_estimate(params, kappa, nl, cfg=FAST)
     calls = []
     energy = _Assembly.energy
 
@@ -757,14 +803,16 @@ def test_mountain_pass_energy_calls_capped(monkeypatch):
         return energy(self, *args, **kwargs)
 
     monkeypatch.setattr(_Assembly, "energy", counting)
-    _, J2, res2 = mountain_pass(lam, params, kappa, nl, u1, FAST)
-    assert J2 > 0.0 and res2 < FAST.tol
-    assert len(calls) <= 180
+    report = solve(lam, params, kappa, nl, FAST)
+    assert report.classification == "two"
+    assert [s["morse_index"] for s in report.solutions] == [0, 1]
+    assert len(calls) <= 100  # 65 on this setup
 
 
 @pytest.mark.parametrize("multiple", [10.0, 100.0])
 def test_ray_barrier_matches_per_point_energies(multiple):
-    # the barrier scan evaluates the energy once, through E(t v) = t^2 E(v)
+    # the barrier scan evaluates the energy once, through E(t v) = t^2 E(v),
+    # and finds the first local maximum of the per-point J on its grid
     params = ModelParams(n=3, a=0.5)
     kappa = WeightKappa.default()
     nl = Nonlinearity.default()
@@ -774,12 +822,23 @@ def test_ray_barrier_matches_per_point_energies(multiple):
     target = (multiple / 10.0) ** 2 * u1.values  # amplitudes grow like lambda^2
     assert asm.j_lambda(target, lam, kappa, nl) < 0.0
     t_peak, J_peak = es._ray_barrier(asm, target, lam, kappa, nl)
-    ts = np.geomspace(1e-10, 1.0, 240)
+    ts = np.exp(np.linspace(math.log(1e-12), math.log(1e12), 600))
     Js = np.array([asm.j_lambda(t * target, lam, kappa, nl) for t in ts])
-    k = int(np.argmax(Js))
+    k = int(np.flatnonzero(Js[1:] < Js[:-1])[0])  # the first grid point above its right one
+    assert ts[k] < 1.0
+    assert ts[k - 1] < t_peak < ts[k + 1]
     assert J_peak > 0.0
-    assert t_peak == ts[k]
-    assert J_peak == pytest.approx(Js[k], rel=1e-13)
+    assert J_peak >= Js[k] * (1.0 - 1e-13)
+    assert J_peak == pytest.approx(asm.j_lambda(t_peak * target, lam, kappa, nl), rel=1e-13)
+
+
+def test_ray_barrier_needs_a_fall_below_the_target():
+    # J(t v) of a profile below the onset only rises: no barrier below t = 1
+    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
+    _, best_vec, asm = _best_tent(params, kappa, nl, FAST)
+    lam = 0.5 * nonexistence_threshold(params, nl, kappa)
+    with pytest.raises(SolverError, match="no barrier on the ray below the target"):
+        es._ray_barrier(asm, best_vec, lam, kappa, nl)
 
 
 # --- full pipeline ---------------------------------------------------------
@@ -957,19 +1016,49 @@ def test_solve_two_solution_regime():
         assert s["min_value"] >= -1e-10
         assert s["ok"]
     assert report.solutions[0]["energy"] < 0.0 < report.solutions[1]["energy"]
+    assert [s["morse_index"] for s in report.solutions] == [0, 1]
 
 
 def test_solve_rejects_a_numerically_zero_saddle():
-    # at n = 10 the mountain pass polishes onto the zero critical point
-    # (J ~ 1e-17, h12_norm ~ 7e-9), which must not certify a second solution
+    # at n = 10 the centre nodes are nearly free: Newton from the ray's barrier
+    # stalls at a point of Morse index 4 (residual 1.2e-3), and a polish onto
+    # the zero critical point would have index 0; neither certifies a second
+    # solution, and the failure names the index
     params = ModelParams(n=10, a=0.5)
     kappa, nl = WeightKappa.default(), Nonlinearity.default()
     lam = 10.0 * tilde_lambda_estimate(params, kappa, nl, cfg=FAST)
     report = solve(lam, params, kappa, nl, FAST)
     assert report.classification == "one"
     assert [s["which"] for s in report.solutions] == ["minimizer"]
+    assert report.solutions[0]["morse_index"] == 0
     assert len(report.failures) == 1
-    assert report.failures[0].startswith("mountain-pass candidate is numerically zero")
+    assert report.failures[0].startswith(
+        "mountain pass failed: mountain-pass candidate failed certification ("
+    )
+    assert "Morse index 4, not 1" in report.failures[0]
+
+
+@pytest.mark.parametrize(
+    "n, a, weight, multiple, M",
+    [(3, 0.5, "bump", 0.6, 400), (2, 0.0, "exp", 0.65, 120)],
+)
+def test_solve_certifies_the_pair_just_above_the_fold(n, a, weight, multiple, M):
+    # both solutions have J > 0 here: the minimizer is not the lowest start
+    # (zero is), and the saddle lies on the ray toward it
+    params, nl, cfg = ModelParams(n=n, a=a), Nonlinearity.default(), SolverConfig(M=M)
+    if weight == "bump":
+        kappa = WeightKappa.default()
+    else:
+        kappa = WeightKappa(kappa=lambda r: np.exp(-np.asarray(r, dtype=float)))
+    lam = multiple * tilde_lambda_estimate(params, kappa, nl, cfg=cfg)
+    report = solve(lam, params, kappa, nl, cfg)
+    assert report.classification == "two"
+    assert [(s["which"], s["morse_index"]) for s in report.solutions] == [
+        ("minimizer", 0), ("mountain-pass", 1),
+    ]
+    minimizer, saddle = report.solutions
+    assert saddle["energy"] > max(minimizer["energy"], 0.0)
+    assert all(s["ok"] and s["min_value"] >= -1e-10 for s in report.solutions)
 
 
 def test_solve_report_serialization():
@@ -1442,7 +1531,7 @@ def _full_hessian(asm, u, lam, kappa, nl):
     stiff = asm._slope_moment(asm.slopes(u)) * asm.inv_h**2
     mass = _full_weights(asm, kappa) * nl.dg(_full_points(asm, u))
     mass *= -lam
-    return asm._tridiag(stiff, mass)
+    return asm._tridiag(stiff, asm._hat_moments(mass))
 
 
 def _narrow_bump(r, R=0.005):
@@ -1764,6 +1853,24 @@ def test_newton_polish_solves_like_solve_banded_bit_for_bit(rng):
             solve_banded((1, 1), _general(band), -rhs[:-1])
         with pytest.raises(ValueError):
             polish(band, rhs)
+
+
+@pytest.mark.parametrize("n, a, M", [(3, 0.5, 6400), (10, 0.5, 120), (2, 0.99, 400)])
+def test_inner_K_matches_the_per_point_sum(rng, n, a, M):
+    # the per-element Klein moments against the Klein slope and mass terms
+    # summed at every quadrature point
+    asm = _Assembly(ModelParams(n=n, a=a), solver_nodes(SolverConfig(M=M)))
+
+    def per_point(x, y):
+        slope = asm.klein_dual * (asm.slopes(x) * asm.slopes(y))[:, None]
+        return float(np.vdot(asm.w_klein, slope + asm.at_points(x) * asm.at_points(y)))
+
+    noise = rng.standard_normal(asm.M)
+    noise[-1] = 0.0
+    tent = tent_values(asm.nodes)
+    for x, y in ((noise, noise), (tent, tent), (noise, tent), (tent, noise)):
+        scale = math.sqrt(per_point(x, x) * per_point(y, y))
+        assert abs(asm.inner_K(x, y) - per_point(x, y)) <= 1e-13 * scale
 
 
 def test_inner_K_of_a_vector_with_itself_bit_for_bit(rng):

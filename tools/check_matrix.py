@@ -9,8 +9,8 @@ run, the run's coordinates and its ``SolveReport.to_json_dict()``, then a
 summary line and ``sha256 <hex>`` over all run lines.  A change that
 should keep every result bit for bit prints the same digest as its parent:
 run the script once with ``PYTHONPATH`` pointing at each checkout's
-``src``.  It takes about two minutes on one core and is not part of the
-test suite.
+``src``.  It takes about 5 s on one core and is not part of the test
+suite.
 
     PYTHONPATH=src python3 tools/check_matrix.py --diff PARENT.txt CHANGE.txt
 

@@ -347,10 +347,12 @@ class Nonlinearity:
             sp /= den
             return sp
 
+        # log1p writes into root; root[...] is a writable 0-d array for a scalar
         def G(s):
             sp = np.fmax(np.asarray(s, dtype=float), 0.0)
-            sp *= np.sqrt(sp)
-            sp -= np.log1p(sp)
+            root = np.sqrt(sp)
+            sp *= root
+            sp -= np.log1p(sp, out=root[...])
             sp *= 2.0 / 3.0
             return sp
 
@@ -361,10 +363,11 @@ class Nonlinearity:
             num = 0.5 * sp
             num *= sp
             num *= root
-            num += 2.0 * sp
             root *= sp
             root += 1.0
             root *= root
+            sp *= 2.0
+            num += sp
             num /= root
             return num
 
@@ -561,17 +564,18 @@ class _Assembly:
     per entry and cannot corrupt them.  At M = 6400 it holds about 0.36 MB.
 
     ``keep_starts`` keeps a problem's descent starts by their bits.  The
-    potential and the two source row sums that ``grad`` scales by lambda do
-    not depend on lambda, so for a kept start they are kept too, filled by
-    the first ``g_int`` and ``grad`` that reach it and keyed on the
-    identities of the weight and the nonlinearity: then J is ``E/2 - lambda
-    kept`` and the gradient ``flux - lambda kept``, the same operations in
-    the same order.  A vector is matched to a start by comparing bytes when
-    the state slot changes.  The Hessian's source mass is scaled by -lambda
-    before its row sums, so it is not kept; the start's slopes and point
-    values are the state slot's, as for any vector.  Eight starts hold about
-    0.82 MB at M = 6400.  The Klein weights, the Klein dual factor and the
-    slope moment tables are built on first use.
+    source terms that the kernels scale by lambda do not depend on it: the
+    potential, ``grad``'s two row sums and ``hessian_banded``'s hat-mass
+    pair (``_mass_pair``).  For a kept start they are kept too, filled by
+    the first kernel call that reaches it and keyed on the identities of
+    the weight and the nonlinearity, so J is ``E/2 - lambda kept``, the
+    gradient ``flux - lambda kept`` and the Hessian ``stiffness - lambda
+    kept``, the same operations in the same order, and a start takes no
+    point values.  A vector is matched to a start by comparing bytes when
+    the state slot changes; the start's slopes are the state slot's, as for
+    any vector.  Eight starts hold about 1.23 MB at M = 6400.  The Klein
+    weights, the Klein dual factor and the slope moment tables are built on
+    first use.
 
     A tridiagonal matrix on the free DOFs (``hessian_banded``,
     ``gram_banded``) is the pair ``(diagonal, off-diagonal)`` of lengths
@@ -655,7 +659,9 @@ class _Assembly:
         """Values at the points of the first ``rows`` elements (all of them
         by default)."""
         k = self.M if rows is None else rows
-        return self._left(u)[:k, None] * self.NL[:k] + u[:k, None] * self.NR[:k]
+        out = self._left(u)[:k, None] * self.NL[:k]
+        out += u[:k, None] * self.NR[:k]
+        return out
 
     def slopes(self, u):
         return (u - self._left(u)) * self.inv_h
@@ -791,28 +797,39 @@ class _Assembly:
         mL = mass * NL
         return _row_dot(mL, NL), _row_dot(mL, NR), _row_dot(mass * NR, NR)
 
-    def _tridiag(self, stiff, moments):
-        """Free-DOF matrix of sum_e stiff_e s_i s_j plus the hat-mass
-        ``moments`` (NL NL, NL NR, NR NR) of the first ``len(moments[0])``
-        elements, where the hat slopes s are +-1 per element length (so
-        ``stiff`` carries inv_h^2), as its ``(diagonal, off-diagonal)`` pair."""
+    def _mass_pair(self, moments):
+        """Hat-mass ``moments`` (NL NL, NL NR, NR NR) of the first k elements
+        as a tridiagonal pair: NR NR plus NL NL summed onto the nodes
+        ``[:k]``, and the NL NR coupling of each element."""
         LL, LR, RR = moments
-        k = LL.shape[0]
-        right, left, coupling = stiff.copy(), stiff.copy(), -stiff
-        right[:k] += RR
-        left[:k] += LL
-        coupling[:k] += LR
+        return self._to_nodes(RR, LL), LR
+
+    def _tridiag(self, stiff, mass):
+        """Free-DOF matrix of sum_e stiff_e s_i s_j plus the hat-mass pair
+        ``mass`` (``_mass_pair``), where the hat slopes s are +-1 per element
+        length (so ``stiff`` carries inv_h^2), as its ``(diagonal,
+        off-diagonal)`` pair."""
+        nodes, couplings = mass
+        k = nodes.shape[0]
+        diag, coupling = self._to_nodes(stiff, stiff), -stiff
+        diag[:k] += nodes
+        coupling[:k] += couplings
         nf = self.M - 1
         # coupling[e] joins the nodes e-1 and e
-        return self._to_nodes(right, left)[:nf], coupling[1:nf]
+        return diag[:nf], coupling[1:nf]
 
     def hessian_banded(self, u, lam, kappa, nl):
         """Tridiagonal Hessian on the free DOFs, as its ``(diagonal,
         off-diagonal)`` pair."""
         stiff = self._slope_state(u)[1] * self.inv_h**2
+        mass = self._per_start(u, kappa, nl, "mass", lambda: self._source_mass(u, kappa, nl))
+        return self._tridiag(stiff, [-lam * m for m in mass])
+
+    def _source_mass(self, u, kappa, nl):
+        """Hat-mass pair (``_mass_pair``) of w kappa dg(u) on the rows
+        ``[:nk]``, read-only."""
         mass = self._source_weights(kappa) * nl.dg(self._live_points(u, kappa))
-        mass *= -lam
-        return self._tridiag(stiff, self._hat_moments(mass))
+        return tuple(map(_read_only, self._mass_pair(self._hat_moments(mass))))
 
     # -- H^1_2 Gram matrix and dual residual norm ---------------------------
 
@@ -827,7 +844,7 @@ class _Assembly:
         """Tridiagonal H^1_2 Gram matrix (Klein gradient + Klein mass), as
         its ``(diagonal, off-diagonal)`` pair."""
         stiff, *mass = self._klein_moments
-        return self._tridiag(stiff * self.inv_h**2, mass)
+        return self._tridiag(stiff * self.inv_h**2, self._mass_pair(mass))
 
     def _gram_factor(self):
         """The Gram pair and its LDL^T factor ``(d, e)``, built on first use."""
@@ -1009,8 +1026,8 @@ def _tilde_search(params, kappa, nl, cfg):
     problem data are treated as immutable.  The kept assembly also keeps
     the descent starts of every solve of the problem (``_descent_starts``)
     and, once a solve has reached them, their lambda-free source terms.  It
-    holds about 4.3 MB at M = 6400: 3.1 MB of quadrature data and weights,
-    0.36 MB of state of the last vector it evaluated and 0.82 MB of starts.
+    holds about 4.7 MB at M = 6400: 3.1 MB of quadrature data and weights,
+    0.36 MB of state of the last vector it evaluated and 1.23 MB of starts.
     """
     asm = _Assembly(params, solver_nodes(cfg))
     rough = _Assembly(params, asm.nodes, quad_order=2)
@@ -1428,7 +1445,8 @@ def solve(lam, params, kappa=None, nl=None, cfg=None):
     starts and their source terms are kept for the last problem (see
     ``_tilde_search``), so repeated solves of one problem set them up once:
     a solve runs one descent from each start the kept assembly holds, whose
-    potential and source row sums the first solve of the problem fills.
+    potential, source row sums and source mass pair the first solve of the
+    problem fills.
     Problem data are treated as immutable.
     """
     _check_lambda(lam)

@@ -1110,9 +1110,9 @@ def test_lambda_scan_matches_cold_solves_across_the_onset():
 
 
 def _counted_nonlinearity():
-    """The default nonlinearity with its G and g calls counted."""
+    """The default nonlinearity with its G, g and dg calls counted."""
     ref = Nonlinearity.default()
-    calls = {"G": 0, "g": 0}
+    calls = {"G": 0, "g": 0, "dg": 0}
 
     def counted(name, f):
         def wrapped(s):
@@ -1121,14 +1121,17 @@ def _counted_nonlinearity():
 
         return wrapped
 
-    nl = Nonlinearity(g=counted("g", ref.g), G=counted("G", ref.G), dg=ref.dg, c_g=ref.c_g)
+    nl = Nonlinearity(
+        g=counted("g", ref.g), G=counted("G", ref.G), dg=counted("dg", ref.dg), c_g=ref.c_g
+    )
     return nl, calls
 
 
 def test_a_second_solve_reuses_the_source_terms_of_the_eight_starts():
-    # the potential and the source row sums of each start do not depend on
-    # lambda: a solve after another one of the same problem evaluates G and
-    # g once less per start than the same solve on a fresh tent search
+    # the potential, the source row sums and the Hessian's source moments of
+    # each start do not depend on lambda: a solve after another one of the
+    # same problem evaluates G, g and dg once less per start than the same
+    # solve on a fresh tent search
     params, kappa = ModelParams(n=3, a=0.5), WeightKappa.default()
     nl, calls = _counted_nonlinearity()
     lam_star = nonexistence_threshold(params, nl, kappa)
@@ -1138,12 +1141,12 @@ def test_a_second_solve_reuses_the_source_terms_of_the_eight_starts():
         _tilde_search(params, kappa, nl, FAST)
         if warm:
             solve(0.25 * lam_star, params, kappa, nl, FAST)
-        calls.update(G=0, g=0)
+        calls.update(G=0, g=0, dg=0)
         assert solve(0.5 * lam_star, params, kappa, nl, FAST).classification == "only-zero"
         counts.append(dict(calls))
     cold, second = counts
     assert len(es._tilde_search(params, kappa, nl, FAST)[1].starts()) == 8
-    assert second == {"G": cold["G"] - 8, "g": cold["g"] - 8}
+    assert second == {"G": cold["G"] - 8, "g": cold["g"] - 8, "dg": cold["dg"] - 8}
 
 
 def test_lambda_scan_reports_match_solve():
@@ -1528,10 +1531,10 @@ def _full_grad(asm, u, lam, kappa, nl):
 
 
 def _full_hessian(asm, u, lam, kappa, nl):
+    # as in the kernel, the lambda-free hat-mass pair is scaled by -lambda
     stiff = asm._slope_moment(asm.slopes(u)) * asm.inv_h**2
     mass = _full_weights(asm, kappa) * nl.dg(_full_points(asm, u))
-    mass *= -lam
-    return asm._tridiag(stiff, asm._hat_moments(mass))
+    return asm._tridiag(stiff, [-lam * m for m in asm._mass_pair(asm._hat_moments(mass))])
 
 
 def _narrow_bump(r, R=0.005):
@@ -1662,9 +1665,10 @@ def test_kept_starts_and_their_terms_are_read_only():
     for v in starts:
         asm.g_int(v, kappa, nl)
         asm.grad(v, 1.0, kappa, nl)
+        asm.hessian_banded(v, 1.0, kappa, nl)
     for _, terms in asm._starts:
         assert terms["kappa"] is kappa and terms["nl"] is nl
-        for kept in (*terms["source"], *starts):
+        for kept in (*terms["source"], *terms["mass"], *starts):
             with pytest.raises(ValueError):
                 kept[0] = 1.0
 

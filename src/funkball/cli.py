@@ -5,14 +5,18 @@ forms at a point (with sampling-oracle cross-checks under ``--verify``),
 ``norms`` assembles a norm report for a radial profile, ``counterexample``
 tabulates the truncated dichotomy integrals and prints a PASS/FAIL verdict,
 ``solve``/``scan`` drive the variational solver, and ``diag`` emits
-subquadraticity and gradient-check tables.
+subquadraticity and gradient-check tables.  Each subcommand takes only the
+flags it reads: ``--n``, ``--a`` and ``--config`` everywhere, ``--out``
+everywhere but ``metric``, ``--seed`` on ``solve``, ``scan`` and ``diag``,
+``--verify`` on ``metric``; a flag the subcommand does not read exits 2.
 
 Configuration is a flat ``key = value`` text file with dotted keys
 (``params.a = 0.5``), overridden by command-line flags; every run that
 writes outputs also writes its fully resolved configuration next to them.
 The ``solver.*`` keys are the fields of ``SolverConfig``, defaults
-included; ``quad.r_max`` is the truncation radius of ``norms`` (the config
-twin of ``--r-max``), by default ``quadrature.R_MAX``.  The problem is the
+included; its class constants, such as ``tol``, are not keys.
+``quad.r_max`` is the truncation radius of ``norms`` (the config twin of
+``--r-max``), by default ``quadrature.R_MAX``.  The problem is the
 default nonlinearity with the bump weight of radius ``problem.kappa_radius``.
 Every subcommand validates every key, each by the class that owns it; the
 CLI checks what no class owns (key names, numbers and ``quad.r_max``).
@@ -85,7 +89,6 @@ CONFIG_DEFAULTS = {
     "quad.r_max": R_MAX,
     **{key: f.default for key, f in _SOLVER_KEYS.items()},
     "problem.kappa_radius": 0.5,
-    "run.verify": 0,
 }
 
 
@@ -139,8 +142,6 @@ def resolve_config(args):
         cfg["solver.seed"] = args.seed
     if getattr(args, "r_max", None) is not None:
         cfg["quad.r_max"] = args.r_max
-    if getattr(args, "verify", False):
-        cfg["run.verify"] = 1
     cfg = {k: _coerce(k, v) for k, v in cfg.items()}
     params = fc.ModelParams(n=cfg["params.n"], a=cfg["params.a"])
     _check_r_max(cfg["quad.r_max"])
@@ -212,7 +213,7 @@ def cmd_metric(args):
         grad = fc.legendre_gradient(params, p, alpha)
         lines.append(f"F_star = {_fmt(Fs)}")
         lines.append(f"grad = {','.join(_fmt(float(v)) for v in grad)}")
-        if run.cfg["run.verify"]:
+        if args.verify:
             oracle = fc.polar_F_star_oracle(params, p, alpha, samples=20000)
             if abs(oracle - Fs) > 1e-3 * (1.0 + Fs):
                 mismatches.append(f"dual-norm oracle {oracle} vs closed form {Fs}")
@@ -221,7 +222,7 @@ def cmd_metric(args):
                 mismatches.append("duality identity alpha(grad) = F_star^2 failed")
             if abs(fc.randers_F(params, p, grad) - Fs) > 1e-8 * (1.0 + Fs):
                 mismatches.append("duality identity F(grad) = F_star failed")
-    if p is not None and run.cfg["run.verify"] and params.a < 1.0:
+    if p is not None and args.verify and params.a < 1.0:
         r_pt = (1.0 + params.a * p.r) / (1.0 - params.a * p.r)
         oracle = fc.reversibility_oracle(params, p, samples=20000)
         if abs(oracle - r_pt) > 1e-3 * (1.0 + r_pt):
@@ -451,13 +452,16 @@ def cmd_diag(args):
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
+def _add_common(sub, out=True, seed=False):
+    """--n, --a and --config, then --out and --seed where the subcommand
+    reads them."""
     sub.add_argument("--n", type=int, help="space dimension (>= 2)")
     sub.add_argument("--a", type=float, help="interpolation parameter in [0, 1]")
     sub.add_argument("--config", help="flat key = value configuration file")
-    sub.add_argument("--out", help="output directory for reports")
-    sub.add_argument("--seed", type=int, help="master seed for randomized stages")
-    sub.add_argument("--verify", action="store_true", help="run oracle cross-checks")
+    if out:
+        sub.add_argument("--out", help="output directory for reports")
+    if seed:
+        sub.add_argument("--seed", type=int, help="master seed for randomized stages")
 
 
 def build_parser():
@@ -469,7 +473,8 @@ def build_parser():
     subs = ap.add_subparsers(dest="command", required=True)
 
     m = subs.add_parser("metric", help="evaluate the metric closed forms at a point")
-    _add_common(m)
+    _add_common(m, out=False)
+    m.add_argument("--verify", action="store_true", help="run oracle cross-checks")
     m.add_argument("--x", help="base point, comma-separated (0 for the origin)")
     m.add_argument("--y", help="tangent vector")
     m.add_argument("--alpha", help="covector")
@@ -489,17 +494,17 @@ def build_parser():
     c.set_defaults(fn=cmd_counterexample)
 
     s = subs.add_parser("solve", help="solve at one lambda")
-    _add_common(s)
+    _add_common(s, seed=True)
     s.add_argument("--lambda", dest="lam", type=float, help="coupling value")
     s.set_defaults(fn=cmd_solve)
 
     sc = subs.add_parser("scan", help="classify a lambda schedule")
-    _add_common(sc)
+    _add_common(sc, seed=True)
     sc.add_argument("--lambdas", help="comma-separated lambda schedule")
     sc.set_defaults(fn=cmd_scan)
 
     d = subs.add_parser("diag", help="subquadraticity and gradient-check tables")
-    _add_common(d)
+    _add_common(d, seed=True)
     d.add_argument("--lambda", dest="lam", type=float, help="coupling for the gradient check")
     d.set_defaults(fn=cmd_diag)
     return ap

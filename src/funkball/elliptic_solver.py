@@ -440,7 +440,8 @@ class SolverConfig:
     descent's polish and of the mountain pass) and the descent direction's
     Hessian shift are the module constants :data:`QUAD_ORDER`,
     :data:`R_MAX`, :data:`NEWTON_ITERS` and :data:`HESSIAN_SHIFT`;
-    ``quad_order`` reads the first as a class attribute.
+    ``quad_order`` reads the first as a class attribute.  ``tol``, the dual
+    residual a solution must fall below, is a class attribute too.
 
     ``max_iter`` caps each start's descent steps.  A start cut off by it
     keeps its residual, which is at or above ``tol``, so it counts as a
@@ -448,16 +449,14 @@ class SolverConfig:
     """
 
     M: int = 400
-    tol: float = 1e-8
     max_iter: int = 400
     seed: int = 0
     quad_order: ClassVar[int] = QUAD_ORDER
+    tol: ClassVar[float] = 1e-8
 
     def __post_init__(self):
         if self.M < 16:
             raise ValueError("need at least 16 radial elements")
-        if self.tol <= 0.0:
-            raise ValueError("tolerances must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.seed < 0:
@@ -574,8 +573,8 @@ class _Assembly:
     point values.  A vector is matched to a start by comparing bytes when
     the state slot changes; the start's slopes are the state slot's, as for
     any vector.  Eight starts hold about 1.23 MB at M = 6400.  The Klein
-    weights, the Klein dual factor and the slope moment tables are built on
-    first use.
+    moments and the slope moment tables are built on first use; the Klein
+    weights are not kept.
 
     A tridiagonal matrix on the free DOFs (``hessian_banded``,
     ``gram_banded``) is the pair ``(diagonal, off-diagonal)`` of lengths
@@ -629,18 +628,9 @@ class _Assembly:
         R = self.R
         return ((1.0 - R) * (1.0 + R), *_one_minus_ar(self._params.a, R))
 
-    # The Klein weights, the Klein dual factor and the slope moment tables are
-    # built on first use: the tent search's 2-point rule reads only the
-    # Finsler weights and the hat functions.
-
-    @functools.cached_property
-    def w_klein(self):
-        W = gauss_panels(self._edges, self.R.shape[1])[1]
-        return self._base(W) * measure_density(self._params, self.R, "klein")
-
-    @functools.cached_property
-    def klein_dual(self):
-        return self._factors()[0] ** 2
+    # The Klein moments and the slope moment tables are built on first use:
+    # the tent search's 2-point rule reads only the Finsler weights and the
+    # hat functions.
 
     @functools.cached_property
     def _slope_tables(self):
@@ -655,12 +645,10 @@ class _Assembly:
         """Value of each element's left node: u_{e-1}, and u_0 for e = 0."""
         return np.concatenate((u[:1], u[:-1]))
 
-    def at_points(self, u, rows=None):
-        """Values at the points of the first ``rows`` elements (all of them
-        by default)."""
-        k = self.M if rows is None else rows
-        out = self._left(u)[:k, None] * self.NL[:k]
-        out += u[:k, None] * self.NR[:k]
+    def at_points(self, u, rows):
+        """Values at the points of the first ``rows`` elements."""
+        out = self._left(u)[:rows, None] * self.NL[:rows]
+        out += u[:rows, None] * self.NR[:rows]
         return out
 
     def slopes(self, u):
@@ -835,10 +823,12 @@ class _Assembly:
 
     @functools.cached_property
     def _klein_moments(self):
-        """Per-element Klein moments: the stiffness moment sum_p w_klein
-        klein_dual and the hat-mass moments of w_klein (NL NL, NL NR, NR NR),
-        read by ``gram_banded`` and ``inner_K``."""
-        return (_row_dot(self.w_klein, self.klein_dual), *self._hat_moments(self.w_klein))
+        """Per-element Klein moments: the stiffness moment sum_p w_K (1 -
+        r^2)^2 of the Klein weights w_K and their hat-mass moments (NL NL,
+        NL NR, NR NR), read by ``gram_banded`` and ``inner_K``."""
+        W = gauss_panels(self._edges, self.R.shape[1])[1]
+        w_klein = self._base(W) * measure_density(self._params, self.R, "klein")
+        return (_row_dot(w_klein, self._factors()[0] ** 2), *self._hat_moments(w_klein))
 
     def gram_banded(self):
         """Tridiagonal H^1_2 Gram matrix (Klein gradient + Klein mass), as
@@ -986,21 +976,6 @@ def _ratio(E, G):
     return E / (2.0 * G) if G > 0.0 else math.inf
 
 
-def _best_trial(ratios):
-    """Smallest of the onset ratios and the index of the first one attaining
-    it; raises when none is finite (no trial has positive potential)."""
-    best, arg = math.inf, None
-    for i, rat in enumerate(ratios):
-        if rat < best:
-            best, arg = rat, i
-    if arg is None:
-        raise SolverError(
-            "no trial profile produces positive potential; weight and nonlinearity "
-            "are incompatible"
-        )
-    return best, arg
-
-
 @functools.lru_cache(maxsize=1)
 def _tilde_search(params, kappa, nl, cfg):
     """Best tent-profile bound on the onset ratio E/(2G), and the assembly
@@ -1013,10 +988,12 @@ def _tilde_search(params, kappa, nl, cfg):
     (:data:`QUAD_ORDER` points) then rescores heights j-1, j, j+1, which
     guards against a rough ratio that ranks two neighbouring heights the
     wrong way round; a width without a finite rough ratio is rescored at
-    every height.  The first full-order minimum in (width, height) order
-    wins, and the golden refinement of its height runs at full order.  E_b
-    always comes from the full-order assembly: through its moment tables
-    it costs O(M).
+    every height.  The search goes one width at a time, holding that
+    width's point values only, and keeps the least full-order ratio by a
+    strict <, so the first minimum in (width, height) order wins; the
+    golden refinement of its height runs at full order.  E_b always comes
+    from the full-order assembly: through its moment tables it costs O(M).
+    Raises :class:`SolverError` when no tent has positive potential.
 
     Nothing here depends on lambda, so the last problem's result is kept,
     with the assembly's weight values and Gram factor: ``solve``,
@@ -1026,8 +1003,9 @@ def _tilde_search(params, kappa, nl, cfg):
     problem data are treated as immutable.  The kept assembly also keeps
     the descent starts of every solve of the problem (``_descent_starts``)
     and, once a solve has reached them, their lambda-free source terms.  It
-    holds about 4.7 MB at M = 6400: 3.1 MB of quadrature data and weights,
-    0.36 MB of state of the last vector it evaluated and 1.23 MB of starts.
+    holds about 4.1 MB at M = 6400: 2.6 MB of quadrature data, weights and
+    moment tables, 0.36 MB of state of the last vector it evaluated and
+    1.23 MB of starts.
     """
     asm = _Assembly(params, solver_nodes(cfg))
     rough = _Assembly(params, asm.nodes, quad_order=2)
@@ -1036,28 +1014,26 @@ def _tilde_search(params, kappa, nl, cfg):
     def ratio(h, E_b, P, on=asm):
         return _ratio(h * h * E_b, on._potential(h * P, kappa, nl))
 
-    cells = []  # (width, height) index of each full-order score, in scoring order
-
-    def rescored():
-        # one width at a time, so that only one width's point values are held
-        for b, w in enumerate(widths):
-            base = _tent_vector(asm.nodes, 1.0, w)
-            E_b = asm.energy(base)
-            P = rough._live_points(base, kappa)
-            coarse = [ratio(h, E_b, P, rough) for h in heights]
-            j = int(np.argmin(coarse))  # the first minimum
-            if math.isfinite(coarse[j]):
-                rows = range(max(j - 1, 0), min(j + 2, heights.size))
-            else:
-                rows = range(heights.size)
-            P = asm._live_points(base, kappa)
-            for i in rows:
-                cells.append((b, i))
-                yield ratio(heights[i], E_b, P)
-
-    best, k = _best_trial(rescored())
-    b, i = cells[k]
-    w0, h0 = widths[b], heights[i]
+    best, cell = math.inf, None  # least full-order ratio and its (width, height)
+    # one width at a time, so that only one width's point values are held
+    for w in widths:
+        base = _tent_vector(asm.nodes, 1.0, w)
+        E_b = asm.energy(base)
+        P = rough._live_points(base, kappa)
+        coarse = [ratio(h, E_b, P, rough) for h in heights]
+        j = int(np.argmin(coarse))  # the first minimum
+        rows = heights[max(j - 1, 0) : j + 2] if math.isfinite(coarse[j]) else heights
+        P = asm._live_points(base, kappa)
+        for h in rows:
+            rat = ratio(h, E_b, P)
+            if rat < best:
+                best, cell = rat, (w, h)
+    if cell is None:
+        raise SolverError(
+            "no trial profile produces positive potential; weight and nonlinearity "
+            "are incompatible"
+        )
+    w0, h0 = cell
     base = _tent_vector(asm.nodes, 1.0, w0)
     tent = asm.energy(base), asm._live_points(base, kappa)
 
@@ -1279,16 +1255,17 @@ def _certify(asm, u, res, lam, kappa, nl, cfg, index):
     (residual, least value, H^1_2 norm, Morse index and whether residual and
     least value pass), and the tests it fails as a solution of Morse index
     ``index``, each as a phrase."""
+    min_value = float(np.min(u))
+    failed = [] if res < cfg.tol else [f"residual {res:.3e}"]
+    if not min_value >= -1e-10:
+        failed.append(f"min {min_value:.3e}")
     cert = {
         "residual": res,
-        "min_value": float(np.min(u)),
+        "min_value": min_value,
         "h12_norm": asm.h12_norm(u),
         "morse_index": morse_index(asm.hessian_banded(u, lam, kappa, nl)),
-        "ok": bool(res < cfg.tol and np.min(u) >= -1e-10),
+        "ok": not failed,
     }
-    failed = [] if res < cfg.tol else [f"residual {res:.3e}"]
-    if not cert["min_value"] >= -1e-10:
-        failed.append(f"min {cert['min_value']:.3e}")
     if cert["morse_index"] != index:
         failed.append(f"Morse index {cert['morse_index']}, not {index}")
     return cert, failed

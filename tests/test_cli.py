@@ -359,11 +359,9 @@ params.a = 0.5
 params.n = 3
 problem.kappa_radius = 0.5
 quad.r_max = 0.99999899999999997
-run.verify = 0
 solver.m = 400
 solver.max_iter = 400
 solver.seed = 0
-solver.tol = 1e-08
 """
 
 
@@ -389,6 +387,8 @@ def test_resolved_cfg_of_default_run(capsys, tmp_path):
         ("solver.max_sweeps = 0", "unknown key 'solver.max_sweeps'"),
         ("solver.quad_order = 8", "unknown key 'solver.quad_order'"),
         ("solver.r_max = 0.5", "unknown key 'solver.r_max'"),
+        ("solver.tol = 0", "unknown key 'solver.tol'"),
+        ("run.verify = 1", "unknown key 'run.verify'"),
     ],
 )
 def test_every_subcommand_validates_the_whole_config(capsys, tmp_path, line, message):
@@ -405,7 +405,7 @@ def test_every_subcommand_validates_the_whole_config(capsys, tmp_path, line, mes
     [
         (("metric", "--n", "1", "--reversibility"), "", "dimension must be an integer >= 2"),
         (("metric", "--a", "1.5", "--reversibility"), "", "interpolation parameter must lie in"),
-        (("metric", "--reversibility"), "solver.tol = 0", "tolerances must be positive"),
+        (("metric", "--reversibility"), "params.a = nan", "interpolation parameter must lie in"),
         (("metric", "--reversibility"), "quad.r_max = 1", "r_max must lie in (0, 1), got 1.0"),
         (("diag", "--lambda", "-5"), "", "lambda must be finite and non-negative"),
         (("norms", "--r-max", "1"), "", "r_max must lie in (0, 1), got 1.0"),
@@ -426,3 +426,27 @@ def test_checks_left_to_the_owning_class_exit_2(capsys, tmp_path, argv, cfg_line
     code, out, err = run(capsys, *argv, "--config", str(cfg))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("metric", "--reversibility", "--seed", "3"),
+        ("metric", "--reversibility", "--out", "unread"),
+        ("norms", "--seed", "3"),
+        ("norms", "--verify"),
+        ("counterexample", "--seed", "3"),
+        ("counterexample", "--verify"),
+        ("solve", "--lambda", "1", "--verify"),
+        ("scan", "--verify"),
+        ("diag", "--verify"),
+    ],
+)
+def test_a_flag_the_subcommand_does_not_read_exits_2(capsys, monkeypatch, tmp_path, argv):
+    # argparse rejects it before any work is done or any file is written
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import types
 from fractions import Fraction
@@ -45,6 +46,22 @@ def tent_values(nodes, height=1.0, width=0.4):
     v = height * np.maximum(1.0 - nodes / width, 0.0)
     v[-1] = 0.0
     return v
+
+
+def _gauss_points(asm, n, q):
+    """Points R of the assembly's q-point Gauss rule on each element and
+    their Euclidean volume weights, built from the Gauss-Legendre rule."""
+    gx, gw = np.polynomial.legendre.leggauss(q)
+    lows = np.concatenate(([0.0], asm.nodes[:-1]))[:, None]
+    half = 0.5 * (asm.nodes[:, None] - lows)
+    R = lows + half * (gx + 1.0)
+    return R, half * gw * sphere_area(n) * R ** (n - 1)
+
+
+def _klein_weights(asm, n, q=8):
+    """The Klein volume weights at the assembly's points."""
+    R, base = _gauss_points(asm, n, q)
+    return base * ((1.0 - R) * (1.0 + R)) ** (-0.5 * (n + 1))
 
 
 def _best_tent(params, kappa, nl, cfg):
@@ -118,7 +135,7 @@ def test_one_minus_ar_forms_match_exact_values(a):
             assert abs(Fraction(radial_fstar(params, r, du)) - exact) <= 4 * eps * exact
     # the assembly's Finsler weights: w_fins / w_klein = (1 - a^2 r^2)^((n+1)/2)
     asm = _Assembly(ModelParams(n=3, a=a), solver_nodes(SolverConfig(M=48)))
-    for r, wf, wk in zip(asm.R[-1], asm.w_fins[-1], asm.w_klein[-1]):
+    for r, wf, wk in zip(asm.R[-1], asm.w_fins[-1], _klein_weights(asm, 3)[-1]):
         R = Fraction(float(r))
         exact = (1 - A * A * R * R) ** 2
         assert abs(Fraction(float(wf)) / Fraction(float(wk)) - exact) <= 4 * eps * exact
@@ -445,6 +462,14 @@ def test_solver_config_rejects_bad_iteration_knobs(field, value, message):
     with pytest.raises(ValueError, match=message):
         SolverConfig(**{field: value})
     SolverConfig(**{field: value + 1})  # the smallest accepted value
+
+
+def test_solver_tolerance_is_a_class_constant():
+    # every solve certifies against one residual tolerance, which is no field
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["M", "max_iter", "seed"]
+    assert SolverConfig.tol == SolverConfig(M=120).tol == 1e-8
+    with pytest.raises(TypeError):
+        SolverConfig(tol=1e-6)
 
 
 def test_scalar_only_weight_is_sampled_per_entry():
@@ -910,9 +935,8 @@ def test_solve_below_threshold_interpolates_each_iterate_once(monkeypatch):
     seen = {}
     at_points = _Assembly.at_points
 
-    def keyed(self, u, rows=None):
-        if rows is not None:  # the live rows of the source terms
-            seen[u.tobytes()] = seen.get(u.tobytes(), 0) + 1
+    def keyed(self, u, rows):
+        seen[u.tobytes()] = seen.get(u.tobytes(), 0) + 1
         return at_points(self, u, rows)
 
     monkeypatch.setattr(_Assembly, "at_points", keyed)
@@ -1708,16 +1732,12 @@ def test_kept_start_terms_follow_the_weight_and_nonlinearity(other):
 
 
 def test_lazy_tables_match_the_eager_formulas():
-    # the Klein weights, the Klein dual factor and the slope moment tables
-    # are built on first use, with the bits of the formulas built eagerly
+    # the Klein moments and the slope moment tables are built on first use,
+    # with the bits of the formulas built eagerly
     for n, a, q in ((3, 0.5, 8), (5, 0.9, 2), (2, 0.0, 4)):
         asm = _Assembly(ModelParams(n=n, a=a), solver_nodes(FAST), quad_order=q)
-        assert not {"w_klein", "klein_dual", "_slope_tables"} & set(vars(asm))
-        gx, gw = np.polynomial.legendre.leggauss(q)
-        lows = np.concatenate(([0.0], asm.nodes[:-1]))[:, None]
-        half = 0.5 * (asm.nodes[:, None] - lows)
-        R = lows + half * (gx + 1.0)
-        base = half * gw * sphere_area(n) * R ** (n - 1)
+        assert not {"_klein_moments", "_slope_tables"} & set(vars(asm))
+        R, base = _gauss_points(asm, n, q)
         p = 0.5 * (n + 1)
         one_m = (1.0 - R) * (1.0 + R)
         down, up = es._one_minus_ar(a, R)
@@ -1725,10 +1745,18 @@ def test_lazy_tables_match_the_eager_formulas():
         wc2 = asm.w_fins * (one_m / one_m_a) ** 2
         assert np.array_equal(asm.R, R)
         assert np.array_equal(asm.w_fins, base * (one_m_a / one_m) ** p)
-        assert np.array_equal(asm.w_klein, base * one_m ** (-p))
-        assert np.array_equal(asm.klein_dual, one_m**2)
         eager = (es._row_dot(wc2 * down, down), es._row_dot(wc2 * up, up), wc2.sum(axis=1))
         for lazy, ref in zip(asm._slope_tables, eager):
+            assert np.array_equal(lazy, ref)
+        klein = _klein_weights(asm, n, q)
+        kL, NL, NR = klein * asm.NL, asm.NL, asm.NR
+        eager = (
+            es._row_dot(klein, one_m**2),
+            es._row_dot(kL, NL),
+            es._row_dot(kL, NR),
+            es._row_dot(klein * NR, NR),
+        )
+        for lazy, ref in zip(asm._klein_moments, eager):
             assert np.array_equal(lazy, ref)
 
 
@@ -1745,7 +1773,7 @@ def test_the_rough_rule_builds_no_klein_or_slope_tables(monkeypatch):
     _tilde_search.cache_clear()
     _tilde_search(ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default(), FAST)
     assert len(rough) == 1
-    assert not {"w_klein", "klein_dual", "_slope_tables"} & set(vars(rough[0]))
+    assert not {"_klein_moments", "_slope_tables"} & set(vars(rough[0]))
 
 
 def _seeded_band(rng, m, shift):
@@ -1864,10 +1892,11 @@ def test_inner_K_matches_the_per_point_sum(rng, n, a, M):
     # the per-element Klein moments against the Klein slope and mass terms
     # summed at every quadrature point
     asm = _Assembly(ModelParams(n=n, a=a), solver_nodes(SolverConfig(M=M)))
+    klein, dual = _klein_weights(asm, n), ((1.0 - asm.R) * (1.0 + asm.R)) ** 2
 
     def per_point(x, y):
-        slope = asm.klein_dual * (asm.slopes(x) * asm.slopes(y))[:, None]
-        return float(np.vdot(asm.w_klein, slope + asm.at_points(x) * asm.at_points(y)))
+        slope = dual * (asm.slopes(x) * asm.slopes(y))[:, None]
+        return float(np.vdot(klein, slope + asm.at_points(x, asm.M) * asm.at_points(y, asm.M)))
 
     noise = rng.standard_normal(asm.M)
     noise[-1] = 0.0

@@ -133,7 +133,7 @@ def _at_floor(old, new, tol):
         for a, b in zip(old["solutions"], new["solutions"]))
 
 
-def diff(parent, change, tol=SolverConfig().tol):
+def diff(parent, change, tol=SolverConfig.tol):
     """Printed lines of the comparison of two loaded outputs, and whether a
     run is missing, a classification or a solution's ``ok`` changed, or a
     failure count moved off the floor."""

@@ -471,9 +471,26 @@ def solver_nodes(cfg=None):
     return R_MAX * 0.5 * (1.0 - np.cos(math.pi * t))
 
 
-def _row_dot(x, y):
-    """Dot product of each row of ``x`` with the same row of ``y``."""
-    return np.einsum("ij,ij->i", x, y)
+def _point_dot(x, y):
+    """Dot product of each column of the ``(q, M)`` arrays ``x`` and ``y``:
+    one sum over the points of each element."""
+    return np.einsum("ij,ij->j", x, y)
+
+
+def _point_major(edges, q):
+    """``gauss_panels``' points and weights as C-contiguous ``(q, M)``
+    arrays, one row per Gauss node."""
+    return [np.ascontiguousarray(x.T) for x in gauss_panels(edges, q)]
+
+
+def _hat_sums(table, x):
+    """Sums over each element's points of ``x``, a ``(q, k)`` array, against
+    each row of ``table``: its first q columns hold hat values at the
+    reference points, read on every linear element, and its last column the
+    constant values on the flat centre element 0."""
+    out = table[:, :-1] @ x
+    out[:, :1] = table[:, -1:] * x[:, :1].sum(axis=0)
+    return out
 
 
 def _read_only(x):
@@ -521,9 +538,17 @@ class _Assembly:
     Nodal vectors have length M with the last entry pinned to 0; free
     degrees of freedom are the first M-1 entries.  The element [0, r_1]
     carries the constant value u_1 (even reflection), all others are
-    linear.  Quadrature data are ``(M, q)`` arrays, one row of q points per
-    element; the inverse element length ``inv_h`` and the slopes are ``(M,)``
-    (0 on the flat centre element).
+    linear.  Quadrature data are point-major ``(q, M)`` arrays, one row per
+    Gauss node and one column of q points per element; the inverse element
+    length ``inv_h`` and the slopes are ``(M,)`` (0 on the flat centre
+    element).  Every linear element has the same hat values at its points,
+    NR = xi and NL = 1 - xi for the reference row xi = (gx + 1)/2 of the
+    Gauss nodes gx, so the point values are left + xi (u - left), which is
+    u_0 on the flat element 0, and the sums against the hats are small
+    matrix products with xi (``_hat_sums``); element 0, where NR = 1 and
+    NL = 0, gets its sums set apart.  The hats (R - low)/h of the rounded
+    points R differ from xi by at most about eps r/h: below 2e-13 on the
+    default weight's support and up to 8e-10 next to r = 1 at M = 6400.
 
     The slope du is constant on each element, so the slope terms are
     assembled from per-element moment tables built once: with
@@ -544,16 +569,17 @@ class _Assembly:
 
     Only the source terms (``g_int``, the ``g`` part of ``grad``, the ``dg``
     part of ``hessian_banded``) are evaluated per point, and only on the
-    rows ``[:nk]``, where ``nk``, the row count of the kept source weights
-    (``_source_weights``), is one past the last row with a nonzero weight:
-    beyond it every source term is an exact zero.  Each element's
-    source terms are reduced by row sums onto its two nodes.  ``g_int`` is
-    ``_potential(_live_points(u))``; since the point values are linear in u,
-    a family t v (tent heights, the ray barrier, the subquadraticity table)
-    takes ``P = _live_points(v)`` once and scores each t as ``_potential(t P)``.
+    elements ``[:nk]``, where ``nk``, the column count of the kept source
+    weights (``_source_weights``), is one past the last element with a
+    nonzero weight: beyond it every source term is an exact zero.  Each
+    element's source terms are reduced by point sums onto its two nodes.
+    ``g_int`` is ``_potential(_live_points(u))``; since the point values are
+    linear in u, a family t v (tent heights, the ray barrier, the
+    subquadraticity table) takes ``P = _live_points(v)`` once and scores
+    each t as ``_potential(t P)``.
 
     The assembly keeps the state of the last vector it evaluated: its
-    slopes du, their moments A_sigma and its point values P on the rows
+    slopes du, their moments A_sigma and its point values P on the elements
     ``[:nk]``.  ``energy``, ``g_int``, ``grad`` and ``hessian_banded`` read
     it, so a descent iterate is evaluated once for the line search's J, its
     gradient and its Hessian.  The state is keyed on the bits of the vector
@@ -564,7 +590,7 @@ class _Assembly:
 
     ``keep_starts`` keeps a problem's descent starts by their bits.  The
     source terms that the kernels scale by lambda do not depend on it: the
-    potential, ``grad``'s two row sums and ``hessian_banded``'s hat-mass
+    potential, ``grad``'s two hat sums and ``hessian_banded``'s hat-mass
     pair (``_mass_pair``).  For a kept start they are kept too, filled by
     the first kernel call that reaches it and keyed on the identities of
     the weight and the nonlinearity, so J is ``E/2 - lambda kept``, the
@@ -600,17 +626,17 @@ class _Assembly:
         self.M = M
         self._params = params
         self._edges = np.concatenate(([0.0], self.nodes))
-        R, W = gauss_panels(self._edges, quad_order)
-        lows, highs = self._edges[:-1, None], self._edges[1:, None]
+        R, W = _point_major(self._edges, quad_order)
+        self.inv_h = 1.0 / np.diff(self._edges)
+        self.inv_h[0] = 0.0  # element 0 is the flat centre piece
 
-        # hat-function data: element 0 is the flat center piece
-        h = highs - lows
-        h[0] = 1.0
-        self.NL = (highs - R) / h
-        self.NR = (R - lows) / h
-        self.NL[0], self.NR[0] = 0.0, 1.0
-        self.inv_h = 1.0 / h[:, 0]
-        self.inv_h[0] = 0.0
+        # hat values at the points: NR = xi and NL = 1 - xi on every linear
+        # element, for the Gauss points xi of [0, 1]; the appended xi = 1
+        # gives the flat centre's NR = 1, NL = 0
+        xi = np.append(gauss_panels([0.0, 1.0], quad_order)[0], 1.0)
+        self.xi = xi[:-1, None]
+        self._hats = np.stack((xi, 1.0 - xi))  # NR, NL
+        self._hat_products = np.stack(((1.0 - xi) ** 2, (1.0 - xi) * xi, xi * xi))
         self.R = R
         self.w_fins = self._base(W) * measure_density(params, R, "finsler_a")
 
@@ -637,7 +663,7 @@ class _Assembly:
         """A+, A- and A0 of each element; F* prefactor c(r) = (1-r^2)/(1-a^2 r^2)."""
         one_m, down, up = self._factors()
         wc2 = self.w_fins * (one_m / (down * up)) ** 2
-        return _row_dot(wc2 * down, down), _row_dot(wc2 * up, up), wc2.sum(axis=1)
+        return _point_dot(wc2 * down, down), _point_dot(wc2 * up, up), wc2.sum(axis=0)
 
     # -- nodal evaluation ---------------------------------------------------
 
@@ -646,9 +672,11 @@ class _Assembly:
         return np.concatenate((u[:1], u[:-1]))
 
     def at_points(self, u, rows):
-        """Values at the points of the first ``rows`` elements."""
-        out = self._left(u)[:rows, None] * self.NL[:rows]
-        out += u[:rows, None] * self.NR[:rows]
+        """Values at the points of the first ``rows`` elements, a ``(q,
+        rows)`` array: left + xi (u - left), which is u_0 on element 0."""
+        left = self._left(u)[:rows]
+        out = self.xi * (u[:rows] - left)
+        out += left
         return out
 
     def slopes(self, u):
@@ -703,14 +731,14 @@ class _Assembly:
         return kept[1]
 
     def _source_weights(self, kappa):
-        """Finsler weights times the weight at the points of the rows
-        ``[:nk]``, one past the last row with a nonzero weight."""
+        """Finsler weights times the weight at the points of the elements
+        ``[:nk]``, one past the last element with a nonzero weight."""
         # keyed by identity, not id(): a freed weight's id can be reused
         if self._kappa is not kappa:
             vals = kappa.kappa(self.R)
-            live = np.flatnonzero(np.any(vals != 0.0, axis=1))
+            live = np.flatnonzero(np.any(vals != 0.0, axis=0))
             nk = int(live[-1]) + 1 if live.size else 0
-            self._kappa, self._kappa_w = kappa, self.w_fins[:nk] * vals[:nk]
+            self._kappa, self._kappa_w = kappa, self.w_fins[:, :nk] * vals[:, :nk]
         return self._kappa_w
 
     @staticmethod
@@ -728,16 +756,17 @@ class _Assembly:
         return float(A @ (du * du))
 
     def _live_points(self, u, kappa):
-        """Values of u at the points of the rows ``[:nk]`` of ``kappa``,
+        """Values of u at the points of the elements ``[:nk]`` of ``kappa``,
         read-only."""
-        nk = self._source_weights(kappa).shape[0]
+        nk = self._source_weights(kappa).shape[1]
         kept = self._state(u)
         if kept[2] is not kappa:
             kept[2], kept[3] = kappa, _read_only(self.at_points(u, nk))
         return kept[3]
 
     def _potential(self, points, kappa, nl):
-        """Weighted potential of values at the points of the rows ``[:nk]``."""
+        """Weighted potential of values at the points of the elements
+        ``[:nk]``."""
         return float(np.vdot(self._source_weights(kappa), nl.G(points)))
 
     def g_int(self, u, kappa, nl):
@@ -771,26 +800,23 @@ class _Assembly:
         return out
 
     def _source_sums(self, u, kappa, nl):
-        """Row sums of the source w kappa g(u) against the right and the left
-        hat function on the rows ``[:nk]``, read-only."""
+        """Point sums of the source w kappa g(u) against the right and the
+        left hat function on the elements ``[:nk]``, read-only."""
         src = self._source_weights(kappa) * nl.g(self._live_points(u, kappa))
-        k = src.shape[0]
-        return _read_only(_row_dot(src, self.NR[:k])), _read_only(_row_dot(src, self.NL[:k]))
+        return tuple(map(_read_only, _hat_sums(self._hats, src)))
 
     def _hat_moments(self, mass):
-        """Row sums of ``mass`` against the hat products NL NL, NL NR and
-        NR NR on the rows ``[:len(mass)]``."""
-        k = mass.shape[0]
-        NL, NR = self.NL[:k], self.NR[:k]
-        mL = mass * NL
-        return _row_dot(mL, NL), _row_dot(mL, NR), _row_dot(mass * NR, NR)
+        """Sums of ``mass``, a ``(q, k)`` array, against the hat products NL
+        NL, NL NR and NR NR on the first k elements."""
+        return _hat_sums(self._hat_products, mass)
 
     def _mass_pair(self, moments):
         """Hat-mass ``moments`` (NL NL, NL NR, NR NR) of the first k elements
         as a tridiagonal pair: NR NR plus NL NL summed onto the nodes
-        ``[:k]``, and the NL NR coupling of each element."""
+        ``[:k]``, and the NL NR coupling of each element, copied, so that a
+        kept pair does not hold the other two moments."""
         LL, LR, RR = moments
-        return self._to_nodes(RR, LL), LR
+        return self._to_nodes(RR, LL), LR.copy()
 
     def _tridiag(self, stiff, mass):
         """Free-DOF matrix of sum_e stiff_e s_i s_j plus the hat-mass pair
@@ -814,7 +840,7 @@ class _Assembly:
         return self._tridiag(stiff, [-lam * m for m in mass])
 
     def _source_mass(self, u, kappa, nl):
-        """Hat-mass pair (``_mass_pair``) of w kappa dg(u) on the rows
+        """Hat-mass pair (``_mass_pair``) of w kappa dg(u) on the elements
         ``[:nk]``, read-only."""
         mass = self._source_weights(kappa) * nl.dg(self._live_points(u, kappa))
         return tuple(map(_read_only, self._mass_pair(self._hat_moments(mass))))
@@ -826,9 +852,9 @@ class _Assembly:
         """Per-element Klein moments: the stiffness moment sum_p w_K (1 -
         r^2)^2 of the Klein weights w_K and their hat-mass moments (NL NL,
         NL NR, NR NR), read by ``gram_banded`` and ``inner_K``."""
-        W = gauss_panels(self._edges, self.R.shape[1])[1]
+        W = _point_major(self._edges, self.R.shape[0])[1]
         w_klein = self._base(W) * measure_density(self._params, self.R, "klein")
-        return (_row_dot(w_klein, self._factors()[0] ** 2), *self._hat_moments(w_klein))
+        return (_point_dot(w_klein, self._factors()[0] ** 2), *self._hat_moments(w_klein))
 
     def gram_banded(self):
         """Tridiagonal H^1_2 Gram matrix (Klein gradient + Klein mass), as
@@ -1003,7 +1029,7 @@ def _tilde_search(params, kappa, nl, cfg):
     problem data are treated as immutable.  The kept assembly also keeps
     the descent starts of every solve of the problem (``_descent_starts``)
     and, once a solve has reached them, their lambda-free source terms.  It
-    holds about 4.1 MB at M = 6400: 2.6 MB of quadrature data, weights and
+    holds about 3.3 MB at M = 6400: 1.7 MB of quadrature data, weights and
     moment tables, 0.36 MB of state of the last vector it evaluated and
     1.23 MB of starts.
     """
@@ -1422,7 +1448,7 @@ def solve(lam, params, kappa=None, nl=None, cfg=None):
     starts and their source terms are kept for the last problem (see
     ``_tilde_search``), so repeated solves of one problem set them up once:
     a solve runs one descent from each start the kept assembly holds, whose
-    potential, source row sums and source mass pair the first solve of the
+    potential, source hat sums and source mass pair the first solve of the
     problem fills.
     Problem data are treated as immutable.
     """

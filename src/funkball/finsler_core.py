@@ -378,8 +378,8 @@ def funk_distance(p1, p2):
 
     d(x1, x2) = ln( (A - <x1, x2-x1>) / (A - <x2, x2-x1>) ) with
     A = sqrt(|x1-x2|^2 - (|x1|^2 |x2|^2 - <x1,x2>^2)); in particular
-    d(0, x) = -ln(1 - |x|).  Finite toward the boundary, infinite coming
-    back, hence directed: only d(x,z) <= d(x,y) + d(y,z) holds.
+    d(0, x) = -ln(1 - |x|), infinite toward the boundary, and d(x, 0) =
+    ln(1 + |x|) < ln 2 coming back; directed: only d(x,z) <= d(x,y) + d(y,z) holds.
     """
     p1, p2 = _point(p1), _point(p2)
     if p1.n != p2.n:

@@ -50,12 +50,13 @@ def tent_values(nodes, height=1.0, width=0.4):
 
 def _gauss_points(asm, n, q):
     """Points R of the assembly's q-point Gauss rule on each element and
-    their Euclidean volume weights, built from the Gauss-Legendre rule."""
+    their Euclidean volume weights, built from the Gauss-Legendre rule, as
+    ``(q, M)`` arrays: one row per Gauss node, one column per element."""
     gx, gw = np.polynomial.legendre.leggauss(q)
-    lows = np.concatenate(([0.0], asm.nodes[:-1]))[:, None]
-    half = 0.5 * (asm.nodes[:, None] - lows)
-    R = lows + half * (gx + 1.0)
-    return R, half * gw * sphere_area(n) * R ** (n - 1)
+    lows = np.concatenate(([0.0], asm.nodes[:-1]))
+    half = 0.5 * (asm.nodes - lows)
+    R = lows + half * (gx[:, None] + 1.0)
+    return R, half * gw[:, None] * sphere_area(n) * R ** (n - 1)
 
 
 def _klein_weights(asm, n, q=8):
@@ -135,7 +136,7 @@ def test_one_minus_ar_forms_match_exact_values(a):
             assert abs(Fraction(radial_fstar(params, r, du)) - exact) <= 4 * eps * exact
     # the assembly's Finsler weights: w_fins / w_klein = (1 - a^2 r^2)^((n+1)/2)
     asm = _Assembly(ModelParams(n=3, a=a), solver_nodes(SolverConfig(M=48)))
-    for r, wf, wk in zip(asm.R[-1], asm.w_fins[-1], _klein_weights(asm, 3)[-1]):
+    for r, wf, wk in zip(asm.R[:, -1], asm.w_fins[:, -1], _klein_weights(asm, 3)[:, -1]):
         R = Fraction(float(r))
         exact = (1 - A * A * R * R) ** 2
         assert abs(Fraction(float(wf)) / Fraction(float(wk)) - exact) <= 4 * eps * exact
@@ -574,7 +575,7 @@ def test_tilde_search_scores_the_grid_on_the_rough_rule(monkeypatch):
     potential = _Assembly._potential
 
     def counted(self, *args):
-        order = self.R.shape[1]
+        order = self.R.shape[0]
         calls[order] = calls.get(order, 0) + 1
         return potential(self, *args)
 
@@ -1433,7 +1434,7 @@ def _pointwise_slope_data(asm, params, u):
     R, a = asm.R, params.a
     down, up = (1.0 - R) + (1.0 - a) * R, 1.0 + a * R
     c = (1.0 - R) * (1.0 + R) / (down * up)
-    du = ((u - np.concatenate((u[:1], u[:-1]))) * asm.inv_h)[:, None]
+    du = (u - np.concatenate((u[:1], u[:-1]))) * asm.inv_h
     return c, np.where(du > 0.0, down, np.where(du < 0.0, up, 1.0)), du
 
 
@@ -1448,7 +1449,7 @@ def _pointwise_flux(asm, params, u):
     node e-1."""
     c, side, du = _pointwise_slope_data(asm, params, u)
     dphi = 2.0 * c**2 * du * side**2
-    return 0.5 * (asm.w_fins * dphi).sum(axis=1) * asm.inv_h
+    return 0.5 * (asm.w_fins * dphi).sum(axis=0) * asm.inv_h
 
 
 def _pointwise_grad(asm, params, u):
@@ -1462,7 +1463,7 @@ def _pointwise_grad(asm, params, u):
 def _pointwise_hessian(asm, params, u):
     c, side, du = _pointwise_slope_data(asm, params, u)
     we = 0.5 * asm.w_fins * 2.0 * c**2 * side**2
-    we = we.sum(axis=1) * asm.inv_h**2
+    we = we.sum(axis=0) * asm.inv_h**2
     H = np.zeros((asm.M, asm.M))
     for e in range(1, asm.M):
         H[e - 1 : e + 1, e - 1 : e + 1] += we[e] * np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -1521,8 +1522,9 @@ def test_g_int_uses_the_weight_of_each_call():
 
 
 def _full_points(asm, u):
-    left = np.concatenate((u[:1], u[:-1]))[:, None]
-    return left * asm.NL + u[:, None] * asm.NR
+    # the reference hat row xi on every element: u_0 on the flat element 0
+    left = np.concatenate((u[:1], u[:-1]))
+    return left + asm.xi * (u - left)
 
 
 def _full_weights(asm, kappa):
@@ -1530,25 +1532,27 @@ def _full_weights(asm, kappa):
 
 
 def _live_rows(asm, kappa):
-    """The live row count nk: the row count of the kept source weights."""
-    return asm._source_weights(kappa).shape[0]
+    """The live element count nk: the column count of the kept source
+    weights."""
+    return asm._source_weights(kappa).shape[1]
 
 
 def _full_g_int(asm, u, kappa, nl):
     kw, Gv = _full_weights(asm, kappa), nl.G(_full_points(asm, u))
-    # the rows the kernel skips add exact zeros; the dot product itself is
-    # taken over the live rows, as BLAS may round a zero-padded one otherwise
+    # the elements the kernel skips add exact zeros; the dot product itself is
+    # taken over the live elements, as BLAS may round a zero-padded one otherwise
     nk = _live_rows(asm, kappa)
-    assert not (kw[nk:] * Gv[nk:]).any()
-    return float(np.vdot(kw[:nk], Gv[:nk]))
+    assert not (kw[:, nk:] * Gv[:, nk:]).any()
+    return float(np.vdot(kw[:, :nk], Gv[:, :nk]))
 
 
 def _full_grad(asm, u, lam, kappa, nl):
     du = asm.slopes(u)
     flux = asm._slope_moment(du) * du * asm.inv_h
     src = _full_weights(asm, kappa) * nl.g(_full_points(asm, u))
-    right = flux - lam * es._row_dot(src, asm.NR)
-    left = -flux - lam * es._row_dot(src, asm.NL)
+    src_r, src_l = es._hat_sums(asm._hats, src)
+    right = flux - lam * src_r
+    left = -flux - lam * src_l
     out = asm._to_nodes(right, left)
     out[-1] = 0.0
     return out
@@ -1597,12 +1601,12 @@ def _assert_source_kernels_match_full_arrays(asm, kappa, rng):
     ids=["bump", "full-support", "narrow-bump"],
 )
 def test_source_kernels_match_full_arrays(rng, kappa, live_rows_ok):
-    # the kernels evaluate the source terms on the rows [:nk] only; every
+    # the kernels evaluate the source terms on the elements [:nk] only; every
     # output must equal the same computation on the full arrays bit for bit
     asm = _Assembly(ModelParams(n=3, a=0.5), solver_nodes(FAST), quad_order=FAST.quad_order)
     _assert_source_kernels_match_full_arrays(asm, kappa, rng)
     vals, nk = kappa.kappa(asm.R), _live_rows(asm, kappa)
-    assert vals[nk - 1].any() and not vals[nk:].any()
+    assert vals[:, nk - 1].any() and not vals[:, nk:].any()
     assert live_rows_ok(nk, asm.M)
 
 
@@ -1745,19 +1749,48 @@ def test_lazy_tables_match_the_eager_formulas():
         wc2 = asm.w_fins * (one_m / one_m_a) ** 2
         assert np.array_equal(asm.R, R)
         assert np.array_equal(asm.w_fins, base * (one_m_a / one_m) ** p)
-        eager = (es._row_dot(wc2 * down, down), es._row_dot(wc2 * up, up), wc2.sum(axis=1))
+        eager = (es._point_dot(wc2 * down, down), es._point_dot(wc2 * up, up), wc2.sum(axis=0))
         for lazy, ref in zip(asm._slope_tables, eager):
             assert np.array_equal(lazy, ref)
         klein = _klein_weights(asm, n, q)
-        kL, NL, NR = klein * asm.NL, asm.NL, asm.NR
-        eager = (
-            es._row_dot(klein, one_m**2),
-            es._row_dot(kL, NL),
-            es._row_dot(kL, NR),
-            es._row_dot(klein * NR, NR),
-        )
+        # the hat products at the reference row xi = NR, NL = 1 - xi; on
+        # the flat element 0, NR = 1 and NL = 0
+        xi = 0.5 * (np.polynomial.legendre.leggauss(q)[0] + 1.0)
+        hat_mass = np.stack(((1.0 - xi) ** 2, (1.0 - xi) * xi, xi * xi)) @ klein
+        hat_mass[:, 0] = 0.0, 0.0, klein[:, 0].sum()
+        eager = (es._point_dot(klein, one_m**2), *hat_mass)
         for lazy, ref in zip(asm._klein_moments, eager):
             assert np.array_equal(lazy, ref)
+
+
+@pytest.mark.parametrize("M, q", [(48, 2), (400, 8), (6400, 8)])
+def test_reference_hat_row_matches_the_element_hats(rng, M, q):
+    # every linear element reads the reference row xi = (gx + 1)/2 for NR
+    # and 1 - xi for NL; the hats (R - low)/h and (high - R)/h of the
+    # rounded points R differ from it by rounding, which grows as eps r/h
+    # on the short elements next to r = 1
+    params, kappa, nl = ModelParams(n=3, a=0.5), EXP_WEIGHT, Nonlinearity.default()
+    asm = _Assembly(params, solver_nodes(SolverConfig(M=M)), quad_order=q)
+    lows, highs = asm._edges[:-1], asm._edges[1:]
+    h = highs - lows
+    NR, NL = (asm.R - lows) / h, (highs - asm.R) / h
+    bound = 2.0 * np.finfo(float).eps * (1.0 + highs / h)
+    assert np.all(np.abs(NR - asm.xi)[:, 1:] <= bound[1:])
+    assert np.all(np.abs(NL - (1.0 - asm.xi))[:, 1:] <= bound[1:])
+    # the flat centre element 0 carries u_0 at every point, bit for bit
+    u = rng.standard_normal(M)
+    u[-1] = 0.0
+    P = asm.at_points(u, M)
+    assert P.shape == (q, M)
+    assert P[:, 0].tobytes() == np.full(q, u[0]).tobytes()
+    # and its whole source sum lands on node 0 (NR = 1, NL = 0 there),
+    # while the two hats of every element split its sum between its nodes
+    src = asm._source_weights(kappa) * nl.g(P)
+    right, left = asm._source_sums(u, kappa, nl)
+    assert right[0] == src[:, 0].sum() and left[0] == 0.0
+    np.testing.assert_allclose(right + left, src.sum(axis=0), rtol=1e-13, atol=1e-300)
+    LL, LR, RR = asm._hat_moments(src)
+    assert LL[0] == LR[0] == 0.0 and RR[0] == src[:, 0].sum()
 
 
 def test_the_rough_rule_builds_no_klein_or_slope_tables(monkeypatch):
@@ -1895,7 +1928,7 @@ def test_inner_K_matches_the_per_point_sum(rng, n, a, M):
     klein, dual = _klein_weights(asm, n), ((1.0 - asm.R) * (1.0 + asm.R)) ** 2
 
     def per_point(x, y):
-        slope = dual * (asm.slopes(x) * asm.slopes(y))[:, None]
+        slope = dual * (asm.slopes(x) * asm.slopes(y))
         return float(np.vdot(klein, slope + asm.at_points(x, asm.M) * asm.at_points(y, asm.M)))
 
     noise = rng.standard_normal(asm.M)

@@ -7,8 +7,9 @@ tabulates the truncated dichotomy integrals and prints a PASS/FAIL verdict,
 ``solve``/``scan`` drive the variational solver, and ``diag`` emits
 subquadraticity and gradient-check tables.  Each subcommand takes only the
 flags it reads: ``--n``, ``--a`` and ``--config`` everywhere, ``--out``
-everywhere but ``metric``, ``--seed`` on ``solve``, ``scan`` and ``diag``,
-``--verify`` on ``metric``; a flag the subcommand does not read exits 2.
+everywhere but ``metric``, ``--seed`` on ``diag`` (the seed of its
+gradient-check states), ``--verify`` on ``metric``; a flag the subcommand
+does not read exits 2.
 
 Configuration is a flat ``key = value`` text file with dotted keys
 (``params.a = 0.5``), overridden by command-line flags; every run that
@@ -452,16 +453,13 @@ def cmd_diag(args):
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, out=True, seed=False):
-    """--n, --a and --config, then --out and --seed where the subcommand
-    reads them."""
+def _add_common(sub, out=True):
+    """--n, --a and --config, then --out where the subcommand reads it."""
     sub.add_argument("--n", type=int, help="space dimension (>= 2)")
     sub.add_argument("--a", type=float, help="interpolation parameter in [0, 1]")
     sub.add_argument("--config", help="flat key = value configuration file")
     if out:
         sub.add_argument("--out", help="output directory for reports")
-    if seed:
-        sub.add_argument("--seed", type=int, help="master seed for randomized stages")
 
 
 def build_parser():
@@ -494,17 +492,18 @@ def build_parser():
     c.set_defaults(fn=cmd_counterexample)
 
     s = subs.add_parser("solve", help="solve at one lambda")
-    _add_common(s, seed=True)
+    _add_common(s)
     s.add_argument("--lambda", dest="lam", type=float, help="coupling value")
     s.set_defaults(fn=cmd_solve)
 
     sc = subs.add_parser("scan", help="classify a lambda schedule")
-    _add_common(sc, seed=True)
+    _add_common(sc)
     sc.add_argument("--lambdas", help="comma-separated lambda schedule")
     sc.set_defaults(fn=cmd_scan)
 
     d = subs.add_parser("diag", help="subquadraticity and gradient-check tables")
-    _add_common(d, seed=True)
+    _add_common(d)
+    d.add_argument("--seed", type=int, help="seed of the gradient-check states")
     d.add_argument("--lambda", dest="lam", type=float, help="coupling for the gradient check")
     d.set_defaults(fn=cmd_diag)
     return ap

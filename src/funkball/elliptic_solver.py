@@ -445,7 +445,8 @@ class SolverConfig:
 
     ``max_iter`` caps each start's descent steps.  A start cut off by it
     keeps its residual, which is at or above ``tol``, so it counts as a
-    failed start.
+    failed start.  ``seed`` seeds only the gradient-check states of the
+    CLI's ``diag``; the solver itself draws no random numbers.
     """
 
     M: int = 400
@@ -587,20 +588,8 @@ class _Assembly:
     changed in place misses) and P also on the identity of the weight.  Its
     arrays are read-only, so a g that writes into its argument is sampled
     per entry and cannot corrupt them.  At M = 6400 it holds about 0.36 MB.
-
-    ``keep_starts`` keeps a problem's descent starts by their bits.  The
-    source terms that the kernels scale by lambda do not depend on it: the
-    potential, ``grad``'s two hat sums and ``hessian_banded``'s hat-mass
-    pair (``_mass_pair``).  For a kept start they are kept too, filled by
-    the first kernel call that reaches it and keyed on the identities of
-    the weight and the nonlinearity, so J is ``E/2 - lambda kept``, the
-    gradient ``flux - lambda kept`` and the Hessian ``stiffness - lambda
-    kept``, the same operations in the same order, and a start takes no
-    point values.  A vector is matched to a start by comparing bytes when
-    the state slot changes; the start's slopes are the state slot's, as for
-    any vector.  Eight starts hold about 1.23 MB at M = 6400.  The Klein
-    moments and the slope moment tables are built on first use; the Klein
-    weights are not kept.
+    The Klein moments and the slope moment tables are built on first use;
+    the Klein weights are not kept.
 
     A tridiagonal matrix on the free DOFs (``hessian_banded``,
     ``gram_banded``) is the pair ``(diagonal, off-diagonal)`` of lengths
@@ -642,8 +631,7 @@ class _Assembly:
 
         self._kappa = self._kappa_w = None
         self._gram = None
-        self._starts = ()
-        self._kept = [None, None, None, None, None]  # bits of u, (du, A_sigma), weight, P, start
+        self._kept = [None, None, None, None]  # bits of u, (du, A_sigma), weight, P
 
     def _base(self, W):
         """Euclidean volume weights of the points for the Gauss weights W."""
@@ -690,37 +678,11 @@ class _Assembly:
 
     def _state(self, u):
         """The kept state slot of ``u``, emptied first when it holds the state
-        of a vector with other bits; its last entry is the kept start with
-        the bits of ``u``, if there is one."""
+        of a vector with other bits."""
         key = np.asarray(u, dtype=float).tobytes()
         if self._kept[0] != key:
-            start = next((s for s in self._starts if s[0] == key), None)
-            self._kept = [key, None, None, None, start]
+            self._kept = [key, None, None, None]
         return self._kept
-
-    def keep_starts(self, starts):
-        """Keep the vectors ``starts`` (by their bits) with room for the
-        lambda-free source terms of each, which the first kernel call that
-        reaches it fills."""
-        self._starts = tuple([v.tobytes(), None] for v in starts)
-
-    def starts(self):
-        """The kept starts, as read-only vectors."""
-        return [np.frombuffer(s[0]) for s in self._starts]
-
-    def _per_start(self, u, kappa, nl, name, build):
-        """``build()``, kept under ``name`` with the start ``u`` when ``u`` is
-        a kept start; the kept terms are dropped when the weight or the
-        nonlinearity is another object."""
-        start = self._state(u)[4]
-        if start is None:
-            return build()
-        terms = start[1]
-        if terms is None or terms["kappa"] is not kappa or terms["nl"] is not nl:
-            terms = start[1] = {"kappa": kappa, "nl": nl}
-        if name not in terms:
-            terms[name] = build()
-        return terms[name]
 
     def _slope_state(self, u):
         """The slopes du of ``u`` and their moments A_sigma, read-only."""
@@ -770,10 +732,7 @@ class _Assembly:
         return float(np.vdot(self._source_weights(kappa), nl.G(points)))
 
     def g_int(self, u, kappa, nl):
-        return self._per_start(
-            u, kappa, nl, "potential",
-            lambda: self._potential(self._live_points(u, kappa), kappa, nl),
-        )
+        return self._potential(self._live_points(u, kappa), kappa, nl)
 
     def j_lambda(self, u, lam, kappa, nl):
         return 0.5 * self.energy(u) - lam * self.g_int(u, kappa, nl)
@@ -789,9 +748,7 @@ class _Assembly:
         du, A = self._slope_state(u)
         flux = A * du * self.inv_h
         right, left = flux, -flux
-        src_r, src_l = self._per_start(
-            u, kappa, nl, "source", lambda: self._source_sums(u, kappa, nl)
-        )
+        src_r, src_l = self._source_sums(u, kappa, nl)
         k = src_r.size
         right[:k] -= lam * src_r
         left[:k] -= lam * src_l
@@ -801,9 +758,9 @@ class _Assembly:
 
     def _source_sums(self, u, kappa, nl):
         """Point sums of the source w kappa g(u) against the right and the
-        left hat function on the elements ``[:nk]``, read-only."""
+        left hat function on the elements ``[:nk]``."""
         src = self._source_weights(kappa) * nl.g(self._live_points(u, kappa))
-        return tuple(map(_read_only, _hat_sums(self._hats, src)))
+        return _hat_sums(self._hats, src)
 
     def _hat_moments(self, mass):
         """Sums of ``mass``, a ``(q, k)`` array, against the hat products NL
@@ -813,10 +770,9 @@ class _Assembly:
     def _mass_pair(self, moments):
         """Hat-mass ``moments`` (NL NL, NL NR, NR NR) of the first k elements
         as a tridiagonal pair: NR NR plus NL NL summed onto the nodes
-        ``[:k]``, and the NL NR coupling of each element, copied, so that a
-        kept pair does not hold the other two moments."""
+        ``[:k]``, and the NL NR coupling of each element."""
         LL, LR, RR = moments
-        return self._to_nodes(RR, LL), LR.copy()
+        return self._to_nodes(RR, LL), LR
 
     def _tridiag(self, stiff, mass):
         """Free-DOF matrix of sum_e stiff_e s_i s_j plus the hat-mass pair
@@ -836,14 +792,13 @@ class _Assembly:
         """Tridiagonal Hessian on the free DOFs, as its ``(diagonal,
         off-diagonal)`` pair."""
         stiff = self._slope_state(u)[1] * self.inv_h**2
-        mass = self._per_start(u, kappa, nl, "mass", lambda: self._source_mass(u, kappa, nl))
-        return self._tridiag(stiff, [-lam * m for m in mass])
+        return self._tridiag(stiff, [-lam * m for m in self._source_mass(u, kappa, nl)])
 
     def _source_mass(self, u, kappa, nl):
         """Hat-mass pair (``_mass_pair``) of w kappa dg(u) on the elements
-        ``[:nk]``, read-only."""
+        ``[:nk]``."""
         mass = self._source_weights(kappa) * nl.dg(self._live_points(u, kappa))
-        return tuple(map(_read_only, self._mass_pair(self._hat_moments(mass))))
+        return self._mass_pair(self._hat_moments(mass))
 
     # -- H^1_2 Gram matrix and dual residual norm ---------------------------
 
@@ -1004,8 +959,8 @@ def _ratio(E, G):
 
 @functools.lru_cache(maxsize=1)
 def _tilde_search(params, kappa, nl, cfg):
-    """Best tent-profile bound on the onset ratio E/(2G), and the assembly
-    that keeps the descent starts of the minimizing tent.
+    """Best tent-profile bound on the onset ratio E/(2G), the assembly it
+    was scored on and the refined minimizing tent, a read-only vector.
 
     A tent of height h scores h^2 E_b / (2 G(h P)) from its width's unit
     tent's energy E_b and point values P.  Two rules score the potential.
@@ -1026,12 +981,11 @@ def _tilde_search(params, kappa, nl, cfg):
     ``lambda_scan`` and ``tilde_lambda_estimate`` share one search per
     ``(params, kappa, nl, cfg)``.  The four are frozen, and a weight or
     nonlinearity compares its functions by identity, so a new one misses;
-    problem data are treated as immutable.  The kept assembly also keeps
-    the descent starts of every solve of the problem (``_descent_starts``)
-    and, once a solve has reached them, their lambda-free source terms.  It
-    holds about 3.3 MB at M = 6400: 1.7 MB of quadrature data, weights and
-    moment tables, 0.36 MB of state of the last vector it evaluated and
-    1.23 MB of starts.
+    problem data are treated as immutable.  The tent is read-only because
+    every caller of the memo shares it; ``solve`` descends from multiples
+    of it.  The kept assembly holds about 2.1 MB at M = 6400: 1.7 MB of
+    quadrature data, weights, moment tables and the Gram factor, and 0.36
+    MB of state of the last vector it evaluated.
     """
     asm = _Assembly(params, solver_nodes(cfg))
     rough = _Assembly(params, asm.nodes, quad_order=2)
@@ -1070,22 +1024,8 @@ def _tilde_search(params, kappa, nl, cfg):
     log_h, neg_rat, _ = _golden_max(
         neg_ratio, math.log(h0 / 3.0), math.log(h0 * 3.0), tol=1e-10, max_iter=60
     )
-    trial = _tent_vector(asm.nodes, math.exp(log_h), w0)
-    asm.keep_starts(_descent_starts(trial, cfg.seed))
-    return min(-neg_rat, best), asm
-
-
-def _descent_starts(trial, seed):
-    """The starts of every descent of a problem: t * trial for t in (0.25,
-    0.5, 1, 2, 4), then three seeded random perturbations of trial."""
-    starts = [t * trial for t in (0.25, 0.5, 1.0, 2.0, 4.0)]
-    for k in range(3):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
-        bump = 1.0 + 0.3 * rng.standard_normal(trial.size)
-        pert = trial * bump
-        pert[-1] = 0.0
-        starts.append(pert)
-    return starts
+    trial = _read_only(_tent_vector(asm.nodes, math.exp(log_h), w0))
+    return min(-neg_rat, best), asm, trial
 
 
 def tilde_lambda_estimate(params, kappa, nl, cfg=None):
@@ -1423,34 +1363,34 @@ CSV_SCAN_HEADER = ("lambda", "classification", "energy", "residual", "h12_norm",
 
 
 def solve(lam, params, kappa=None, nl=None, cfg=None):
-    """Full pipeline at one lambda: minimize from several inits, then a
+    """Full pipeline at one lambda: minimize from five starts, then a
     mountain pass toward each nonzero minimizer until a saddle certifies.
 
-    Every start that converges to a nonzero profile (H^1_2 norm at least
-    1e-6) is a candidate minimizer.  In ascending J, a candidate within
-    1e-4 relative in H^1_2 norm of one already seen is the same, and each
+    The starts are t * tent for t in (0.25, 0.5, 1, 2, 4), with the
+    refined tent of the tent search, so runs are deterministic.  Every
+    start that converges to a nonzero profile (H^1_2 norm at least 1e-6)
+    with a positive value is a candidate minimizer.  Since g vanishes for s
+    <= 0, J = E/2 on a profile with no positive value, strictly convex with
+    0 its only critical point, so such a start is the zero solution
+    approached from below.  In ascending J, a candidate within 1e-4
+    relative in H^1_2 norm of one already seen is the same, and each
     distinct one must pass the certificate with Morse index 0.  One that
-    fails is dropped, and noted as a failure when it has the lowest J of all
-    converged starts.  The ray toward each certified minimizer, whatever the
-    sign of its J, is tried by :func:`mountain_pass` until a saddle of Morse
-    index 1 certifies; when none does, the failure of every ray is noted.
-    No ray is scanned when no start has a nonzero minimizer.
+    fails is dropped, and noted as a failure when it has the lowest J of
+    all converged starts.  The ray toward each certified minimizer,
+    whatever the sign of its J, is tried by :func:`mountain_pass` until a
+    saddle of Morse index 1 certifies; when none does, the failure of every
+    ray is noted.  No ray is scanned when no start has a nonzero minimizer.
 
     Classification: ``only-zero`` when no start certifies a nonzero
     minimizer, ``one`` when a minimizer is certified but no saddle, ``two``
     when the lowest certified minimizer and a mountain-pass saddle are both
     certified; each solution reports its certificate, ``morse_index``
-    included.  Initial guesses are scaled copies of the best tent trial
-    plus seeded random perturbations, so runs are deterministic for a fixed
-    config.
+    included.
 
-    The lambda-independent tent search, its assembly and Gram factor, the
-    starts and their source terms are kept for the last problem (see
-    ``_tilde_search``), so repeated solves of one problem set them up once:
-    a solve runs one descent from each start the kept assembly holds, whose
-    potential, source hat sums and source mass pair the first solve of the
-    problem fills.
-    Problem data are treated as immutable.
+    The lambda-independent tent search, its tent, its assembly and Gram
+    factor are kept for the last problem (see ``_tilde_search``), so
+    repeated solves of one problem set them up once.  Problem data are
+    treated as immutable.
     """
     _check_lambda(lam)
     params.require_a_below_one("the variational solver")
@@ -1458,18 +1398,18 @@ def solve(lam, params, kappa=None, nl=None, cfg=None):
     nl = nl or Nonlinearity.default()
     cfg = cfg or SolverConfig()
     lam_star = nonexistence_threshold(params, nl, kappa)
-    lam_tilde, asm = _tilde_search(params, kappa, nl, cfg)
+    lam_tilde, asm, tent = _tilde_search(params, kappa, nl, cfg)
     failures = []
     lowest = math.inf  # J of the lowest converged start
-    candidates = []  # (J, h12_norm, u, residual, iterations) of each nonzero start
-    for init_vec in asm.starts():
-        u, J, res, iters = _minimize_vec(asm, lam, kappa, nl, cfg, init_vec)
+    candidates = []  # (J, h12_norm, u, residual, iterations) of each positive start
+    for t in (0.25, 0.5, 1.0, 2.0, 4.0):
+        u, J, res, iters = _minimize_vec(asm, lam, kappa, nl, cfg, t * tent)
         if res >= cfg.tol:
             failures.append(f"minimize residual {res:.3e} above tol from one start")
             continue
         lowest = min(lowest, J)
         norm = asm.h12_norm(u)
-        if norm >= 1e-6:
+        if norm >= 1e-6 and u.max() > 0.0:
             candidates.append((J, norm, u, res, iters))
     candidates.sort(key=lambda c: c[0])
     seen, minimizers = [], []
@@ -1521,7 +1461,8 @@ def lambda_scan(lambdas, params, kappa=None, nl=None, cfg=None):
     in the report instead of aborting the scan.
 
     The tent search behind lambda~ does not depend on lambda: the scan runs
-    it for lambda~ and its memo serves it to every solve.  A failed search
+    it for lambda~ and its memo serves it, with the tent that every solve
+    descends from, to every solve.  A failed search
     is not memoized, so each lambda runs it again and reports its error.
     With ``lambdas=None`` the schedule is (lambda*/2, 10 lambda~), one point
     on each side of the two-solution onset; then a failed search or a

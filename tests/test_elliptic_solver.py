@@ -66,10 +66,9 @@ def _klein_weights(asm, n, q=8):
 
 
 def _best_tent(params, kappa, nl, cfg):
-    """lambda~, the refined tent behind it (the third kept start, 1 * tent)
-    and the kept assembly."""
-    lam_tilde, asm = _tilde_search(params, kappa, nl, cfg)
-    return lam_tilde, asm.starts()[2], asm
+    """lambda~, the refined tent behind it and the kept assembly."""
+    lam_tilde, asm, tent = _tilde_search(params, kappa, nl, cfg)
+    return lam_tilde, tent, asm
 
 
 # --- radial closed form ----------------------------------------------------
@@ -1009,7 +1008,7 @@ def test_minimize_ends_a_start_once_its_line_search_resolves_no_decrease(monkeyp
 
     monkeypatch.setattr(es, "_minimize_vec", recorded)
     assert solve(lam, params, kappa, nl, cfg).classification == "two"
-    assert len(iterations) == 8
+    assert len(iterations) == 5
     assert max(iterations) <= 30
 
 
@@ -1024,6 +1023,29 @@ def test_solve_certifies_a_minimizer_with_a_full_support_weight():
     assert minimizer["which"] == "minimizer"
     assert minimizer["ok"]
     assert minimizer["energy"] < 0.0
+
+
+def test_a_start_with_no_positive_value_is_not_a_candidate(monkeypatch):
+    # g vanishes for s <= 0, so on a profile with no positive value J = E/2,
+    # whose only critical point is 0: a start that converges there is the
+    # zero solution approached from below.  Taken as a candidate, it had
+    # the lowest J and failed certification on its least value, and this
+    # only-zero run exited 1
+    params, nl = ModelParams(n=2, a=0.99), Nonlinearity.default()
+    lam = 0.65 * tilde_lambda_estimate(params, EXP_WEIGHT, nl, cfg=FAST)
+    ends = []
+    minimize_vec = es._minimize_vec
+
+    def recorded(asm, *args):
+        out = minimize_vec(asm, *args)
+        ends.append((out[2], asm.h12_norm(out[0]), out[0].max()))
+        return out
+
+    monkeypatch.setattr(es, "_minimize_vec", recorded)
+    report = solve(lam, params, EXP_WEIGHT, nl, FAST)
+    assert report.classification == "only-zero"
+    assert report.failures == ()
+    assert any(res < FAST.tol and norm >= 1e-6 and top == 0.0 for res, norm, top in ends)
 
 
 def test_solve_two_solution_regime():
@@ -1121,8 +1143,9 @@ def test_lambda_scan_runs_tilde_search_once():
 
 
 def test_lambda_scan_matches_cold_solves_across_the_onset():
-    # the scan reuses each start's kept source terms from one lambda to the
-    # next; every report must equal that of a solve on a fresh tent search
+    # the scan reuses the kept assembly, its state slot and its Gram factor
+    # from one lambda to the next; every report must equal that of a solve
+    # on a fresh tent search
     params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
     lam_star = nonexistence_threshold(params, nl, kappa)
     lam_tilde = tilde_lambda_estimate(params, kappa, nl, cfg=FAST)
@@ -1132,46 +1155,6 @@ def test_lambda_scan_matches_cold_solves_across_the_onset():
     for lam, rep in zip(lams, scan.reports):
         _tilde_search.cache_clear()
         assert rep.to_json_dict() == solve(lam, params, kappa, nl, FAST).to_json_dict()
-
-
-def _counted_nonlinearity():
-    """The default nonlinearity with its G, g and dg calls counted."""
-    ref = Nonlinearity.default()
-    calls = {"G": 0, "g": 0, "dg": 0}
-
-    def counted(name, f):
-        def wrapped(s):
-            calls[name] += 1
-            return f(s)
-
-        return wrapped
-
-    nl = Nonlinearity(
-        g=counted("g", ref.g), G=counted("G", ref.G), dg=counted("dg", ref.dg), c_g=ref.c_g
-    )
-    return nl, calls
-
-
-def test_a_second_solve_reuses_the_source_terms_of_the_eight_starts():
-    # the potential, the source row sums and the Hessian's source moments of
-    # each start do not depend on lambda: a solve after another one of the
-    # same problem evaluates G, g and dg once less per start than the same
-    # solve on a fresh tent search
-    params, kappa = ModelParams(n=3, a=0.5), WeightKappa.default()
-    nl, calls = _counted_nonlinearity()
-    lam_star = nonexistence_threshold(params, nl, kappa)
-    counts = []
-    for warm in (False, True):
-        _tilde_search.cache_clear()
-        _tilde_search(params, kappa, nl, FAST)
-        if warm:
-            solve(0.25 * lam_star, params, kappa, nl, FAST)
-        calls.update(G=0, g=0, dg=0)
-        assert solve(0.5 * lam_star, params, kappa, nl, FAST).classification == "only-zero"
-        counts.append(dict(calls))
-    cold, second = counts
-    assert len(es._tilde_search(params, kappa, nl, FAST)[1].starts()) == 8
-    assert second == {"G": cold["G"] - 8, "g": cold["g"] - 8, "dg": cold["dg"] - 8}
 
 
 def test_lambda_scan_reports_match_solve():
@@ -1684,33 +1667,41 @@ def test_kept_state_is_read_only():
     assert got == _kernel_bits(fresh, u, kappa, ref)
 
 
-def test_kept_starts_and_their_terms_are_read_only():
+def test_solve_descends_from_five_multiples_of_the_read_only_tent(monkeypatch):
+    # the starts are t * tent for t in (0.25, 0.5, 1, 2, 4), and the memo
+    # shares the tent, so it must not be writable
+    _tilde_search.cache_clear()
     params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
-    asm = _tilde_search(params, kappa, nl, FAST)[1]
-    starts = asm.starts()
-    for k, t in enumerate((0.25, 0.5, 1.0, 2.0, 4.0)):
-        assert np.array_equal(starts[k], t * starts[2])  # t * tent
-    for v in starts:
-        asm.g_int(v, kappa, nl)
-        asm.grad(v, 1.0, kappa, nl)
-        asm.hessian_banded(v, 1.0, kappa, nl)
-    for _, terms in asm._starts:
-        assert terms["kappa"] is kappa and terms["nl"] is nl
-        for kept in (*terms["source"], *terms["mass"], *starts):
-            with pytest.raises(ValueError):
-                kept[0] = 1.0
+    tent = _tilde_search(params, kappa, nl, FAST)[2]
+    with pytest.raises(ValueError):
+        tent[0] = 1.0
+    starts = []
+    minimize_vec = es._minimize_vec
+
+    def recorded(asm, lam, kappa, nl, cfg, init_vec):
+        starts.append(np.array(init_vec))
+        return minimize_vec(asm, lam, kappa, nl, cfg, init_vec)
+
+    monkeypatch.setattr(es, "_minimize_vec", recorded)
+    lam = 10.0 * tilde_lambda_estimate(params, kappa, nl, cfg=FAST)
+    assert solve(lam, params, kappa, nl, FAST).classification == "two"
+    assert len(starts) == 5
+    for v, t in zip(starts, (0.25, 0.5, 1.0, 2.0, 4.0)):
+        assert np.array_equal(v, t * tent)
+    assert _tilde_search(params, kappa, nl, FAST)[2] is tent
 
 
 @pytest.mark.parametrize("other", ["equal-weight", "other-weight", "equal-nonlinearity"])
 def test_kept_start_terms_follow_the_weight_and_nonlinearity(other):
     # an equal copy of the weight or nonlinearity hits the tent search's memo,
     # and another weight can reach the same assembly; neither may read the
-    # terms or the live row count kept for the first weight
+    # state or the live row count kept for the first weight
     _tilde_search.cache_clear()
     params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
-    asm = _tilde_search(params, kappa, nl, FAST)[1]
+    asm, tent = _tilde_search(params, kappa, nl, FAST)[1:]
     fresh = _Assembly(params, asm.nodes, quad_order=FAST.quad_order)
-    for v in asm.starts():
+    starts = [t * tent for t in (0.25, 0.5, 1.0, 2.0, 4.0)]
+    for v in starts:
         _kernel_bits(asm, v, kappa, nl)
     if other == "equal-weight":
         kappa = copy.copy(kappa)
@@ -1720,14 +1711,13 @@ def test_kept_start_terms_follow_the_weight_and_nonlinearity(other):
         assert _tilde_search(params, kappa, nl, FAST)[1] is asm
     else:
         # another vector under the other weight moves the live row count,
-        # which the first weight's kept terms must not read
+        # which the first weight's kernels must not read
         _kernel_bits(asm, tent_values(asm.nodes), EXP_WEIGHT, nl)
-        for v in asm.starts():
+        for v in starts:
             assert _kernel_bits(asm, v, kappa, nl) == _kernel_bits(fresh, v, kappa, nl)
         kappa = EXP_WEIGHT
-    for v in asm.starts():
+    for v in starts:
         assert _kernel_bits(asm, v, kappa, nl) == _kernel_bits(fresh, v, kappa, nl)
-    assert all(t["kappa"] is kappa and t["nl"] is nl for _, t in asm._starts)
     # and a solve on the kept assembly equals one on a fresh tent search
     lam = 0.5 * nonexistence_threshold(params, nl, kappa)
     warm = solve(lam, params, kappa, nl, FAST).to_json_dict()

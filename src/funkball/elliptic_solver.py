@@ -445,13 +445,12 @@ class SolverConfig:
 
     ``max_iter`` caps each start's descent steps.  A start cut off by it
     keeps its residual, which is at or above ``tol``, so it counts as a
-    failed start.  ``seed`` seeds only the gradient-check states of the
-    CLI's ``diag``; the solver itself draws no random numbers.
+    failed start.  The solver draws no random numbers and has no seed; the
+    CLI's ``diag`` draws its gradient-check states from a constant one.
     """
 
     M: int = 400
     max_iter: int = 400
-    seed: int = 0
     quad_order: ClassVar[int] = QUAD_ORDER
     tol: ClassVar[float] = 1e-8
 
@@ -460,8 +459,6 @@ class SolverConfig:
             raise ValueError("need at least 16 radial elements")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 def solver_nodes(cfg=None):
@@ -1363,29 +1360,25 @@ CSV_SCAN_HEADER = ("lambda", "classification", "energy", "residual", "h12_norm",
 
 
 def solve(lam, params, kappa=None, nl=None, cfg=None):
-    """Full pipeline at one lambda: minimize from five starts, then a
-    mountain pass toward each nonzero minimizer until a saddle certifies.
+    """Full pipeline at one lambda: minimize from five starts, then one
+    mountain pass on the ray toward the nonzero minimizer.
 
     The starts are t * tent for t in (0.25, 0.5, 1, 2, 4), with the
-    refined tent of the tent search, so runs are deterministic.  Every
-    start that converges to a nonzero profile (H^1_2 norm at least 1e-6)
-    with a positive value is a candidate minimizer.  Since g vanishes for s
-    <= 0, J = E/2 on a profile with no positive value, strictly convex with
-    0 its only critical point, so such a start is the zero solution
-    approached from below.  In ascending J, a candidate within 1e-4
-    relative in H^1_2 norm of one already seen is the same, and each
-    distinct one must pass the certificate with Morse index 0.  One that
-    fails is dropped, and noted as a failure when it has the lowest J of
-    all converged starts.  The ray toward each certified minimizer,
-    whatever the sign of its J, is tried by :func:`mountain_pass` until a
-    saddle of Morse index 1 certifies; when none does, the failure of every
-    ray is noted.  No ray is scanned when no start has a nonzero minimizer.
+    refined tent of the tent search, so runs are deterministic.  A start
+    that converges to a nonzero profile (H^1_2 norm at least 1e-6) with a
+    positive value is a candidate minimizer.  Since g vanishes for s <= 0,
+    J = E/2 on a profile with no positive value, strictly convex with 0 its
+    only critical point, so such a start is the zero solution approached
+    from below.  The candidate of least J, the first start among equals,
+    must pass the certificate with Morse index 0; when it fails, the
+    failure is noted and no ray is scanned.  Otherwise :func:`mountain_pass`
+    runs once on its ray, whatever the sign of its J, and a failure of the
+    pass is noted.  No ray is scanned when no start has a candidate.
 
-    Classification: ``only-zero`` when no start certifies a nonzero
-    minimizer, ``one`` when a minimizer is certified but no saddle, ``two``
-    when the lowest certified minimizer and a mountain-pass saddle are both
-    certified; each solution reports its certificate, ``morse_index``
-    included.
+    Classification: ``only-zero`` when no minimizer certifies, ``one`` when
+    the minimizer certifies but the mountain pass finds no saddle, ``two``
+    when both certify; each solution reports its certificate,
+    ``morse_index`` included.
 
     The lambda-independent tent search, its tent, its assembly and Gram
     factor are kept for the last problem (see ``_tilde_search``), so
@@ -1399,49 +1392,33 @@ def solve(lam, params, kappa=None, nl=None, cfg=None):
     cfg = cfg or SolverConfig()
     lam_star = nonexistence_threshold(params, nl, kappa)
     lam_tilde, asm, tent = _tilde_search(params, kappa, nl, cfg)
-    failures = []
-    lowest = math.inf  # J of the lowest converged start
-    candidates = []  # (J, h12_norm, u, residual, iterations) of each positive start
+    failures, solutions = [], []
+    best = None  # (J, u, residual, iterations) of the lowest positive start
     for t in (0.25, 0.5, 1.0, 2.0, 4.0):
         u, J, res, iters = _minimize_vec(asm, lam, kappa, nl, cfg, t * tent)
         if res >= cfg.tol:
             failures.append(f"minimize residual {res:.3e} above tol from one start")
-            continue
-        lowest = min(lowest, J)
-        norm = asm.h12_norm(u)
-        if norm >= 1e-6 and u.max() > 0.0:
-            candidates.append((J, norm, u, res, iters))
-    candidates.sort(key=lambda c: c[0])
-    seen, minimizers = [], []
-    for J, norm, u, res, iters in candidates:
-        if any(asm.h12_norm(u - v) <= 1e-4 * (norm + n_v + 1.0) for v, n_v in seen):
-            continue
-        seen.append((u, norm))
+        elif asm.h12_norm(u) >= 1e-6 and u.max() > 0.0 and (best is None or J < best[0]):
+            best = (J, u, res, iters)
+    if best is not None:
+        J, u, res, iters = best
         cert, failed = _certify(asm, u, res, lam, kappa, nl, cfg, 0)
         if failed:
-            if J == lowest:
-                failures.append(f"nonzero minimizer failed certification ({', '.join(failed)})")
-            continue
-        profile = RadialFunction.from_values(asm.nodes, u)
-        minimizers.append(
-            {"which": "minimizer", "energy": J, "iterations": iters, "profile": profile, **cert}
-        )
-
-    solutions = minimizers[:1]
-    rays = []
-    for m in minimizers:
-        try:
-            u2, J2, res2 = mountain_pass(lam, params, kappa, nl, m["profile"], cfg, asm=asm)
-        except SolverError as exc:
-            rays.append(f"mountain pass failed: {exc}")
-            continue
-        cert2 = _certify(asm, u2.values, res2, lam, kappa, nl, cfg, 1)[0]
-        solutions.append(
-            {"which": "mountain-pass", "energy": J2, "iterations": 0, "profile": u2, **cert2}
-        )
-        break
-    else:
-        failures += rays
+            failures.append(f"nonzero minimizer failed certification ({', '.join(failed)})")
+        else:
+            profile = RadialFunction.from_values(asm.nodes, u)
+            solutions.append(
+                {"which": "minimizer", "energy": J, "iterations": iters, "profile": profile, **cert}
+            )
+            try:
+                u2, J2, res2 = mountain_pass(lam, params, kappa, nl, u, cfg, asm=asm)
+            except SolverError as exc:
+                failures.append(f"mountain pass failed: {exc}")
+            else:
+                cert2 = _certify(asm, u2.values, res2, lam, kappa, nl, cfg, 1)[0]
+                solutions.append(
+                    dict(which="mountain-pass", energy=J2, iterations=0, profile=u2, **cert2)
+                )
     classification = ("only-zero", "one", "two")[len(solutions)]
 
     return SolveReport(

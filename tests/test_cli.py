@@ -199,6 +199,28 @@ def test_failed_starts_exit_1_in_solve_and_scan(capsys, tmp_path, monkeypatch):
     assert "lambda = 1: only-zero" in out
 
 
+def test_a_minimizer_that_fails_its_certificate_exits_1(capsys, monkeypatch):
+    # the default problem at 0.6 lambda~, where two starts end at zero below
+    # the minimizer's J: its failed certificate must not leave a silent
+    # only-zero that exits 0
+    from funkball import ModelParams, Nonlinearity, WeightKappa, tilde_lambda_estimate
+    from funkball import elliptic_solver as es
+
+    certify = es._certify
+
+    def failing(*args):
+        cert, failed = certify(*args)
+        return (cert, failed + ["forced"]) if args[-1] == 0 else (cert, failed)
+
+    monkeypatch.setattr(es, "_certify", failing)
+    params = ModelParams(n=3, a=0.5)
+    lam = 0.6 * tilde_lambda_estimate(params, WeightKappa.default(), Nonlinearity.default())
+    code, out, _ = run(capsys, "solve", "--lambda", repr(lam))
+    assert code == 1
+    assert value_of(out, "classification") == "only-zero"
+    assert "  note: nonzero minimizer failed certification (forced)" in out.splitlines()
+
+
 def test_starts_cut_off_by_max_iter_exit_1(capsys, tmp_path):
     # about 11 lambda~ of the M = 120 problem, where the paper has two solutions
     cfg = tmp_path / "starved.cfg"
@@ -359,7 +381,6 @@ problem.kappa_radius = 0.5
 quad.r_max = 0.99999899999999997
 solver.m = 400
 solver.max_iter = 400
-solver.seed = 0
 """
 
 
@@ -380,7 +401,7 @@ def test_resolved_cfg_of_default_run(capsys, tmp_path):
         ("problem.kappa_radius = 1.5", "the weight radius must lie in (0, 1)"),
         ("problem.g = cubic", "unknown key 'problem.g'"),
         ("problem.kappa = bump", "unknown key 'problem.kappa'"),
-        ("solver.seed = -1", "seed must be non-negative"),
+        ("solver.seed = -1", "unknown key 'solver.seed'"),
         ("solver.max_iter = 0", "max_iter must be at least 1"),
         ("solver.max_sweeps = 0", "unknown key 'solver.max_sweeps'"),
         ("solver.quad_order = 8", "unknown key 'solver.quad_order'"),
@@ -440,6 +461,7 @@ def test_checks_left_to_the_owning_class_exit_2(capsys, tmp_path, argv, cfg_line
         ("scan", "--verify"),
         ("scan", "--seed", "3"),
         ("diag", "--verify"),
+        ("diag", "--seed", "3"),
     ],
 )
 def test_a_flag_the_subcommand_does_not_read_exits_2(capsys, monkeypatch, tmp_path, argv):

@@ -454,7 +454,6 @@ def test_weight_kappa_validation():
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("seed", -1, "seed must be non-negative"),
         ("max_iter", 0, "max_iter must be at least 1"),
     ],
 )
@@ -466,7 +465,7 @@ def test_solver_config_rejects_bad_iteration_knobs(field, value, message):
 
 def test_solver_tolerance_is_a_class_constant():
     # every solve certifies against one residual tolerance, which is no field
-    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["M", "max_iter", "seed"]
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["M", "max_iter"]
     assert SolverConfig.tol == SolverConfig(M=120).tol == 1e-8
     with pytest.raises(TypeError):
         SolverConfig(tol=1e-6)
@@ -1106,6 +1105,34 @@ def test_solve_certifies_the_pair_just_above_the_fold(n, a, weight, multiple, M)
     minimizer, saddle = report.solutions
     assert saddle["energy"] > max(minimizer["energy"], 0.0)
     assert all(s["ok"] and s["min_value"] >= -1e-10 for s in report.solutions)
+
+
+def test_a_minimizer_that_fails_its_certificate_is_always_noted(monkeypatch):
+    # two starts end at zero, below the minimizer's J > 0; a failed
+    # certificate of the minimizer was dropped without a note, and this
+    # run answered a confident only-zero where the paper has two solutions
+    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
+    cfg = SolverConfig(M=400)
+    lam = 0.6 * tilde_lambda_estimate(params, kappa, nl, cfg=cfg)
+    energies = []
+    minimize_vec, certify = es._minimize_vec, es._certify
+
+    def recorded(*args):
+        out = minimize_vec(*args)
+        energies.append(out[1])
+        return out
+
+    def failing(*args):  # every certificate of Morse index 0 fails
+        cert, failed = certify(*args)
+        return (cert, failed + ["forced"]) if args[-1] == 0 else (cert, failed)
+
+    monkeypatch.setattr(es, "_minimize_vec", recorded)
+    monkeypatch.setattr(es, "_certify", failing)
+    report = solve(lam, params, kappa, nl, cfg)
+    assert min(energies) < 1e-12 < 0.4 < max(energies)
+    assert report.classification == "only-zero"
+    assert report.solutions == ()
+    assert report.failures == ("nonzero minimizer failed certification (forced)",)
 
 
 def test_solve_report_serialization():

@@ -16,12 +16,12 @@ Configuration is a flat ``key = value`` text file with dotted keys
 writes outputs also writes its fully resolved configuration next to them.
 The ``solver.*`` keys are the fields of ``SolverConfig``, defaults
 included; its class constants, such as ``tol``, are not keys.  There are
-six keys; a retired one, such as ``solver.seed``, exits 2 as unknown.
-``quad.r_max`` is the truncation radius of ``norms`` (the config twin of
-``--r-max``), by default ``quadrature.R_MAX``.  The problem is the
-default nonlinearity with the bump weight of radius ``problem.kappa_radius``.
-Every subcommand validates every key, each by the class that owns it; the
-CLI checks what no class owns (key names, numbers and ``quad.r_max``).
+five keys; a retired one, such as ``quad.r_max``, exits 2 as unknown.  The
+problem is the default nonlinearity with the bump weight of radius
+``problem.kappa_radius``.  Every subcommand validates every key, each by
+the class that owns it, so ``ModelParams`` rejects a = 1 on every solver
+path; the CLI checks what no class owns (key names, numbers and the
+``--r-max`` of ``norms``, by default ``quadrature.R_MAX``).
 ``scan`` runs its schedule sequentially through ``lambda_scan``.
 Exit codes: 0 success, 1 certification failure (a failed start or an
 uncertified solution, at any lambda of a scan), 2 validation failure.
@@ -88,7 +88,6 @@ _SOLVER_KEYS = {f"solver.{f.name.lower()}": f for f in fields(es.SolverConfig)}
 CONFIG_DEFAULTS = {
     "params.n": 3,
     "params.a": 0.5,
-    "quad.r_max": R_MAX,
     **{key: f.default for key, f in _SOLVER_KEYS.items()},
     "problem.kappa_radius": 0.5,
 }
@@ -130,8 +129,8 @@ def resolve_config(args):
 
     Returns a namespace holding the resolved ``cfg`` dict and the objects
     built from it: ``params``, ``solver``, ``nl`` and ``kappa``.  Each class
-    checks its own fields and the CLI checks ``quad.r_max``, so every
-    subcommand validates the whole configuration, whichever parts it uses.
+    checks its own fields, so every subcommand validates the whole
+    configuration, whichever parts it uses.
     """
     cfg = dict(CONFIG_DEFAULTS)
     if getattr(args, "config", None):
@@ -140,11 +139,8 @@ def resolve_config(args):
         cfg["params.n"] = args.n
     if getattr(args, "a", None) is not None:
         cfg["params.a"] = args.a
-    if getattr(args, "r_max", None) is not None:
-        cfg["quad.r_max"] = args.r_max
     cfg = {k: _coerce(k, v) for k, v in cfg.items()}
     params = fc.ModelParams(n=cfg["params.n"], a=cfg["params.a"])
-    _check_r_max(cfg["quad.r_max"])
     solver = es.SolverConfig(**{f.name: cfg[key] for key, f in _SOLVER_KEYS.items()})
     nl = es.Nonlinearity.default()
     kappa = es.WeightKappa.default(radius=cfg["problem.kappa_radius"])
@@ -243,6 +239,7 @@ def cmd_metric(args):
 
 def cmd_norms(args):
     run = resolve_config(args)
+    r_max = _check_r_max(args.r_max)
     if args.profile == "counterexample":
         u = sb.counterexample_profile()
     elif args.profile.startswith("tent:"):
@@ -259,7 +256,7 @@ def cmd_norms(args):
         )
     else:
         raise CliValidationError(f"unknown profile {args.profile!r}")
-    report = sb.w12a_norm(u, run.params, run.cfg["quad.r_max"])
+    report = sb.w12a_norm(u, run.params, r_max)
     for name in sb.NormReport.CSV_HEADER:
         print(f"{name} = {_fmt(getattr(report, name))}")
     outdir = _ensure_outdir(args)
@@ -325,11 +322,6 @@ def _certified(report):
 
 def cmd_solve(args):
     run = resolve_config(args)
-    if run.params.a >= 1.0:
-        raise CliValidationError(
-            "the solver requires a < 1: at a = 1 the function class is not closed "
-            "under negation, so the variational formulation is unavailable"
-        )
     if args.lam is None:
         raise CliValidationError("--lambda is required for solve")
     report = es.solve(args.lam, run.params, run.kappa, run.nl, run.solver)
@@ -356,11 +348,6 @@ def cmd_solve(args):
 
 def cmd_scan(args):
     run = resolve_config(args)
-    if run.params.a >= 1.0:
-        raise CliValidationError(
-            "the scan requires a < 1: at a = 1 the function class is not closed "
-            "under negation, so the variational formulation is unavailable"
-        )
     schedule = None  # lambda_scan's default (lambda*/2, 10 lambda~)
     if args.lambdas:
         try:
@@ -392,9 +379,6 @@ def cmd_scan(args):
 def cmd_diag(args):
     run = resolve_config(args)
     params, kappa, nl, scfg = run.params, run.kappa, run.nl, run.solver
-    if params.a >= 1.0:
-        raise CliValidationError("diagnostics require a < 1")
-
     nodes = es.solver_nodes(scfg)
     direction = np.maximum(1.0 - nodes / 0.4, 0.0)
     direction[-1] = 0.0
@@ -482,7 +466,7 @@ def build_parser():
     n = subs.add_parser("norms", help="norm report for a radial profile")
     _add_common(n)
     n.add_argument("--profile", default="counterexample", help="counterexample or tent:h,w")
-    n.add_argument("--r-max", dest="r_max", type=float, help="truncation radius")
+    n.add_argument("--r-max", dest="r_max", type=float, default=R_MAX, help="truncation radius")
     n.set_defaults(fn=cmd_norms)
 
     c = subs.add_parser("counterexample", help="dichotomy integrals and verdict")

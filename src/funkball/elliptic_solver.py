@@ -417,6 +417,11 @@ class WeightKappa:
         return cls(kappa=kappa, sup_norm=math.exp(-1.0 / R2))
 
 
+#: An omitted weight or nonlinearity: one default of each per process, so the
+#: tent-search memo, which compares them by identity, serves repeated calls.
+_default_kappa = functools.cache(WeightKappa.default)
+_default_nl = functools.cache(Nonlinearity.default)
+
 # ---------------------------------------------------------------------------
 # Discretization
 # ---------------------------------------------------------------------------
@@ -1382,13 +1387,13 @@ def solve(lam, params, kappa=None, nl=None, cfg=None):
 
     The lambda-independent tent search, its tent, its assembly and Gram
     factor are kept for the last problem (see ``_tilde_search``), so
-    repeated solves of one problem set them up once.  Problem data are
-    treated as immutable.
+    repeated solves of one problem, omitted weight and nonlinearity
+    included, set them up once.  Problem data are treated as immutable.
     """
     _check_lambda(lam)
     params.require_a_below_one("the variational solver")
-    kappa = kappa or WeightKappa.default()
-    nl = nl or Nonlinearity.default()
+    kappa = kappa or _default_kappa()
+    nl = nl or _default_nl()
     cfg = cfg or SolverConfig()
     lam_star = nonexistence_threshold(params, nl, kappa)
     lam_tilde, asm, tent = _tilde_search(params, kappa, nl, cfg)
@@ -1446,8 +1451,8 @@ def lambda_scan(lambdas, params, kappa=None, nl=None, cfg=None):
     lambda~ that is not finite raises :class:`SolverError`.
     """
     params.require_a_below_one("the lambda scan")
-    kappa = kappa or WeightKappa.default()
-    nl = nl or Nonlinearity.default()
+    kappa = kappa or _default_kappa()
+    nl = nl or _default_nl()
     cfg = cfg or SolverConfig()
     lam_star = nonexistence_threshold(params, nl, kappa)
     try:
@@ -1490,8 +1495,8 @@ def subquadraticity_diagnostic(u_dir, params, kappa=None, nl=None, t_schedule=No
     finite.
     """
     params.require_a_below_one("the subquadraticity diagnostic")
-    kappa = kappa or WeightKappa.default()
-    nl = nl or Nonlinearity.default()
+    kappa = kappa or _default_kappa()
+    nl = nl or _default_nl()
     cfg = cfg or SolverConfig()
     if t_schedule is None:
         t_schedule = np.geomspace(1e-3, 1e3, 25)

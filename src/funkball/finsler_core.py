@@ -79,7 +79,8 @@ class ModelParams:
 
     def require_a_below_one(self, what):
         if self.a >= 1.0:
-            raise GeometryError(f"{what} requires a < 1 (got a = {self.a})")
+            why = "at a = 1 the function class is not closed under negation"
+            raise GeometryError(f"{what} requires a < 1 (got a = {self.a}): {why}")
 
 
 class BallPoint:

@@ -136,10 +136,18 @@ def _panel_edges(r_max):
     return np.array(edges)
 
 
+@functools.cache
+def _leggauss(m):
+    """The m-point Gauss-Legendre rule on [-1, 1], built once per order, read-only."""
+    gx, gw = np.polynomial.legendre.leggauss(m)
+    gx.flags.writeable = gw.flags.writeable = False
+    return gx, gw
+
+
 def gauss_panels(edges, m):
     """The m-point Gauss-Legendre rule on each panel [edges[k], edges[k+1]]:
     points and weights as ``(len(edges) - 1, m)`` arrays, one row per panel."""
-    gx, gw = np.polynomial.legendre.leggauss(m)
+    gx, gw = _leggauss(m)
     edges = np.asarray(edges, dtype=float)
     lows = edges[:-1, None]
     half = 0.5 * (edges[1:, None] - lows)

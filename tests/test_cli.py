@@ -118,6 +118,14 @@ def test_solve_rejects_funk_endpoint(capsys):
     assert "vector space" in err or "negation" in err
 
 
+@pytest.mark.parametrize("command", ["scan", "diag"])
+def test_scan_and_diag_reject_funk_endpoint(capsys, command):
+    # ModelParams gives the reason, on the library path of each subcommand
+    code, out, err = run(capsys, command, "--n", "3", "--a", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "not closed under negation" in err
+
+
 def test_solve_requires_lambda(capsys):
     code, _, _ = run(capsys, "solve", "--n", "3", "--a", "0.5")
     assert code == 2
@@ -275,17 +283,10 @@ def test_norms_counterexample_profile(capsys):
     assert total**2 == pytest.approx(5.0 * math.pi / 12.0, abs=1e-5)
 
 
-def test_norms_r_max_flag_is_written_to_resolved_cfg(capsys, tmp_path):
-    # --r-max is the flag twin of quad.r_max, so resolved.cfg records the
-    # radius the report was truncated at, and the flag wins over the file
-    cfg = tmp_path / "r.cfg"
-    cfg.write_text("quad.r_max = 0.9\n")
-    out_dir = tmp_path / "norms"
-    argv = ("norms", "--r-max", "0.99", "--config", str(cfg), "--out", str(out_dir))
-    code, out, _ = run(capsys, *argv)
+def test_norms_r_max_flag_sets_the_report_radius(capsys):
+    code, out, _ = run(capsys, "norms", "--r-max", "0.99")
     assert code == 0
     assert float(value_of(out, "r_max")) == 0.99
-    assert "quad.r_max = 0.98999999999999999\n" in (out_dir / "resolved.cfg").read_text()
 
 
 def test_norms_tent_profile(capsys):
@@ -378,7 +379,6 @@ RESOLVED_DEFAULT = """\
 params.a = 0.5
 params.n = 3
 problem.kappa_radius = 0.5
-quad.r_max = 0.99999899999999997
 solver.m = 400
 solver.max_iter = 400
 """
@@ -408,6 +408,7 @@ def test_resolved_cfg_of_default_run(capsys, tmp_path):
         ("solver.r_max = 0.5", "unknown key 'solver.r_max'"),
         ("solver.tol = 0", "unknown key 'solver.tol'"),
         ("run.verify = 1", "unknown key 'run.verify'"),
+        ("quad.r_max = 0.9", "unknown key 'quad.r_max'"),
     ],
 )
 def test_every_subcommand_validates_the_whole_config(capsys, tmp_path, line, message):
@@ -425,7 +426,7 @@ def test_every_subcommand_validates_the_whole_config(capsys, tmp_path, line, mes
         (("metric", "--n", "1", "--reversibility"), "", "dimension must be an integer >= 2"),
         (("metric", "--a", "1.5", "--reversibility"), "", "interpolation parameter must lie in"),
         (("metric", "--reversibility"), "params.a = nan", "interpolation parameter must lie in"),
-        (("metric", "--reversibility"), "quad.r_max = 1", "r_max must lie in (0, 1), got 1.0"),
+        (("solve", "--lambda", "1"), "params.a = 1", "not closed under negation"),
         (("diag", "--lambda", "-5"), "", "lambda must be finite and non-negative"),
         (("norms", "--r-max", "1"), "", "r_max must lie in (0, 1), got 1.0"),
         (("counterexample", "--r-schedule", "0.9"), "", "need at least two truncation radii"),
@@ -437,6 +438,7 @@ def test_every_subcommand_validates_the_whole_config(capsys, tmp_path, line, mes
         (("solve", "--lambda", "inf"), "", "lambda must be finite and non-negative"),
         (("diag", "--lambda", "nan"), "", "lambda must be finite and non-negative"),
         (("diag", "--lambda", "inf"), "", "lambda must be finite and non-negative"),
+        (("norms", "--r-max", "2"), "", "r_max must lie in (0, 1), got 2.0"),
     ],
 )
 def test_checks_left_to_the_owning_class_exit_2(capsys, tmp_path, argv, cfg_line, message):

@@ -1270,6 +1270,19 @@ def test_a_new_problem_misses_the_tent_search_cache():
         assert _tilde_search.cache_info()[:2] == (1, k)
 
 
+def test_omitted_problem_data_reuse_one_tent_search():
+    # an omitted weight or nonlinearity was built anew by every call, so the
+    # memo, which compares them by identity, missed on every default solve
+    _tilde_search.cache_clear()
+    params = ModelParams(n=3, a=0.5)
+    first = solve(10.0, params, cfg=FAST)
+    second = solve(10.0, params, cfg=FAST)
+    assert _tilde_search.cache_info()[:2] == (1, 1)  # hits, misses
+    assert second.to_json_dict() == first.to_json_dict()
+    lambda_scan([10.0], params, cfg=FAST)
+    assert _tilde_search.cache_info()[:2] == (3, 1)
+
+
 @pytest.mark.parametrize("multiple", [10.0, 100.0])
 def test_a_start_cut_off_by_max_iter_is_a_failed_start(monkeypatch, multiple):
     # the Newton polish walked starts cut off after one descent step into

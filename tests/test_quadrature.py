@@ -110,6 +110,19 @@ def test_convergence_with_node_count():
     assert errs[1] < errs[0] * 1e-3 or errs[1] < 1e-14
 
 
+def test_gauss_panels_keep_the_bits_of_a_fresh_rule():
+    # each order's rule is computed once and shared, so a caller that writes
+    # into returned arrays must not reach a later call
+    edges = np.array([0.0, 0.5, 0.9])
+    gx, gw = np.polynomial.legendre.leggauss(8)
+    half = 0.5 * np.diff(edges)[:, None]
+    for _ in range(2):
+        r, w = gauss_panels(edges, 8)
+        assert np.array_equal(r, edges[:-1, None] + half * (gx + 1.0))
+        assert np.array_equal(w, half * gw)
+        r[...], w[...] = np.nan, np.nan
+
+
 def test_measure_density_consistency(dim):
     params = ModelParams(n=dim, a=0.7)
     r = radial_grid(R_MAX).nodes

@@ -224,53 +224,6 @@ def _as_scalar_fn(f):
     return wrapped
 
 
-def _cached_primitive(g):
-    """Primitive of g from cumulative panel quadrature, interpolated by cubic
-    Hermite pieces with the known slopes G' = g at the breaks.
-
-    The breaks are log-spaced about 2.9 % apart from 1e-8 to 1e12.  For the
-    default g it is good to 2e-7 relative on [1e-6, 1e12]; below 1e-6 the
-    error grows to 6e-6 at 1e-7 and 2e-4 near 1e-8.  Above s = 1e12 the
-    tail is extrapolated linearly with slope g(1e12).  Register a closed
-    form when the energy values themselves are under test.
-    """
-    # two runs of breaks, so that G at s <= 1e7 does not depend on how far
-    # the table reaches
-    breaks = np.concatenate(
-        ([0.0], np.geomspace(1e-8, 1e7, 1200), np.geomspace(1e7, 1e12, 401)[1:])
-    )
-    pts, wts = gauss_panels(breaks, 16)
-    vals = g(pts.ravel()).reshape(pts.shape)
-    panel = (wts * vals).sum(axis=1)
-    cum = np.concatenate(([0.0], np.cumsum(panel)))
-    slope = g(breaks)
-
-    def G(s):
-        s_arr = np.asarray(s, dtype=float)
-        x = np.clip(s_arr, 0.0, breaks[-1])
-        i = np.clip(np.searchsorted(breaks, x, side="right") - 1, 0, breaks.size - 2)
-        h = breaks[i + 1] - breaks[i]
-        t = (x - breaks[i]) / h
-        out = (
-            cum[i]
-            + t * t * (3.0 - 2.0 * t) * (cum[i + 1] - cum[i])
-            + h * t * (1.0 - t) * ((1.0 - t) * slope[i] - t * slope[i + 1])
-        )
-        out = out + np.maximum(s_arr - breaks[-1], 0.0) * slope[-1]
-        return np.where(s_arr <= 0.0, 0.0, out)
-
-    return G
-
-
-def _fd_derivative(g):
-    def dg(s):
-        s_arr = np.asarray(s, dtype=float)
-        h = 1e-6 * np.maximum(1.0, np.abs(s_arr))
-        return (g(s_arr + h) - g(np.maximum(s_arr - h, 0.0))) / (h + np.minimum(s_arr, h))
-
-    return dg
-
-
 def compute_cg(nl):
     """Maximum of g(s)/s over 1e-8 <= s <= 1e8 by dense log scan plus
     golden refinement."""
@@ -293,28 +246,26 @@ def compute_cg(nl):
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Sublinear nonlinearity g with primitive G and cached c_g = max g(s)/s.
+    """Sublinear nonlinearity g with its primitive G, its derivative dg and
+    c_g = max g(s)/s.
 
-    Extended by 0 for s <= 0.  The constructor always runs heuristic checks
-    of the sublinearity conditions: g(s)/s must be small near 0 and near
-    infinity (each sampled ratio below 0.2), and g must vanish on s <= 0.
+    ``g``, ``G`` and ``dg`` are required closed forms, each 0 for s <= 0:
+    G enters the energies and dg the Newton steps and the Morse index.
+    ``c_g`` is computed from g (``compute_cg``) when omitted.  The
+    constructor runs heuristic checks of the sublinearity conditions:
+    g(s)/s must be small near 0 and near infinity (each sampled ratio below
+    0.2), and g must vanish on s <= 0.  It does not check that G and dg
+    belong to g.
     """
 
     g: Callable
-    G: Optional[Callable] = None
-    dg: Optional[Callable] = None
+    G: Callable
+    dg: Callable
     c_g: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "g", _as_scalar_fn(self.g))
-        if self.G is None:
-            object.__setattr__(self, "G", _cached_primitive(self.g))
-        else:
-            object.__setattr__(self, "G", _as_scalar_fn(self.G))
-        if self.dg is None:
-            object.__setattr__(self, "dg", _fd_derivative(self.g))
-        else:
-            object.__setattr__(self, "dg", _as_scalar_fn(self.dg))
+        for name in ("g", "G", "dg"):
+            object.__setattr__(self, name, _as_scalar_fn(getattr(self, name)))
         self._check()
         if self.c_g is None:
             object.__setattr__(self, "c_g", compute_cg(self))

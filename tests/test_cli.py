@@ -333,18 +333,36 @@ def test_diag_fails_a_nan_gradient_check(capsys, tmp_path, monkeypatch):
 
     cfg = tmp_path / "fast.cfg"
     cfg.write_text(FAST_CFG)
-    gradient, calls = es.discrete_gradient, []
+    gradient, calls = es._Assembly.grad, []
 
     def nan_at_the_third_state(*args):
         calls.append(None)
         g = gradient(*args)
         return g * math.nan if len(calls) == 3 else g
 
-    monkeypatch.setattr(es, "discrete_gradient", nan_at_the_third_state)
+    monkeypatch.setattr(es._Assembly, "grad", nan_at_the_third_state)
     code, out, err = run(capsys, "diag", "--config", str(cfg))
     assert code == 1
     assert "gradient check: worst relative error nan over 5 states" in out
     assert err == "error: gradient check exceeded its tolerance\n"
+
+
+def test_diag_builds_one_assembly_for_its_gradient_check(capsys, monkeypatch):
+    # one for the subquadraticity table and one for the 5 states and their
+    # central differences
+    from funkball import elliptic_solver as es
+
+    init, builds = es._Assembly.__init__, []
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(es._Assembly, "__init__", counting_init)
+    code, out, _ = run(capsys, "diag")
+    assert code == 0
+    assert "gradient check: worst relative error" in out
+    assert len(builds) <= 2
 
 
 def test_scan_default_schedule_runs_one_tent_search(capsys, tmp_path):

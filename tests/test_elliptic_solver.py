@@ -410,22 +410,41 @@ def test_default_kernels_match_masked_forms_bit_for_bit(rng):
                 assert got.view(np.int64) == want.view(np.int64), (name, x)
 
 
+#: stand-in G and dg for the validator tests, which reject g itself
+STAND_INS = dict(G=np.zeros_like, dg=np.zeros_like)
+
+
 def test_nonlinearity_validator_rejects_non_sublinear():
     with pytest.raises(ValueError):
-        Nonlinearity(g=lambda s: np.where(s > 0.0, s * np.exp(-s), 0.0))
+        Nonlinearity(g=lambda s: np.where(s > 0.0, s * np.exp(-s), 0.0), **STAND_INS)
 
 
 def test_nonlinearity_must_vanish_on_negative_axis():
     with pytest.raises(ValueError):
-        Nonlinearity(g=lambda s: np.asarray(s, dtype=float) ** 2 / (1.0 + np.abs(s) ** 1.5))
+        Nonlinearity(
+            g=lambda s: np.asarray(s, dtype=float) ** 2 / (1.0 + np.abs(s) ** 1.5), **STAND_INS
+        )
+
+
+@pytest.mark.parametrize("missing", [("G",), ("dg",), ("G", "dg")])
+def test_nonlinearity_requires_its_primitive_and_derivative(missing):
+    # G and dg are closed forms the caller brings; neither is derived from g
+    ref = Nonlinearity.default()
+    forms = {name: getattr(ref, name) for name in ("g", "G", "dg") if name not in missing}
+    with pytest.raises(TypeError):
+        Nonlinearity(**forms)
+
+
+def _doubled(base):
+    """The nonlinearity 2 g of ``base`` with doubled closed forms; c_g is computed."""
+    return Nonlinearity(
+        g=lambda s: 2.0 * base.g(s), G=lambda s: 2.0 * base.G(s), dg=lambda s: 2.0 * base.dg(s)
+    )
 
 
 def test_cg_scales_linearly():
     base = Nonlinearity.default()
-    doubled = Nonlinearity(
-        g=lambda s: 2.0 * base.g(s), G=lambda s: 2.0 * base.G(s), dg=lambda s: 2.0 * base.dg(s)
-    )
-    np.testing.assert_allclose(doubled.c_g, 2.0 * base.c_g, rtol=1e-7)
+    np.testing.assert_allclose(_doubled(base).c_g, 2.0 * base.c_g, rtol=1e-7)
 
 
 def test_threshold_reference_values():
@@ -488,31 +507,52 @@ def test_scalar_only_weight_is_sampled_per_entry():
 
 
 def test_branching_scalar_nonlinearity_is_sampled_per_entry():
-    # `if s > 0` raises ValueError on an array, so g is called per entry
+    # `if s > 0` raises ValueError on an array, so g, G and dg are called
+    # per entry
     def g(s):
         if s > 0:
             return s * s / (1.0 + s**1.5)
         return 0.0
 
-    nl, ref = Nonlinearity(g=g), Nonlinearity.default()
+    def G(s):
+        if s > 0:
+            return 2.0 / 3.0 * (s**1.5 - math.log1p(s**1.5))
+        return 0.0
+
+    def dg(s):
+        if s > 0:
+            return (2.0 * s + 0.5 * s**2.5) / (1.0 + s**1.5) ** 2
+        return 0.0
+
+    nl, ref = Nonlinearity(g=g, G=G, dg=dg), Nonlinearity.default()
     s = np.array([-1.0, 0.0, 0.5, 2.0, 1e3])
-    np.testing.assert_allclose(nl.g(s), ref.g(s), rtol=1e-14)
+    for name in ("g", "G", "dg"):
+        np.testing.assert_allclose(getattr(nl, name)(s), getattr(ref, name)(s), rtol=1e-14)
     assert nl.c_g == pytest.approx(ref.c_g, rel=1e-12)
-    # the primitive is built from the same g values as from the array form
-    np.testing.assert_allclose(nl.G(s), Nonlinearity(g=ref.g).G(s), rtol=1e-13)
 
 
-def test_cached_primitive_matches_closed_form():
+def test_default_primitive_matches_panel_quadrature_of_g():
+    # G(b) - G(a) against 16-point Gauss-Legendre on each of 400 log-spaced
+    # intervals from 1e-8 to 1e12, about 12 % wide
     ref = Nonlinearity.default()
-    s = np.geomspace(1e-6, 1e6, 2001)
-    np.testing.assert_allclose(Nonlinearity(g=ref.g).G(s), ref.G(s), rtol=1e-5)
+    breaks = np.geomspace(1e-8, 1e12, 401)
+    gx, gw = np.polynomial.legendre.leggauss(16)
+    lo, hi = breaks[:-1, None], breaks[1:, None]
+    half = 0.5 * (hi - lo)
+    quad = (half * gw * ref.g(lo + half * (gx + 1.0))).sum(axis=1)
+    # G(s) = (2/3)(s^1.5 - log1p(s^1.5)) cancels to s^3/3 for small s: its
+    # rounding is that of s^1.5, a few eps s^1.5
+    slack = 4.0 * np.finfo(float).eps * breaks[1:] ** 1.5
+    err = np.abs(ref.G(breaks[1:]) - ref.G(breaks[:-1]) - quad)
+    assert np.all(err <= 1e-13 * quad + slack)
 
 
-def test_cached_primitive_tail_matches_closed_form():
-    # profiles pass s = 1e7 at large lambda; the table must not end there
+def test_default_derivative_matches_central_differences_of_g():
     ref = Nonlinearity.default()
-    s = np.array([2e7, 1e9, 1e11])
-    np.testing.assert_allclose(Nonlinearity(g=ref.g).G(s), ref.G(s), rtol=1e-6)
+    s = np.geomspace(1e-8, 1e12, 401)
+    h = 1e-5 * s
+    fd = (ref.g(s + h) - ref.g(s - h)) / (2.0 * h)
+    np.testing.assert_allclose(ref.dg(s), fd, rtol=1e-8)
 
 
 # --- onset estimate --------------------------------------------------------
@@ -1600,7 +1640,7 @@ NARROW_BUMP = WeightKappa(kappa=_narrow_bump)
 
 
 def _assert_source_kernels_match_full_arrays(asm, kappa, rng):
-    for nl in (Nonlinearity.default(), Nonlinearity(g=Nonlinearity.default().g)):
+    for nl in (Nonlinearity.default(), _doubled(Nonlinearity.default())):
         for scale in (1e-3, 1.0, 1e4):
             u = scale * rng.standard_normal(asm.M)  # both signs: g = 0 on s <= 0
             u[-1] = 0.0

@@ -32,6 +32,13 @@ direction.  The mountain-pass saddle is found by damped Newton from the
 barrier of the ray t -> J(t u) toward a minimizer u, and every solution is
 certified by its Morse index, the negative pivots of its tridiagonal
 Hessian's LDL^T recurrence: 0 for a minimizer, 1 for the saddle.
+
+Below a threshold of the mesh no search runs: where LDL^T factors the
+tridiagonal S+ - 2 lambda c_g B, the least slope stiffness less twice the
+linearized source mass, no nonzero discrete critical point exists
+(``_Assembly.only_zero``), and ``solve`` answers only-zero without a
+descent.  Over the check matrix's problems that threshold lies between 2
+and 1.2e4 lambda*.
 """
 
 import functools
@@ -258,7 +265,9 @@ class Nonlinearity:
     constructor runs heuristic checks of the sublinearity conditions:
     g(s)/s must be small near 0 and near infinity (each sampled ratio below
     0.2), and g must vanish on s <= 0.  It does not check that G and dg
-    belong to g.
+    belong to g.  ``c_g`` enters lambda* and the zero certificate of
+    ``solve``, and each is exact as far as ``c_g`` is the supremum of
+    g(s)/s.
     """
 
     g: Callable
@@ -389,6 +398,8 @@ NEWTON_ITERS = 80
 #: Multiple mu of the H^1_2 Gram matrix K added to the Hessian H in the
 #: descent direction -(H + mu K)^{-1} g.
 HESSIAN_SHIFT = 1e-6
+#: Multiples t of the refined tent that ``solve`` descends from.
+_STARTS = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -404,8 +415,10 @@ class SolverConfig:
 
     ``max_iter`` caps each start's descent steps.  A start cut off by it
     keeps its residual, which is at or above ``tol``, so it counts as a
-    failed start.  The solver draws no random numbers and has no seed; the
-    CLI's ``diag`` draws its gradient-check states from a constant one.
+    failed start.  A lambda that the zero certificate decides runs no
+    start, so ``max_iter`` does not reach it.  The solver draws no random
+    numbers and has no seed; the CLI's ``diag`` draws its gradient-check
+    states from a constant one.
     """
 
     M: int = 400
@@ -771,6 +784,32 @@ class _Assembly:
         ``[:nk]``."""
         mass = self._source_weights(kappa) * nl.dg(self._live_points(u, kappa))
         return self._mass_pair(self._hat_moments(mass))
+
+    # -- zero certificate ---------------------------------------------------
+
+    def only_zero(self, lam, kappa, nl):
+        """Whether the discrete J_lambda provably has no critical point but 0:
+        whether LDL^T (dpttrf) factors the tridiagonal S+ - 2 lambda c_g B.
+
+        S+ is the stiffness of the A+ table, the least of A+, A- and A0 on
+        every element, so E(u) >= u^T S+ u; B is the hat mass of the source
+        weights w kappa, the Hessian's source mass with dg = 1.  At a
+        critical point u, <grad J(u), u> = 0 and E is positively
+        2-homogeneous, so E(u) = lambda sum_p w kappa g(u_p) u_p, which is
+        at most lambda c_g u^T B u since g(s) s <= c_g s^2.  When the band
+        factors, S+ - lambda c_g B exceeds S+/2, so u = 0; that half of the
+        stiffness is the margin for rounding.  A band that is indefinite or
+        not finite certifies nothing.  Like lambda*, the proof is exact as
+        far as c_g is the supremum of g(s)/s."""
+        stiff = self._slope_tables[0] * self.inv_h**2
+        mass = self._mass_pair(self._hat_moments(self._source_weights(kappa)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            band = self._tridiag(stiff, [(-2.0 * lam * nl.c_g) * m for m in mass])
+        try:
+            _band_factor(band)
+        except (ValueError, np.linalg.LinAlgError):
+            return False
+        return True
 
     # -- H^1_2 Gram matrix and dual residual norm ---------------------------
 
@@ -1335,10 +1374,15 @@ CSV_SCAN_HEADER = ("lambda", "classification", "energy", "residual", "h12_norm",
 
 
 def solve(lam, params, kappa=None, nl=None, cfg=None):
-    """Full pipeline at one lambda: minimize from five starts, then one
-    mountain pass on the ray toward the nonzero minimizer.
+    """Full pipeline at one lambda: the zero certificate, or else minimize
+    from five starts, then one mountain pass on the ray toward the nonzero
+    minimizer.
 
-    The starts are t * tent for t in (0.25, 0.5, 1, 2, 4), with the
+    The zero certificate (``_Assembly.only_zero``) runs first, on the tent
+    search's kept assembly: where one LDL^T factorization proves that the
+    discrete J has no critical point but 0, the report is ``only-zero``
+    with no solution and no failure, and nothing descends.  Elsewhere the
+    starts are t * tent for t in (0.25, 0.5, 1, 2, 4), with the
     refined tent of the tent search, so runs are deterministic.  A start
     that converges to a nonzero profile (H^1_2 norm at least 1e-6) with a
     positive value is a candidate minimizer.  Since g vanishes for s <= 0,
@@ -1350,10 +1394,10 @@ def solve(lam, params, kappa=None, nl=None, cfg=None):
     runs once on its ray, whatever the sign of its J, and a failure of the
     pass is noted.  No ray is scanned when no start has a candidate.
 
-    Classification: ``only-zero`` when no minimizer certifies, ``one`` when
-    the minimizer certifies but the mountain pass finds no saddle, ``two``
-    when both certify; each solution reports its certificate,
-    ``morse_index`` included.
+    Classification: ``only-zero`` when the zero certificate holds or no
+    minimizer certifies, ``one`` when the minimizer certifies but the
+    mountain pass finds no saddle, ``two`` when both certify; each solution
+    reports its certificate, ``morse_index`` included.
 
     The lambda-independent tent search, its tent, its assembly and Gram
     factor are kept for the last problem (see ``_tilde_search``), so
@@ -1369,7 +1413,9 @@ def solve(lam, params, kappa=None, nl=None, cfg=None):
     lam_tilde, asm, tent = _tilde_search(params, kappa, nl, cfg)
     failures, solutions = [], []
     best = None  # (J, u, residual, iterations) of the lowest positive start
-    for t in (0.25, 0.5, 1.0, 2.0, 4.0):
+    # where the zero certificate holds, no start can end anywhere but at 0
+    starts = () if asm.only_zero(lam, kappa, nl) else _STARTS
+    for t in starts:
         u, J, res, iters = _minimize_vec(asm, lam, kappa, nl, cfg, t * tent)
         if res >= cfg.tol:
             failures.append(f"minimize residual {res:.3e} above tol from one start")
@@ -1413,9 +1459,12 @@ def lambda_scan(lambdas, params, kappa=None, nl=None, cfg=None):
     in the report instead of aborting the scan.
 
     The tent search behind lambda~ does not depend on lambda: the scan runs
-    it for lambda~ and its memo serves it, with the tent that every solve
-    descends from, to every solve.  A failed search
-    is not memoized, so each lambda runs it again and reports its error.
+    it for lambda~ and its memo serves it, with the assembly that every
+    solve certifies on and the tent that it descends from, to every solve.
+    On every problem of the check matrix the zero certificate holds at
+    the default schedule's lambda*/2, so no descent runs there.  A failed
+    search is not memoized, so each lambda runs it again and reports its
+    error.
     With ``lambdas=None`` the schedule is (lambda*/2, 10 lambda~), one point
     on each side of the two-solution onset; then a failed search or a
     lambda~ that is not finite raises :class:`SolverError`.

@@ -196,15 +196,17 @@ def test_failed_starts_exit_1_in_solve_and_scan(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(es, "_minimize_vec", failing)
     cfg = tmp_path / "fast.cfg"
     cfg.write_text(FAST_CFG)
-    code, out, _ = run(capsys, "solve", "--config", str(cfg), "--lambda", "1")
+    # 1e4 is above the zero certificate's range (2.2e3 on this mesh), so
+    # solve descends from its five starts
+    code, out, _ = run(capsys, "solve", "--config", str(cfg), "--lambda", "1e4")
     assert code == 1
     assert value_of(out, "classification") == "only-zero"
     notes = [line for line in out.splitlines() if line.startswith("  note: ")]
     assert notes == ["  note: minimize residual 1.000e-07 above tol from one start"] * 5
     # every start failed, so the scan's only-zero is not certified either
-    code, out, _ = run(capsys, "scan", "--config", str(cfg), "--lambdas", "1")
+    code, out, _ = run(capsys, "scan", "--config", str(cfg), "--lambdas", "1e4")
     assert code == 1
-    assert "lambda = 1: only-zero" in out
+    assert "lambda = 10000: only-zero" in out
 
 
 def test_a_minimizer_that_fails_its_certificate_exits_1(capsys, monkeypatch):

@@ -926,13 +926,36 @@ def _keyed_grads(monkeypatch):
     return seen
 
 
+def _descents(lam, params, kappa, nl, cfg=FAST):
+    """The kept assembly and the ends (u, J, residual, iterations) of the
+    five descents of ``solve``, run directly: ``_minimize_vec`` from each
+    multiple of the refined tent in ``es._STARTS``."""
+    _, asm, tent = _tilde_search(params, kappa, nl, cfg)
+    return asm, [es._minimize_vec(asm, lam, kappa, nl, cfg, t * tent) for t in es._STARTS]
+
+
+def _all_at_zero(asm, ends, cfg=FAST):
+    """Whether every descent converged and none is a candidate minimizer
+    (H^1_2 norm at least 1e-6 and a positive value): the ends from which
+    ``solve`` answers only-zero with no failure."""
+    return all(
+        res < cfg.tol and not (asm.h12_norm(u) >= 1e-6 and u.max() > 0.0)
+        for u, _, res, _ in ends
+    )
+
+
+def _below_threshold():
+    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
+    return 0.5 * nonexistence_threshold(params, nl, kappa), params, kappa, nl
+
+
 def test_solve_below_threshold_solves_one_riesz_system_per_gradient(monkeypatch):
     # each iterate's residual takes one Riesz solve, and the shifted-Newton
-    # direction takes none
-    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
-    lam = 0.5 * nonexistence_threshold(params, nl, kappa)
+    # direction takes none; solve certifies this lambda without descending,
+    # so the five descents run directly
+    lam, params, kappa, nl = _below_threshold()
     calls = _counting(monkeypatch, ("grad", "riesz"))
-    assert solve(lam, params, kappa, nl, FAST).classification == "only-zero"
+    assert _all_at_zero(*_descents(lam, params, kappa, nl))
     assert calls["grad"] > 0
     assert calls["riesz"] == calls["grad"]
     # the shifted-Newton direction takes 26 gradients here; the Riesz
@@ -941,12 +964,11 @@ def test_solve_below_threshold_solves_one_riesz_system_per_gradient(monkeypatch)
 
 
 def test_solve_below_threshold_evaluates_each_gradient_once(monkeypatch):
-    # the Newton polish and the certificate take the gradient and residual
-    # that their caller already holds
-    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
-    lam = 0.5 * nonexistence_threshold(params, nl, kappa)
+    # the Newton polish takes the gradient and residual that the descent
+    # already holds
+    lam, params, kappa, nl = _below_threshold()
     seen = _keyed_grads(monkeypatch)
-    assert solve(lam, params, kappa, nl, FAST).classification == "only-zero"
+    assert _all_at_zero(*_descents(lam, params, kappa, nl))
     assert seen and max(seen.values()) == 1
 
 
@@ -967,9 +989,9 @@ def test_solve_certifies_every_start_at_25_lambda_tilde_without_repeating_a_grad
 def test_solve_below_threshold_interpolates_each_iterate_once(monkeypatch):
     # the line search's J, then the gradient and the Hessian of an accepted
     # iterate read one kept set of slopes and point values; when each kernel
-    # interpolated its own, this solve made 70 interpolations of 26 vectors
-    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
-    lam = 0.5 * nonexistence_threshold(params, nl, kappa)
+    # interpolated its own, the five descents made 70 interpolations of 26
+    # vectors
+    lam, params, kappa, nl = _below_threshold()
     _tilde_search(params, kappa, nl, FAST)  # the tent bases are not iterates
     seen = {}
     at_points = _Assembly.at_points
@@ -979,19 +1001,17 @@ def test_solve_below_threshold_interpolates_each_iterate_once(monkeypatch):
         return at_points(self, u, rows)
 
     monkeypatch.setattr(_Assembly, "at_points", keyed)
-    assert solve(lam, params, kappa, nl, FAST).classification == "only-zero"
+    assert _all_at_zero(*_descents(lam, params, kappa, nl))
     assert seen and max(seen.values()) == 1
 
 
 @pytest.mark.parametrize("where, expected", [("below", "only-zero"), ("above", "two")])
 def test_solve_falls_back_to_the_riesz_direction(monkeypatch, where, expected):
     # a shifted Hessian that is never positive definite leaves the Riesz
-    # direction -K^{-1} g, which must reach the same classification
+    # direction -K^{-1} g, which must reach the same classification; below
+    # lambda* solve certifies without descending, so there the five descents
+    # run directly and must all end at zero
     params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
-    if where == "below":
-        lam = 0.5 * nonexistence_threshold(params, nl, kappa)
-    else:
-        lam = 10.0 * tilde_lambda_estimate(params, kappa, nl, cfg=FAST)
     attempts = []
 
     def not_positive_definite(self, ab, g):
@@ -999,10 +1019,77 @@ def test_solve_falls_back_to_the_riesz_direction(monkeypatch, where, expected):
         raise np.linalg.LinAlgError("forced")
 
     monkeypatch.setattr(_Assembly, "shifted_solve", not_positive_definite)
-    report = solve(lam, params, kappa, nl, FAST)
+    if where == "below":
+        assert _all_at_zero(*_descents(*_below_threshold()))
+    else:
+        lam = 10.0 * tilde_lambda_estimate(params, kappa, nl, cfg=FAST)
+        report = solve(lam, params, kappa, nl, FAST)
+        assert report.classification == expected
+        assert report.failures == ()
     assert attempts
-    assert report.classification == expected
-    assert report.failures == ()
+
+
+# --- zero certificate ------------------------------------------------------
+
+@pytest.mark.parametrize("M", [120, 400])
+@pytest.mark.parametrize("n, a", [(2, 0.0), (3, 0.5), (5, 0.9), (3, 0.99), (10, 0.5), (2, 0.99)])
+def test_zero_certificate_holds_at_lambda_star(n, a, M):
+    # the paper's bound on the mesh, for the check matrix's problems; the
+    # least margin measured over them is 2.07 lambda*
+    params, nl = ModelParams(n=n, a=a), Nonlinearity.default()
+    asm = _Assembly(params, solver_nodes(SolverConfig(M=M)))
+    for kappa in (WeightKappa.default(), WeightKappa(kappa=lambda r: np.exp(-np.asarray(r)))):
+        assert asm.only_zero(nonexistence_threshold(params, nl, kappa), kappa, nl)
+
+
+@pytest.mark.parametrize("weight", ["bump", "exp"])
+def test_zero_certificate_agrees_with_the_descents(weight):
+    # wherever the certificate holds, the five descents of solve all end at
+    # zero; the grid reaches past the certified range of both weights
+    params, nl = ModelParams(n=3, a=0.5), Nonlinearity.default()
+    if weight == "bump":
+        kappa = WeightKappa.default()
+    else:
+        kappa = WeightKappa(kappa=lambda r: np.exp(-np.asarray(r)))
+    lam_star = nonexistence_threshold(params, nl, kappa)
+    asm = _tilde_search(params, kappa, nl, FAST)[1]
+    certified = [lam for lam in lam_star * np.geomspace(0.01, 1e3, 6) if asm.only_zero(lam, kappa, nl)]
+    assert 3 <= len(certified) < 6
+    for lam in certified:
+        assert _all_at_zero(*_descents(lam, params, kappa, nl))
+
+
+def test_zero_certificate_fails_where_solve_certifies_two():
+    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
+    lam_tilde, asm, _ = _tilde_search(params, kappa, nl, FAST)
+    assert not asm.only_zero(10.0 * lam_tilde, kappa, nl)
+    report = solve(10.0 * lam_tilde, params, kappa, nl, FAST)
+    assert report.classification == "two"
+    assert all(s["ok"] for s in report.solutions)
+
+
+@pytest.mark.parametrize("lam", [1e300, np.finfo(float).max])
+def test_zero_certificate_of_a_huge_lambda_certifies_nothing(lam):
+    # at 1e300 the band is finite and indefinite; at the largest double,
+    # -2 lambda c_g overflows and the band holds infinities and NaNs.  Under
+    # the suite's warning filter an overflow warning would raise here
+    params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
+    asm = _Assembly(params, solver_nodes(FAST))
+    assert asm.only_zero(lam, kappa, nl) is False
+
+
+def test_a_certified_solve_descends_nowhere(monkeypatch):
+    _tilde_search.cache_clear()
+    lam, params, kappa, nl = _below_threshold()
+    builds = _counted_builds(monkeypatch)
+
+    def no_descent(*args):
+        raise AssertionError("a certified solve descended")
+
+    monkeypatch.setattr(es, "_minimize_vec", no_descent)
+    report = solve(lam, params, kappa, nl, FAST)
+    assert (report.classification, report.solutions, report.failures) == ("only-zero", (), ())
+    assert builds == {2: 1, FAST.quad_order: 1, "gram": 0}
 
 
 def test_solve_certifies_two_near_a_one():
@@ -1255,14 +1342,16 @@ def _counted_builds(monkeypatch):
 
 def test_solves_of_one_problem_share_one_tent_search(monkeypatch):
     # the search's two assemblies and the Gram factor are built once for
-    # lambda~ and two solves below lambda*, where no mountain pass runs
+    # lambda~, two solves below lambda*, which the zero certificate decides,
+    # and one at 10 lambda~, whose descents build the Gram factor
     _tilde_search.cache_clear()
     params, kappa, nl = ModelParams(n=3, a=0.5), WeightKappa.default(), Nonlinearity.default()
     builds = _counted_builds(monkeypatch)
-    tilde_lambda_estimate(params, kappa, nl, cfg=FAST)
+    lam_tilde = tilde_lambda_estimate(params, kappa, nl, cfg=FAST)
     lam_star = nonexistence_threshold(params, nl, kappa)
     for lam in (0.25 * lam_star, 0.5 * lam_star):
         assert solve(lam, params, kappa, nl, FAST).classification == "only-zero"
+    assert solve(10.0 * lam_tilde, params, kappa, nl, FAST).classification == "two"
     assert builds == {2: 1, FAST.quad_order: 1, "gram": 1}
 
 

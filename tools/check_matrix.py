@@ -6,7 +6,10 @@ Runs ``solve`` on 168 problems: meshes M in {120, 400}, six (n, a) pairs,
 the bump weight and the weight exp(-r), and seven lambdas (0.5 lambda*
 and 0.6, 0.65, 2, 10, 100 and 1000 lambda~).  Prints one JSON line per
 run, the run's coordinates and its ``SolveReport.to_json_dict()``, then a
-summary line and ``sha256 <hex>`` over all run lines.  A change that
+summary line and ``sha256 <hex>`` over all run lines.  The summary counts
+the runs of each classification, the failures, and the runs that the zero
+certificate (``_Assembly.only_zero`` on the problem's kept assembly)
+decided without a descent.  A change that
 should keep every result bit for bit prints the same digest as its parent:
 run the script once with ``PYTHONPATH`` pointing at each checkout's
 ``src``.  It takes 2.3 to 2.9 s with one BLAS thread on a 2-core Xeon
@@ -48,6 +51,7 @@ from funkball import (
     solve,
     tilde_lambda_estimate,
 )
+from funkball.elliptic_solver import _tilde_search
 
 MESHES = (120, 400)
 SHAPES = ((2, 0.0), (3, 0.5), (5, 0.9), (3, 0.99), (10, 0.5), (2, 0.99))
@@ -62,8 +66,9 @@ def weights():
 
 
 def runs():
-    """(coordinates, report) of every run, one problem's lambdas in a row so
-    that they share its tent search."""
+    """(coordinates, report, whether the zero certificate decided it) of
+    every run, one problem's lambdas in a row so that they share its tent
+    search and its kept assembly."""
     nl = Nonlinearity.default()
     for M in MESHES:
         cfg = SolverConfig(M=M)
@@ -72,24 +77,26 @@ def runs():
             for name, kappa in weights().items():
                 lam_star = nonexistence_threshold(params, nl, kappa)
                 lam_tilde = tilde_lambda_estimate(params, kappa, nl, cfg=cfg)
+                asm = _tilde_search(params, kappa, nl, cfg)[1]
                 lams = [("0.5 lambda*", 0.5 * lam_star)]
                 lams += [(f"{m:g} lambda~", m * lam_tilde) for m in TILDE_MULTIPLES]
                 for where, lam in lams:
                     coords = {"M": M, "n": n, "a": a, "weight": name, "lambda": where}
-                    yield coords, solve(lam, params, kappa, nl, cfg)
+                    yield coords, solve(lam, params, kappa, nl, cfg), asm.only_zero(lam, kappa, nl)
 
 
 def print_matrix():
     digest = hashlib.sha256()
-    classes, failures = {}, 0
-    for coords, report in runs():
+    classes, failures, certified = {}, 0, 0
+    for coords, report, decided in runs():
         line = json.dumps({**coords, "report": report.to_json_dict()})
         print(line)
         digest.update(line.encode() + b"\n")
         classes[report.classification] = classes.get(report.classification, 0) + 1
         failures += len(report.failures)
+        certified += decided
     print(json.dumps({"runs": sum(classes.values()), "classifications": classes,
-                      "failures": failures}))
+                      "failures": failures, "certified": certified}))
     print("sha256", digest.hexdigest())
 
 
